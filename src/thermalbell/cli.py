@@ -320,19 +320,23 @@ def _parse_span(text: str, limit: int) -> range:
 def cmd_correlate(cfg: CorrelateConfig) -> int:
     import numpy as np
 
-    from . import analytic, bell, correlate, spkl
+    from . import analytic, bell, correlate, speckle, spkl
 
     if cfg.frames is None:
         raise ConfigError("correlate requires --frames pointing at an SPKL file")
     if cfg.out is None:
         raise ConfigError("correlate requires --out as an output stem")
 
-    frames = spkl.load_frameset(cfg.frames, mmap=False)
-    geom = frames.geometry
-    if geom is None:
+    spkl.read_spkl(cfg.frames, mmap=True)   # checks header and size; reads no frames
+    try:
+        meta = spkl.read_sidecar(cfg.frames)
+    except FileNotFoundError:
+        meta = {}
+    if "geometry" not in meta:
         raise ConfigError(
             f"no geometry available for {cfg.frames}; sidecar "
             f"{spkl.sidecar_path(cfg.frames)} is missing")
+    geom = speckle.Geometry.from_dict(meta["geometry"])
 
     ms = parse_m_range(cfg.m_range)
     phase = geom.phase_map()
@@ -341,13 +345,33 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     scan = _parse_span(cfg.x2_range, geom.width) if cfg.x2_range is not None \
         else range(geom.width)
 
+    def rows_for(m: int) -> list[int]:
+        return cfg.y1_rows if cfg.y1_rows is not None else list(range(m))
+
+    # one pass over the stack for every m and every Bell realization
+    cells = [cell for m in ms for cell in correlate.gm1_cells(x1, rows_for(m), scan, y2)]
+    if cfg.bell:
+        bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
+        if cfg.angles is not None:
+            if len(cfg.angles) != 4:
+                raise ConfigError("angles must list the four cosine arguments")
+            angles = bell.AngleSet(*cfg.angles)
+        else:
+            angles = bell.default_angles(bell.Bound(cfg.bound))
+        cells += correlate.bell_cells(geom, angles, rows_for(bell_m), y2,
+                                      cfg.realizations)
+    stage_s: dict[str, float] = {}
+    started = time.perf_counter()
+    collected = correlate.CellTable(cfg.frames, cells)
+    stage_s["collect"] = time.perf_counter() - started
+
+    started = time.perf_counter()
     out_stem = Path(cfg.out)
     vis_rows = []
     table = []
     for m in ms:
-        y1_rows = cfg.y1_rows if cfg.y1_rows is not None else list(range(m))
         curve = correlate.estimate_gm1(
-            frames, m, x1, y1_rows, scan, y2, n_boot=cfg.n_boot,
+            collected, m, x1, rows_for(m), scan, y2, n_boot=cfg.n_boot,
             block_len=cfg.block_len, boot_seed=cfg.boot_seed, shuffle=cfg.shuffle)
         estimate = correlate.fit_visibility(curve, geom)
         curve_rows = [[int(c), repr(float(phase[c])), repr(float(v)), repr(float(s))]
@@ -370,24 +394,19 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     vis_path.write_text(_csv_text(
         ["m", "v_theory_dimensionless", "v_hat_dimensionless",
          "stderr_dimensionless", "fit_residual_dimensionless"], vis_rows))
+    stage_s["curves"] = time.perf_counter() - started
 
-    payload: dict = {"visibility_table": table, "n_frames": frames.n_frames,
+    payload: dict = {"visibility_table": table, "n_frames": collected.n_frames,
                      "x1": x1, "y2": y2,
                      "x2_range": [scan.start, scan.stop]}
 
     if cfg.bell:
-        bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
-        if cfg.angles is not None:
-            if len(cfg.angles) != 4:
-                raise ConfigError("angles must list the four cosine arguments")
-            angles = bell.AngleSet(*cfg.angles)
-        else:
-            angles = bell.default_angles(bell.Bound(cfg.bound))
-        y1_rows = cfg.y1_rows if cfg.y1_rows is not None else list(range(bell_m))
+        started = time.perf_counter()
         report = correlate.bell_from_frames(
-            frames, bell_m, angles, geom, y1_rows=y1_rows, y2=y2,
+            collected, bell_m, angles, geom, y1_rows=rows_for(bell_m), y2=y2,
             n_realizations=cfg.realizations, n_boot=cfg.n_boot,
             block_len=cfg.block_len, boot_seed=cfg.boot_seed, shuffle=cfg.shuffle)
+        stage_s["bell"] = time.perf_counter() - started
         payload["bell"] = report.to_dict()
         verdict = "VIOLATED" if (report.violates_upper or report.violates_lower) \
             else "not violated"
@@ -396,8 +415,17 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
 
     report_path = out_stem.parent / f"{out_stem.name}_report.json"
     report_path.write_text(_json_text(payload))
-    _write_sidecar(str(report_path), {"command": "correlate",
-                                      "config": config_dict(cfg)})
+    _write_sidecar(str(report_path), {
+        "command": "correlate",
+        "config": config_dict(cfg),
+        "diagnostics": {
+            "n_cells": collected.n_cells,
+            "block_len": cfg.block_len,
+            "n_blocks": -(-collected.n_frames // cfg.block_len),
+            "n_boot": cfg.n_boot,
+            "stage_s": stage_s,
+        },
+    })
     return EXIT_OK
 
 
@@ -525,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericGuardError as exc:
+    except (NumericGuardError, ArithmeticError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

@@ -170,6 +170,14 @@ class SimulateConfig:
     chunk: int = 4096
     out: str | None = None
 
+    def __post_init__(self):
+        # the SPKL header stores the frame count as u32 and the seed as u64
+        if not 1 <= self.n_frames <= 2**32 - 1:
+            raise ConfigError(
+                f"n_frames must lie in [1, {2**32 - 1}], got {self.n_frames}")
+        if not 0 <= self.seed <= 2**64 - 1:
+            raise ConfigError(f"seed must lie in [0, {2**64 - 1}], got {self.seed}")
+
 
 @dataclass
 class CorrelateConfig:

@@ -15,6 +15,23 @@ them per setting (four-term normalization), and evaluates the CH74 statistic.
 Because the inequality holds for arbitrary angles, the statistic is evaluated
 at the phases the pixel grid actually achieves; violation is asserted only
 when the bound is exceeded by at least two standard errors.
+
+One pass over the stack.  The estimators read pixels through a
+``CellTable``: the per-frame series of the (column, row) cells they need,
+gathered by ``collect_cells`` in one streamed pass and stored column-major,
+so a cell's series is a contiguous view.  ``gm1_cells`` and ``bell_cells``
+name the cells of one estimate; a caller that plans the union of several
+estimates (``thermalbell correlate`` does, for every m and every Bell
+realization) reads the stack once and hands the same table to each.  Block
+sums of a cell's series are computed once per table and shared.
+
+Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
+indices, one draw per replicate in a fixed order, as a per-replicate loop
+would.  The draws of a group of replicates become rows of block counts W,
+and the group's resampled sums are the products ``W @ block_sums`` and
+``W @ block_lengths``.  Only the summation order differs from resampling
+block by block, so bootstrap errors move in the last digits; point
+estimates do not use the bootstrap and are unchanged.
 """
 
 from __future__ import annotations
@@ -34,8 +51,13 @@ from .speckle import FrameSet, Geometry
 from . import spkl
 
 MIN_FRAMES = 100
+# A block bootstrap over fewer blocks has next to no spread to resample (one
+# block gives a zero error bar); 7 is 400 frames at the default block length.
+MIN_BLOCKS = 7
 DEFAULT_BLOCK_LEN = 64
 DEFAULT_N_BOOT = 200
+# Replicates per count matrix W, which holds BOOT_GROUP * n_blocks floats.
+BOOT_GROUP = 32
 
 
 @dataclass
@@ -102,17 +124,20 @@ class FrameBellReport:
         }
 
 
-FrameSource = FrameSet | str | Path
+Cell = tuple[int, int]        # (column, row)
 
 
 def _source_shape(source: FrameSource) -> tuple[int, int, int]:
+    if isinstance(source, CellTable):
+        return source.n_frames, source.height, source.width
     if isinstance(source, FrameSet):
         return source.pixels.shape
     header = spkl.read_header(source)
     return header.n_frames, header.height, header.width
 
 
-def _iter_source(source: FrameSource, chunk: int = 4096) -> Iterator[np.ndarray]:
+def _iter_source(source: FrameSet | str | Path,
+                 chunk: int = 4096) -> Iterator[np.ndarray]:
     if isinstance(source, FrameSet):
         for start in range(0, source.pixels.shape[0], chunk):
             yield source.pixels[start:start + chunk]
@@ -120,11 +145,12 @@ def _iter_source(source: FrameSource, chunk: int = 4096) -> Iterator[np.ndarray]
         yield from spkl.iter_spkl(source, chunk)
 
 
-def collect_cells(source: FrameSource,
-                  cells: Sequence[tuple[int, int]]) -> np.ndarray:
+def collect_cells(source: FrameSet | str | Path,
+                  cells: Sequence[Cell]) -> np.ndarray:
     """Per-frame values of the listed (column, row) pixels, shape [N, n_cells].
 
-    Single sequential pass over the source; float64 output.
+    Single sequential pass over the source; float64 output, stored
+    column-major so that each cell's series ``out[:, j]`` is contiguous.
     """
     n_frames, height, width = _source_shape(source)
     cols = np.array([c for c, _ in cells], dtype=int)
@@ -133,39 +159,102 @@ def collect_cells(source: FrameSource,
         raise ValueError(f"column index out of range [0, {width})")
     if np.any((rows < 0) | (rows >= height)):
         raise ValueError(f"row index out of range [0, {height})")
-    out = np.empty((n_frames, len(cells)), dtype=np.float64)
+    flat = rows * width + cols
+    out = np.empty((len(cells), n_frames), dtype=np.float64)
     start = 0
     for block in _iter_source(source):
-        out[start:start + block.shape[0]] = block[:, rows, cols]
+        frames = block.reshape(block.shape[0], height * width)
+        out[:, start:start + block.shape[0]] = np.take(frames, flat, axis=1).T
         start += block.shape[0]
-    return out
+    return out.T
 
 
-def _row_products(values: np.ndarray) -> np.ndarray:
-    """Products along axis 1 in a canonical (sorted) factor order.
+class CellTable:
+    """Per-frame series of pixel cells, read in one pass over a stack.
 
-    Sorting makes the result invariant under permutation of the chosen rows.
-    Rows whose direct product over/underflows despite all-positive factors are
-    recomputed in the log domain.
+    ``series`` returns a view of the stored column.  Block sums are computed
+    once per cell, block length and shuffle flag, and reused by every
+    estimate that reads the table.
     """
-    v = np.sort(np.asarray(values, dtype=np.float64), axis=1)
-    p = np.prod(v, axis=1)
-    bad = ~np.isfinite(p) | ((p == 0) & np.all(v > 0, axis=1))
+
+    def __init__(self, source: FrameSet | str | Path, cells: Sequence[Cell]):
+        self.n_frames, self.height, self.width = _source_shape(source)
+        cells = list(dict.fromkeys(cells))
+        self._index = {cell: j for j, cell in enumerate(cells)}
+        self._values = collect_cells(source, cells)
+        self._block_sums: dict[tuple[Cell, int, bool], np.ndarray] = {}
+
+    @property
+    def n_cells(self) -> int:
+        return len(self._index)
+
+    def series(self, cell: Cell, shuffle: bool = False) -> np.ndarray:
+        """Values of ``cell`` per frame; ``shuffle`` moves frame i+1 to i
+        (cyclically)."""
+        try:
+            values = self._values[:, self._index[cell]]
+        except KeyError:
+            raise ValueError(f"cell {cell} is not in the table") from None
+        return np.roll(values, -1) if shuffle else values
+
+    def block_sums(self, cells: Sequence[Cell], block_len: int,
+                   shuffle: bool = False) -> np.ndarray:
+        """Block sums of the cells' series, shape [n_blocks, len(cells)]."""
+        columns = []
+        for cell in cells:
+            key = (cell, block_len, shuffle)
+            if key not in self._block_sums:
+                self._block_sums[key] = _block_sums(self.series(cell, shuffle),
+                                                    block_len)
+            columns.append(self._block_sums[key])
+        return np.column_stack(columns)
+
+
+FrameSource = FrameSet | str | Path | CellTable
+
+
+def _cell_table(source: FrameSource, cells: Sequence[Cell]) -> CellTable:
+    """The table to read: ``source`` itself, or one pass collecting ``cells``."""
+    if isinstance(source, CellTable):
+        return source
+    return CellTable(source, cells)
+
+
+def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-frame products of the series in ``columns``, factors multiplied in
+    ascending order.
+
+    Sorting makes the result invariant under permutation of the chosen rows;
+    a compare-exchange network sorts every frame at once, where a per-frame
+    sort call would dominate the estimators.  Frames whose direct product
+    over/underflows despite all-positive factors are recomputed in the log
+    domain.
+    """
+    v = [np.asarray(c, dtype=np.float64) for c in columns]
+    for end in range(len(v) - 1, 0, -1):
+        for i in range(end):
+            v[i], v[i + 1] = np.minimum(v[i], v[i + 1]), np.maximum(v[i], v[i + 1])
+    p = v[0].copy()
+    for factor in v[1:]:
+        p *= factor
+    bad = ~np.isfinite(p)
+    zero = p == 0
+    if np.any(zero):
+        bad |= zero & np.logical_and.reduce([factor > 0 for factor in v])
     if np.any(bad):
-        p[bad] = np.exp(np.sum(np.log(v[bad]), axis=1))
+        p[bad] = np.exp(np.sum(np.log(np.column_stack(v)[bad]), axis=1))
     return p
 
 
-def _sorted_prod(values: np.ndarray) -> float:
-    """Product in ascending order, so factor permutations cannot change the
-    rounding."""
-    return float(np.prod(np.sort(values)))
+def _sorted_prod(values: np.ndarray) -> np.ndarray:
+    """Products over the last axis in ascending factor order, so factor
+    permutations cannot change the rounding."""
+    return np.prod(np.sort(values, axis=-1), axis=-1)
 
 
-def _block_layout(n: int, block_len: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_lengths(n: int, block_len: int) -> np.ndarray:
     starts = np.arange(0, n, block_len)
-    counts = np.diff(np.append(starts, n)).astype(float)
-    return starts, counts
+    return np.diff(np.append(starts, n)).astype(float)
 
 
 def _block_sums(arr: np.ndarray, block_len: int) -> np.ndarray:
@@ -179,10 +268,49 @@ def _fsum_columns(block_sums: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(block_sums[:, j]) for j in range(block_sums.shape[1])])
 
 
-def _check_frames(n_frames: int) -> None:
+def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
     if n_frames < MIN_FRAMES:
         raise InsufficientFramesError(
             f"{n_frames} frames; at least {MIN_FRAMES} required")
+    if block_len < 1:
+        raise ValueError(f"block length must be >= 1, got {block_len}")
+    n_blocks = -(-n_frames // block_len)
+    if n_blocks < MIN_BLOCKS:
+        raise InsufficientFramesError(
+            f"{n_frames} frames make {n_blocks} bootstrap blocks of {block_len}; "
+            f"at least {MIN_BLOCKS} required (use a shorter block length)")
+    if n_boot < 2:
+        raise ValueError(f"need at least 2 bootstrap replicates, got {n_boot}")
+
+
+def _bootstrap(blocks: np.ndarray, lengths: np.ndarray, n_boot: int,
+               seed: tuple[int, int], replicate) -> np.ndarray:
+    """Block-bootstrap replicates of ``replicate(sums, n_star)``.
+
+    ``blocks`` [nb, C] holds block sums and ``lengths`` [nb] the frames per
+    block.  Replicate r draws ``rng.integers(0, nb, nb)``; each group of
+    BOOT_GROUP draws becomes a count matrix W, and ``replicate`` receives
+    the group's sums ``W @ blocks`` [g, C] and frame counts ``W @ lengths``
+    [g].  Returns the stacked replicate values.
+    """
+    nb = blocks.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    out = []
+    for start in range(0, n_boot, BOOT_GROUP):
+        size = min(BOOT_GROUP, n_boot - start)
+        draws = np.stack([rng.integers(0, nb, nb) for _ in range(size)])
+        draws += nb * np.arange(size)[:, None]
+        weights = np.bincount(draws.ravel(), minlength=size * nb)
+        weights = weights.reshape(size, nb).astype(np.float64)
+        out.append(replicate(weights @ blocks, weights @ lengths))
+    return np.concatenate(out)
+
+
+def gm1_cells(x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
+              y2: int) -> list[Cell]:
+    """Cells ``estimate_gm1`` reads: the x1 pixels on the rows in ascending
+    order, then the scan."""
+    return [(x1, r) for r in sorted(y1_rows)] + [(c, y2) for c in x2_scan]
 
 
 def estimate_gm1(source: FrameSource, m: int, x1: int,
@@ -195,10 +323,11 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     m pixels sit at column x1 on the distinct rows ``y1_rows``; the single
     second-side pixel scans ``x2_scan`` on row ``y2``.  ``shuffle`` pairs the
     x1 product of frame i with the x2 values of frame i+1, destroying genuine
-    correlations (control estimator).
+    correlations (control estimator).  ``source`` may be a ``CellTable``
+    holding the ``gm1_cells``; otherwise they are collected from it.
     """
     n_frames, height, width = _source_shape(source)
-    _check_frames(n_frames)
+    _check_sampling(n_frames, block_len, n_boot)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     y1_rows = list(y1_rows)
@@ -214,17 +343,16 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
             f"x2 scan hits column {x1} on row {y2}, which is already used as an "
             "x1 pixel; choose a different y2 row")
 
-    cells = [(x1, r) for r in y1_rows] + [(c, y2) for c in x2_scan]
-    data = collect_cells(source, cells)
-    x1_vals = data[:, :m]
-    x2_vals = data[:, m:]
-    if shuffle:
-        x2_vals = np.roll(x2_vals, -1, axis=0)
-    products = _row_products(x1_vals)
-
-    num_blocks = _block_sums(products[:, None] * x2_vals, block_len)
-    x1_blocks = _block_sums(x1_vals, block_len)
-    x2_blocks = _block_sums(x2_vals, block_len)
+    # rows in ascending order: the product does not depend on their order,
+    # and a fixed column order keeps the bootstrap sums bit-identical too
+    cells = gm1_cells(x1, y1_rows, x2_scan, y2)
+    x1_cells, x2_cells = cells[:m], cells[m:]
+    table = _cell_table(source, cells)
+    products = _row_products([table.series(c) for c in x1_cells])
+    x1_blocks = table.block_sums(x1_cells, block_len)
+    x2_blocks = table.block_sums(x2_cells, block_len, shuffle)
+    num_blocks = np.column_stack([
+        _block_sums(products * table.series(c, shuffle), block_len) for c in x2_cells])
 
     n = float(n_frames)
     num_mean = _fsum_columns(num_blocks) / n
@@ -232,16 +360,16 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     x2_mean = _fsum_columns(x2_blocks) / n
     values = num_mean / (_sorted_prod(x1_mean) * x2_mean)
 
-    _, counts = _block_layout(n_frames, block_len)
-    nb = num_blocks.shape[0]
-    rng = np.random.default_rng(np.random.SeedSequence((boot_seed, 0xB00727)))
-    boot = np.empty((n_boot, len(x2_scan)))
-    for r in range(n_boot):
-        idx = rng.integers(0, nb, nb)
-        n_star = counts[idx].sum()
-        x1_m = x1_blocks[idx].sum(axis=0) / n_star
-        boot[r] = (num_blocks[idx].sum(axis=0) / n_star) / (
-            _sorted_prod(x1_m) * (x2_blocks[idx].sum(axis=0) / n_star))
+    n_scan = len(x2_cells)
+
+    def replicate(sums: np.ndarray, n_star: np.ndarray) -> np.ndarray:
+        mean = sums / n_star[:, None]
+        x1_m, num_m, x2_m = mean[:, :m], mean[:, m:m + n_scan], mean[:, m + n_scan:]
+        return num_m / (_sorted_prod(x1_m)[:, None] * x2_m)
+
+    boot = _bootstrap(np.concatenate([x1_blocks, num_blocks, x2_blocks], axis=1),
+                      _block_lengths(n_frames, block_len), n_boot,
+                      (boot_seed, 0xB00727), replicate)
     stderr = boot.std(axis=0, ddof=1)
 
     return CorrelationCurve(m=m, x2_positions=np.array(x2_scan, dtype=int),
@@ -329,48 +457,68 @@ def _bell_columns(phase_map: np.ndarray, angles: AngleSet, gauge: float,
     return cols
 
 
-class _BellSums:
-    """Column bookkeeping for one pixel realization inside the stacked
-    block-sum matrix used by the bootstrap."""
+def _bell_realizations(geom: Geometry, angles: AngleSet,
+                       n_realizations: int) -> list[dict[str, int]]:
+    """Pixel columns of ``n_realizations`` gauges of the angle tuple, spread
+    evenly over the gauges the grid can realize."""
+    phase_map = geom.phase_map()
+    phase_step = float(np.median(np.abs(np.diff(phase_map))))
+    max_snap = 0.75 * phase_step
 
-    def __init__(self, num: dict[tuple[str, str], int],
-                 rows: dict[str, list[int]], tvals: dict[str, int]):
-        self.num = num
-        self.rows = rows
-        self.tvals = tvals
+    candidates = np.linspace(phase_map.min(), phase_map.max(), 512)
+    usable = [g for g in candidates
+              if _bell_columns(phase_map, angles, g, max_snap) is not None]
+    if len(usable) < n_realizations:
+        raise SamplingGuardError(
+            f"only {len(usable)} pixel realizations of the angle tuple fit the "
+            f"grid; {n_realizations} requested")
+    picks = [usable[i] for i in
+             np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
+    return [_bell_columns(phase_map, angles, g, max_snap) for g in picks]
 
-    def ghat(self, sums: np.ndarray, n_star: float, sk: str, tk: str) -> float:
-        num = sums[self.num[(sk, tk)]] / n_star
-        rows_mean = sums[self.rows[sk]] / n_star
-        t_mean = sums[self.tvals[tk]] / n_star
-        return num / (_sorted_prod(rows_mean) * t_mean)
 
-    def statistic(self, sums: np.ndarray, n_star: float) -> float:
-        probs = []
-        packs = {}
-        for sk, tk in _PACKS:
-            pk, tkp = _PARTNER[sk], _PARTNER[tk]
-            quad = (self.ghat(sums, n_star, sk, tk),
-                    self.ghat(sums, n_star, pk, tkp),
-                    self.ghat(sums, n_star, sk, tkp),
-                    self.ghat(sums, n_star, pk, tk))
-            packs[(sk, tk)] = quad
-            probs.append(quad[0] / sum(quad))
-        quad1 = packs[("s1", "s2")]
-        quad3 = packs[("s1p", "s2")]
-        marg_1p = (quad3[0] + quad3[2]) / sum(quad3)  # P1(d1'): (d1',d2)+(d1',p2)
-        marg_2 = (quad1[0] + quad1[3]) / sum(quad1)   # P1(d2):  (d1,d2)+(p1,d2)
-        return probs[0] - probs[1] + probs[2] + probs[3] - marg_1p - marg_2
+def _realization_cells(cols: dict[str, int], rows: Sequence[int],
+                       y2: int) -> list[Cell]:
+    """Cells of one realization: the x1 pixels of each s column on ``rows``
+    (s-major, 4m cells), then the y2 pixels of the t columns (4 cells)."""
+    return ([(cols[sk], r) for sk in _S_KEYS for r in rows]
+            + [(cols[tk], y2) for tk in _T_KEYS])
 
-    def pack_prob_and_arg(self, sums: np.ndarray, n_star: float, sk: str, tk: str,
-                          phase_map: np.ndarray, cols: dict[str, int]) -> tuple[float, float]:
-        pk, tkp = _PARTNER[sk], _PARTNER[tk]
-        quad = (self.ghat(sums, n_star, sk, tk),
-                self.ghat(sums, n_star, pk, tkp),
-                self.ghat(sums, n_star, sk, tkp),
-                self.ghat(sums, n_star, pk, tk))
-        arg = float(phase_map[cols[sk]] - phase_map[cols[tk]])
-        return quad[0] / sum(quad), arg
+
+def bell_cells(geom: Geometry, angles: AngleSet, y1_rows: Sequence[int],
+               y2: int, n_realizations: int) -> list[Cell]:
+    """Cells ``bell_from_frames`` reads for these arguments."""
+    return [cell for cols in _bell_realizations(geom, angles, n_realizations)
+            for cell in _realization_cells(cols, sorted(y1_rows), y2)]
+
+
+def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """CH74 statistic of frame means, for any leading shape.
+
+    ``mean`` [..., 4m + 20] holds, per estimate, the means of the x1 pixels of
+    the four s columns (s1, p1, s1p, p1p; m rows each), of the y2 pixels of
+    the four t columns (s2, p2, s2p, p2p), and of the 16 numerators [s, t].
+    Returns the statistic [...] and the joint probabilities [..., 2, 2] of
+    the packs (s1 | s1p) x (s2 | s2p).
+    """
+    lead = mean.shape[:-1]
+    rows = mean[..., :4 * m].reshape(*lead, 4, m)
+    t_mean = mean[..., 4 * m:4 * m + 4]
+    num = mean[..., 4 * m + 4:].reshape(*lead, 4, 4)
+    ghat = num / (_sorted_prod(rows)[..., :, None] * t_mean[..., None, :])
+    # [s, t] = [2 a + partner, 2 c + partner]: a pack (a, c) holds the setting
+    # pair, both partners, and each single partner
+    g = ghat.reshape(*lead, 2, 2, 2, 2)
+    same, both = g[..., :, 0, :, 0], g[..., :, 1, :, 1]
+    t_partner, s_partner = g[..., :, 0, :, 1], g[..., :, 1, :, 0]
+    total = same + both + t_partner + s_partner
+    probs = same / total
+    # P1(d1'): (d1',d2) + (d1',p2);  P1(d2): (d1,d2) + (p1,d2)
+    marg_1p = (same[..., 1, 0] + t_partner[..., 1, 0]) / total[..., 1, 0]
+    marg_2 = (same[..., 0, 0] + s_partner[..., 0, 0]) / total[..., 0, 0]
+    statistic = (probs[..., 0, 0] - probs[..., 0, 1] + probs[..., 1, 0]
+                 + probs[..., 1, 1] - marg_1p - marg_2)
+    return statistic, probs
 
 
 def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
@@ -388,10 +536,12 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     the same packs.  Multiple realizations of the same argument tuple (the
     tuple fixes only phase differences, so it can be realized anywhere along
     the fringe) are averaged; the block bootstrap resamples frames through the
-    full pipeline, capturing all correlations.
+    full pipeline, capturing all correlations.  ``source`` may be a
+    ``CellTable`` holding the ``bell_cells``; otherwise they are collected
+    from it.
     """
     n_frames, height, width = _source_shape(source)
-    _check_frames(n_frames)
+    _check_sampling(n_frames, block_len, n_boot)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if geom is None and isinstance(source, FrameSet):
@@ -411,93 +561,43 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
 
-    phase_map = geom.phase_map()
-    phase_step = float(np.median(np.abs(np.diff(phase_map))))
-    max_snap = 0.75 * phase_step
+    realizations = _bell_realizations(geom, angles, n_realizations)
+    rows = sorted(y1_rows)
+    cells = [_realization_cells(cols, rows, y2) for cols in realizations]
+    table = _cell_table(source, [cell for real in cells for cell in real])
 
-    candidates = np.linspace(phase_map.min(), phase_map.max(), 512)
-    usable = [g for g in candidates
-              if _bell_columns(phase_map, angles, g, max_snap) is not None]
-    if len(usable) < n_realizations:
-        raise SamplingGuardError(
-            f"only {len(usable)} pixel realizations of the angle tuple fit the "
-            f"grid; {n_realizations} requested")
-    picks = [usable[i] for i in
-             np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
-    realizations = [_bell_columns(phase_map, angles, g, max_snap) for g in picks]
+    # per realization, the block sums of _ch74_four_term's 4m + 20 series
+    blocks = []
+    for real in cells:
+        s_cells, t_cells = real[:4 * m], real[4 * m:]
+        prods = [_row_products([table.series(c) for c in s_cells[k * m:(k + 1) * m]])
+                 for k in range(4)]
+        tvals = [table.series(c, shuffle) for c in t_cells]
+        blocks += [table.block_sums(s_cells, block_len),
+                   table.block_sums(t_cells, block_len, shuffle)]
+        blocks += [_block_sums(p * tv, block_len)[:, None] for p in prods for tv in tvals]
+    blocks = np.concatenate(blocks, axis=1)          # [nb, R * (4m + 20)]
+    width_r = 4 * m + 20
 
-    # one streaming pass for every needed pixel cell
-    cell_index: dict[tuple[int, int], int] = {}
-    cells: list[tuple[int, int]] = []
+    full_mean = (_fsum_columns(blocks) / float(n_frames)).reshape(n_realizations, width_r)
+    per_realization, probs = _ch74_four_term(full_mean, m)
+    statistic = float(np.mean(per_realization))
 
-    def _cell(col: int, row: int) -> int:
-        key = (col, row)
-        if key not in cell_index:
-            cell_index[key] = len(cells)
-            cells.append(key)
-        return cell_index[key]
+    def replicate(sums: np.ndarray, n_star: np.ndarray) -> np.ndarray:
+        mean = (sums / n_star[:, None]).reshape(len(n_star), n_realizations, width_r)
+        return _ch74_four_term(mean, m)[0].mean(axis=1)
 
-    for cols in realizations:
-        for sk in _S_KEYS:
-            for r in y1_rows:
-                _cell(cols[sk], r)
-        for tk in _T_KEYS:
-            _cell(cols[tk], y2)
-    data = collect_cells(source, cells)
-
-    # stack every per-frame series whose block sums the statistic needs
-    stack_cols: list[np.ndarray] = []
-    entries: list[_BellSums] = []
-
-    def _push(series: np.ndarray) -> int:
-        stack_cols.append(series)
-        return len(stack_cols) - 1
-
-    for cols in realizations:
-        prods = {}
-        rows_idx: dict[str, list[int]] = {}
-        for sk in _S_KEYS:
-            vals = data[:, [cell_index[(cols[sk], r)] for r in y1_rows]]
-            prods[sk] = _row_products(vals)
-            rows_idx[sk] = [_push(vals[:, i]) for i in range(m)]
-        t_idx: dict[str, int] = {}
-        num_idx: dict[tuple[str, str], int] = {}
-        for tk in _T_KEYS:
-            tv = data[:, cell_index[(cols[tk], y2)]]
-            if shuffle:
-                tv = np.roll(tv, -1)
-            t_idx[tk] = _push(tv)
-            for sk in _S_KEYS:
-                num_idx[(sk, tk)] = _push(prods[sk] * tv)
-        entries.append(_BellSums(num=num_idx,
-                                 rows={k: np.array(v) for k, v in rows_idx.items()},
-                                 tvals=t_idx))
-
-    stacked = np.stack(stack_cols, axis=1)          # [N, C]
-    blocks = _block_sums(stacked, block_len)        # [nb, C]
-    _, counts = _block_layout(n_frames, block_len)
-    nb = blocks.shape[0]
-
-    full_sums = _fsum_columns(blocks)
-    statistic = float(np.mean([e.statistic(full_sums, float(n_frames))
-                               for e in entries]))
-
-    rng = np.random.default_rng(np.random.SeedSequence((boot_seed, 0xBE11)))
-    boot = np.empty(n_boot)
-    for r in range(n_boot):
-        idx = rng.integers(0, nb, nb)
-        sums = blocks[idx].sum(axis=0)
-        n_star = counts[idx].sum()
-        boot[r] = np.mean([e.statistic(sums, n_star) for e in entries])
+    boot = _bootstrap(blocks, _block_lengths(n_frames, block_len), n_boot,
+                      (boot_seed, 0xBE11), replicate)
     stderr = float(boot.std(ddof=1))
 
+    phase_map = geom.phase_map()
     achieved = []
     vis_samples = []
-    for cols, entry in zip(realizations, entries):
+    for cols, pack_probs in zip(realizations, probs):
         args = {}
-        for sk, tk in _PACKS:
-            prob, arg = entry.pack_prob_and_arg(full_sums, float(n_frames),
-                                                sk, tk, phase_map, cols)
+        for (sk, tk), prob in zip(_PACKS, pack_probs.ravel()):
+            arg = float(phase_map[cols[sk]] - phase_map[cols[tk]])
             args[f"{sk}-{tk}"] = arg
             if abs(math.cos(arg)) > 0.2:
                 vis_samples.append((4.0 * prob - 1.0) / math.cos(arg))

@@ -39,6 +39,12 @@ class TestAnalyticCommand:
         assert max(devs) <= 1e-10
         assert "max oracle relative deviation" in capsys.readouterr().out
 
+    def test_oracle_precision_fault_is_numeric_guard(self, tmp_path, capsys):
+        """The size-16 permanent loses precision and raises ArithmeticError."""
+        assert run(["analytic", "--m", "15", "--curve", "correlation", "--oracle",
+                    "--delta-points", "8", "--out", str(tmp_path / "c.csv")]) == 3
+        assert "numeric guard:" in capsys.readouterr().err
+
     def test_empty_m_range_is_usage_error(self, tmp_path):
         assert run(["analytic", "--m", "", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -125,6 +131,15 @@ class TestSimulateCommand:
     def test_requires_out(self):
         assert run(["simulate", "--frames", "10"]) == 2
 
+    @pytest.mark.parametrize("bad", [["--frames", "-5"], ["--frames", "0"],
+                                     ["--frames", str(2**32)], ["--seed", "-1"],
+                                     ["--seed", str(2**64)]])
+    def test_out_of_range_header_fields(self, tmp_path, capsys, bad):
+        out = tmp_path / "x.spkl"
+        assert run(["simulate", "--frames", "10", *bad, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCorrelateCommand:
     @pytest.fixture()
@@ -169,6 +184,26 @@ class TestCorrelateCommand:
         a.pop("visibility_table")[0].pop("curve_csv")
         b.pop("visibility_table")[0].pop("curve_csv")
         assert a == b
+
+    def test_single_bootstrap_block_rejected(self, stack, tmp_path, capsys):
+        """A block longer than the stack would give a zero error bar."""
+        assert run(["correlate", "--frames", str(stack), "--m", "6", "--bell",
+                    "--block", "4000", "--out", str(tmp_path / "x")]) == 3
+        assert "bootstrap blocks" in capsys.readouterr().err
+
+    def test_sidecar_diagnostics(self, stack, tmp_path):
+        stem = tmp_path / "d"
+        assert run(["correlate", "--frames", str(stack), "--m", "1..2", "--bell",
+                    "--realizations", "2", "--boot", "30", "--out", str(stem)]) == 0
+        meta = json.loads((tmp_path / "d_report.json.meta.json").read_text())
+        diag = meta["diagnostics"]
+        assert diag["n_blocks"] == 47 and diag["block_len"] == 64
+        assert diag["n_boot"] == 30
+        # 2 x1 pixels, 128 scan pixels, 2 x 4 Bell columns on 2 rows
+        assert 130 < diag["n_cells"] <= 130 + 16
+        assert set(diag["stage_s"]) == {"collect", "curves", "bell"}
+        report = json.loads((tmp_path / "d_report.json").read_text())
+        assert "diagnostics" not in report
 
     def test_missing_frames_file_is_io_error(self, tmp_path):
         assert run(["correlate", "--frames", str(tmp_path / "nope.spkl"),
