@@ -265,12 +265,17 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
     total = 0.0
     total_sq = 0.0
     count = 0
+    # every row of a frame carries the same intensities
+    rows = np.empty((min(cfg.chunk, cfg.n_frames), geom.height, geom.width),
+                    dtype=np.float32)
     with spkl.SpklWriter(cfg.out, cfg.n_frames, geom.height, geom.width,
                          cfg.tau_ratio, cfg.seed) as writer:
         for block in speckle.iter_intensity_chunks(
                 geom, model, cfg.n_frames, cfg.tau_ratio, cfg.substeps,
                 cfg.n_subsources, cfg.seed, cfg.slits, cfg.chunk):
-            writer.write(np.repeat(block[:, None, :], geom.height, axis=1))
+            out = rows[:block.shape[0]]
+            out[...] = block[:, None, :]
+            writer.write(out)
             b64 = block.astype(np.float64)
             total += float(b64.sum())
             total_sq += float((b64 * b64).sum())
@@ -327,7 +332,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     if cfg.out is None:
         raise ConfigError("correlate requires --out as an output stem")
 
-    spkl.read_spkl(cfg.frames, mmap=True)   # checks header and size; reads no frames
+    header, _ = spkl.read_spkl(cfg.frames, mmap=True)   # checks header and size only
     try:
         meta = spkl.read_sidecar(cfg.frames)
     except FileNotFoundError:
@@ -337,6 +342,8 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
             f"no geometry available for {cfg.frames}; sidecar "
             f"{spkl.sidecar_path(cfg.frames)} is missing")
     geom = speckle.Geometry.from_dict(meta["geometry"])
+    # fail before the pass over the stack, not after it
+    correlate._check_sampling(header.n_frames, cfg.block_len, cfg.n_boot)
 
     ms = parse_m_range(cfg.m_range)
     phase = geom.phase_map()

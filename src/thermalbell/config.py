@@ -167,7 +167,7 @@ class SimulateConfig:
     pixel_pitch: float = 5.5e-6
     width: int = 512
     height: int = 8
-    chunk: int = 4096
+    chunk: int = 1024
     out: str | None = None
 
     def __post_init__(self):

@@ -36,10 +36,12 @@ estimates do not use the bootstrap and are unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -457,10 +459,15 @@ def _bell_columns(phase_map: np.ndarray, angles: AngleSet, gauge: float,
     return cols
 
 
+@functools.lru_cache(maxsize=16)
 def _bell_realizations(geom: Geometry, angles: AngleSet,
-                       n_realizations: int) -> list[dict[str, int]]:
+                       n_realizations: int) -> tuple[Mapping[str, int], ...]:
     """Pixel columns of ``n_realizations`` gauges of the angle tuple, spread
-    evenly over the gauges the grid can realize."""
+    evenly over the gauges the grid can realize.
+
+    Memoized: a ``correlate --bell`` needs them for its cell plan and again
+    for the statistic, and each search snaps 512 gauges.
+    """
     phase_map = geom.phase_map()
     phase_step = float(np.median(np.abs(np.diff(phase_map))))
     max_snap = 0.75 * phase_step
@@ -474,10 +481,11 @@ def _bell_realizations(geom: Geometry, angles: AngleSet,
             f"grid; {n_realizations} requested")
     picks = [usable[i] for i in
              np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
-    return [_bell_columns(phase_map, angles, g, max_snap) for g in picks]
+    return tuple(MappingProxyType(_bell_columns(phase_map, angles, g, max_snap))
+                 for g in picks)
 
 
-def _realization_cells(cols: dict[str, int], rows: Sequence[int],
+def _realization_cells(cols: Mapping[str, int], rows: Sequence[int],
                        y2: int) -> list[Cell]:
     """Cells of one realization: the x1 pixels of each s column on ``rows``
     (s-major, 4m cells), then the y2 pixels of the t columns (4 cells)."""

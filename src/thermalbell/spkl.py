@@ -19,6 +19,7 @@ sidecar.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,30 +70,51 @@ def read_header(path: str | Path) -> SpklHeader:
 
 
 class SpklWriter:
-    """Streaming writer; frame count is fixed up front and enforced on close."""
+    """Streaming writer; frame count is fixed up front and enforced on close.
+
+    Frames go to a temporary file beside ``path``, which takes its place only
+    on a clean close.  On an error, or a frame count short of the header's,
+    the temporary file is removed, so a failed run leaves no partial stack.
+    """
 
     def __init__(self, path: str | Path, n_frames: int, height: int, width: int,
                  tau_ratio: float, seed: int):
         self.path = Path(path)
         self.header = SpklHeader(n_frames, height, width, tau_ratio, seed)
-        self._fh = open(self.path, "wb")
-        self._fh.write(_pack_header(self.header))
+        header = _pack_header(self.header)
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        self._fh = open(self._tmp, "wb")
         self._written = 0
+        try:
+            self._fh.write(header)
+        except BaseException:
+            self.abort()
+            raise
 
     def write(self, frames: np.ndarray) -> None:
         frames = np.asarray(frames)
         if frames.ndim != 3 or frames.shape[1:] != (self.header.height, self.header.width):
             raise ValueError(f"chunk shape {frames.shape} does not match header "
                              f"(h={self.header.height}, w={self.header.width})")
-        self._fh.write(np.ascontiguousarray(frames, dtype="<f4").tobytes())
+        self._fh.write(np.ascontiguousarray(frames, dtype="<f4").data)
         self._written += frames.shape[0]
 
     def close(self) -> None:
+        try:
+            self._fh.close()
+            if self._written != self.header.n_frames:
+                raise SpklFormatError(
+                    f"{self.path}: wrote {self._written} frames, header promised "
+                    f"{self.header.n_frames}")
+        except BaseException:
+            self._tmp.unlink(missing_ok=True)
+            raise
+        os.replace(self._tmp, self.path)
+
+    def abort(self) -> None:
+        """Close and discard everything written."""
         self._fh.close()
-        if self._written != self.header.n_frames:
-            raise SpklFormatError(
-                f"{self.path}: wrote {self._written} frames, header promised "
-                f"{self.header.n_frames}")
+        self._tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "SpklWriter":
         return self
@@ -101,7 +123,7 @@ class SpklWriter:
         if exc_type is None:
             self.close()
         else:
-            self._fh.close()
+            self.abort()
 
 
 def write_spkl(path: str | Path, frames: FrameSet) -> None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -124,6 +125,16 @@ class TestSimulateCommand:
         assert run(["simulate", *SIM_ARGS, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_golden_stack_bytes(self, tmp_path):
+        """Pinned SPKL bytes of the tau06 acceptance config at 300 frames."""
+        out = tmp_path / "g.spkl"
+        assert run(["simulate", "--frames", "300", "--tau-ratio", "0.06",
+                    "--substeps", "8", "--subsources", "64", "--pixel-pitch", "8e-6",
+                    "--grid-width", "128", "--grid-height", "8", "--seed", "20260811",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "b118d345de0587315a9ced797fbd8e222bd180887016b33a628c6f1c76048c72"
+
     def test_sampling_guard_exit_code(self, tmp_path):
         assert run(["simulate", "--frames", "10", "--pixel-pitch", "1e-4",
                     "--out", str(tmp_path / "x.spkl")]) == 3
@@ -190,6 +201,25 @@ class TestCorrelateCommand:
         assert run(["correlate", "--frames", str(stack), "--m", "6", "--bell",
                     "--block", "4000", "--out", str(tmp_path / "x")]) == 3
         assert "bootstrap blocks" in capsys.readouterr().err
+
+    def test_block_count_checked_before_reading(self, stack, tmp_path, monkeypatch):
+        from thermalbell import correlate
+        calls = []
+        real = correlate.collect_cells
+        monkeypatch.setattr(correlate, "collect_cells",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
+                    "--block", "4000", "--out", str(tmp_path / "x")]) == 3
+        assert calls == []
+
+    def test_bell_realizations_found_once(self, stack, tmp_path):
+        from thermalbell import correlate
+        correlate._bell_realizations.cache_clear()
+        assert run(["correlate", "--frames", str(stack), "--m", "1", "--bell",
+                    "--realizations", "2", "--boot", "20",
+                    "--out", str(tmp_path / "r")]) == 0
+        info = correlate._bell_realizations.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"

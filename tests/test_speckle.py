@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,12 @@ from thermalbell import correlate, speckle
 from thermalbell.errors import SamplingGuardError
 from thermalbell.sources import spe, tls
 from thermalbell.speckle import Geometry, generate_frames, photonize
+
+
+@pytest.fixture(scope="module")
+def golden_frames(desk_geom):
+    return generate_frames(desk_geom, tls(1.0, 1.0), 257, 0.06, substeps=8,
+                           n_subsources=64, seed=20260811, chunk=100)
 
 
 class TestGeometry:
@@ -63,9 +70,48 @@ class TestGeneration:
         assert not np.array_equal(a.pixels, b.pixels)
 
     def test_chunk_size_does_not_change_output(self, desk_geom):
+        """Chunks that divide nothing, divide evenly, or exceed the stack."""
         a = generate_frames(desk_geom, tls(1.0), 150, 0.05, substeps=4, seed=3, chunk=150)
-        b = generate_frames(desk_geom, tls(1.0), 150, 0.05, substeps=4, seed=3, chunk=7)
-        assert np.array_equal(a.pixels, b.pixels)
+        for chunk in (7, 50, 1000):
+            b = generate_frames(desk_geom, tls(1.0), 150, 0.05, substeps=4, seed=3,
+                                chunk=chunk)
+            assert np.array_equal(a.pixels, b.pixels), chunk
+
+    @pytest.mark.parametrize("tau, substeps, n_sub, slits", [
+        (0.06, 8, 16, 2), (0.0, 1, 1, 2), (2.0, 3, 5, 1)])
+    def test_matches_per_frame_generator_reference(self, desk_geom, tau, substeps,
+                                                   n_sub, slits):
+        """Same bytes as a new Philox generator per frame and fresh arrays at
+        every substep."""
+        model = tls(1.3, 0.7)
+        got = generate_frames(desk_geom, model, 40, tau, substeps, n_sub, seed=5,
+                              slits=slits, chunk=16).pixels[:, 0, :]
+        pos = speckle.subsource_positions(desk_geom, n_sub, slits)
+        k = 2.0 * math.pi / desk_geom.wavelength
+        phases = np.exp(1j * k * np.outer(pos, desk_geom.pixel_positions())
+                        / desk_geom.propagation)
+        sigma = math.sqrt(model.field_amp**2 * model.mean_photons / n_sub)
+        rho = math.exp(-tau / substeps)
+        innov = math.sqrt(max(0.0, 1.0 - rho * rho))
+        z = np.stack([np.random.Generator(np.random.Philox(key=np.array(
+            [5, f], dtype=np.uint64))).standard_normal((substeps, pos.size, 2))
+            for f in range(40)])
+        draws = (z[..., 0] + 1j * z[..., 1]) * (sigma / math.sqrt(2.0))
+        current = draws[:, 0]
+        field = current @ phases
+        intensity = field.real**2 + field.imag**2
+        for step in range(1, substeps):
+            current = rho * current + innov * draws[:, step]
+            field = current @ phases
+            intensity += field.real**2 + field.imag**2
+        intensity /= substeps
+        assert np.array_equal(got, intensity.astype(np.float32))
+
+    def test_golden_frames(self, golden_frames):
+        """Pinned bytes of the tau06 acceptance config: any change to the
+        streams, the draw order or the float operations shows here."""
+        assert hashlib.sha256(golden_frames.pixels.tobytes()).hexdigest() == \
+            "f189be205e27cecdeca68b1fb84fea6e6f3b63fa6a94320d10cd3c463785cb01"
 
     def test_rows_carry_identical_field(self, frames_tiny):
         assert np.array_equal(frames_tiny.pixels[:, 0, :], frames_tiny.pixels[:, -1, :])
@@ -156,6 +202,11 @@ class TestPhotonize:
         g2 = np.mean(intensity**2) / np.mean(intensity) ** 2
         predicted = 1.0 + gain * intensity.mean() * (g2 - 1.0)
         assert counts.var() / counts.mean() == pytest.approx(predicted, rel=0.1)
+
+    def test_golden_counts(self, golden_frames):
+        counts = photonize(golden_frames, gain=10.0, seed=4)
+        assert hashlib.sha256(counts.pixels.tobytes()).hexdigest() == \
+            "3693cc20a5e45796a54c9bf11a99712f493d6a36a051a4c9814134d28b993690"
 
     def test_rejects_bad_gain(self, frames_tiny):
         with pytest.raises(ValueError):

@@ -87,6 +87,28 @@ def test_writer_enforces_declared_count(tmp_path):
     writer.write(np.zeros((3, 2, 4), dtype=np.float32))
     with pytest.raises(spkl.SpklFormatError, match="promised"):
         writer.close()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    """An exception mid-write publishes nothing and cleans up after itself."""
+    path = tmp_path / "w.spkl"
+    with pytest.raises(RuntimeError, match="interrupted"):
+        with spkl.SpklWriter(path, 10, 2, 4, 0.1, 1) as writer:
+            writer.write(np.zeros((3, 2, 4), dtype=np.float32))
+            raise RuntimeError("interrupted")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stack_appears_only_on_close(tmp_path):
+    path = tmp_path / "w.spkl"
+    with spkl.SpklWriter(path, 2, 2, 4, 0.1, 1) as writer:
+        writer.write(np.ones((2, 2, 4)))
+        assert not path.exists()
+    assert list(tmp_path.iterdir()) == [path]
+    header, pixels = spkl.read_spkl(path)
+    assert header.n_frames == 2 and pixels.dtype == np.dtype("<f4")
+    assert np.array_equal(pixels, np.ones((2, 2, 4)))
 
 
 def test_sidecar_and_frameset_reload(frames_tiny, tmp_path):
