@@ -5,17 +5,21 @@ The inequality used is the probability form
 evaluated with the joint probabilities carrying a fringe
 (1 +- V cos(argument))/N.  Canonical extremal angle choices drive the
 four-cosine bracket to +-2*sqrt(2).
+
+``ch74`` states the middle expression once, for scalars and arrays; the
+frame estimator in ``correlate`` evaluates it too.  ``statistic_value`` is
+its closed form for a fringe of visibility V and a given cosine bracket.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import visibility_tls
+from .analytic import _check_visibility, visibility_tls
 
 # Strict-inequality guard: a bound counts as violated only when exceeded by
 # more than this, so violation claims never ride on rounding.
@@ -87,15 +91,7 @@ class BellReport:
     upper_bound: float = UPPER_BOUND
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "violates_lower": self.violates_lower,
-            "violates_upper": self.violates_upper,
-            "model_tag": self.model_tag.value,
-            "visibility_used": self.visibility_used,
-        }
+        return {**asdict(self), "model_tag": self.model_tag.value}
 
 
 def default_angles(bound: Bound) -> AngleSet:
@@ -107,14 +103,19 @@ def default_angles(bound: Bound) -> AngleSet:
     return UPPER_ANGLES if Bound(bound) is Bound.UPPER else LOWER_ANGLES
 
 
+def ch74(joints: np.ndarray, xp: float | np.ndarray,
+         y: float | np.ndarray) -> float | np.ndarray:
+    """j1 - j2 + j3 + j4 - P1(x') - P1(y), the CH74 middle expression, for
+    joints [..., 4] ordered (xy, xy', x'y, x'y') and marginals ``xp``, ``y``
+    broadcasting against ``joints[..., 0]``."""
+    return (joints[..., 0] - joints[..., 1] + joints[..., 2] + joints[..., 3]
+            - xp - y)
+
+
 def ch74_middle(x: float, xp: float, y: float, yp: float,
                 joints: tuple[float, float, float, float]) -> float:
-    """Middle expression of the CH74 inequality with X = Y = 1.
-
-    ``joints`` are the four joint probabilities ordered (xy, xy', x'y, x'y').
-    Only xp and y of the marginals enter the expression; all six inputs are
-    still validated as probabilities.
-    """
+    """``ch74`` of one probability set with X = Y = 1.  Only xp and y of the
+    marginals enter; all six inputs are still validated as probabilities."""
     for name, p in (("x", x), ("xp", xp), ("y", y), ("yp", yp)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"marginal {name} must lie in [0, 1], got {p}")
@@ -123,18 +124,12 @@ def ch74_middle(x: float, xp: float, y: float, yp: float,
     for p in joints:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"joint probability must lie in [0, 1], got {p}")
-    j1, j2, j3, j4 = joints
-    return j1 - j2 + j3 + j4 - xp - y
+    return float(ch74(np.asarray(joints, dtype=np.float64), xp, y))
 
 
-def _check_vis(visibility: float) -> float:
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must lie in [0, 1], got {visibility}")
-    return float(visibility)
-
-
-def statistic_value(model_tag: BellModel, visibility: float, bracket: float) -> float:
-    """Closed-form statistic for a given cosine bracket.
+def statistic_value(model_tag: BellModel, visibility: float,
+                    bracket: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form statistic for a given cosine bracket (scalar or array).
 
     Six-term: V*B/(6-2V) + 2/(6-2V) - 1.   Four-term: V*B/4 - 1/2.
     The two agree exactly at V = 1.
@@ -147,7 +142,7 @@ def statistic_value(model_tag: BellModel, visibility: float, bracket: float) -> 
 
 def bell_statistic(model_tag: BellModel, visibility: float, angles: AngleSet) -> BellReport:
     """Evaluate the CH74 statistic for the given normalization and angles."""
-    visibility = _check_vis(visibility)
+    visibility = _check_visibility(visibility)
     value = statistic_value(model_tag, visibility, angles.bracket())
     return BellReport(
         statistic=value,
@@ -195,17 +190,14 @@ def angle_scan(model_tag: BellModel, visibility: float,
     """
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    visibility = _check_vis(visibility)
+    visibility = _check_visibility(visibility)
     n = int(round(2.0 * math.pi / grid_step))
     grid = np.arange(n) * grid_step
     cos = np.cos(grid)
     t4 = grid[None, :, None] + grid[None, None, :] - grid[:, None, None]
     bracket = (cos[:, None, None] - cos[None, :, None]
                + cos[None, None, :] + np.cos(t4))
-    if BellModel(model_tag) is BellModel.FOUR_TERM_TLS:
-        stat = visibility * bracket / 4.0 - 0.5
-    else:
-        stat = (visibility * bracket + 2.0) / (6.0 - 2.0 * visibility) - 1.0
+    stat = statistic_value(model_tag, visibility, bracket)
     flat_max = int(np.argmax(stat))
     flat_min = int(np.argmin(stat))
     out = []

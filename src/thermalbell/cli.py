@@ -42,8 +42,7 @@ def _write_sidecar(primary: str | None, payload: dict) -> None:
         return
     payload = dict(payload)
     payload["written_at_unix"] = time.time()
-    Path(str(primary) + ".meta.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    Path(str(primary) + ".meta.json").write_text(_json_text(payload))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -56,6 +55,17 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _angle_set(angles: list[float] | None, bound: str):
+    """The configured cosine arguments, or the extremal ones for ``bound``."""
+    from . import bell
+
+    if angles is None:
+        return bell.default_angles(bound)
+    if len(angles) != 4:
+        raise ConfigError("angles must list the four cosine arguments")
+    return bell.AngleSet(*angles)
 
 
 # ---------------------------------------------------------------- analytic
@@ -148,12 +158,7 @@ def cmd_bell(cfg: BellConfig) -> int:
 
     reports = []
     for bound in bounds:
-        if cfg.angles is not None:
-            if len(cfg.angles) != 4:
-                raise ConfigError("angles must list the four cosine arguments")
-            angles = bell.AngleSet(*cfg.angles)
-        else:
-            angles = bell.default_angles(bound)
+        angles = _angle_set(cfg.angles, bound)
         report = bell.bell_statistic(model_tag, visibility, angles)
         entry = report.to_dict()
         entry["bound_tested"] = bound.value
@@ -262,9 +267,11 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         pixel_pitch=cfg.pixel_pitch, width=cfg.width, height=cfg.height)
     model = tls(cfg.nbar, cfg.field_amp)
 
-    total = 0.0
-    total_sq = 0.0
-    count = 0
+    # per-frame sums, added exactly at the end, so the summary does not
+    # depend on how the frames were chunked
+    frame_sum = np.empty(cfg.n_frames)
+    frame_sum_sq = np.empty(cfg.n_frames)
+    start = 0
     # every row of a frame carries the same intensities
     rows = np.empty((min(cfg.chunk, cfg.n_frames), geom.height, geom.width),
                     dtype=np.float32)
@@ -277,12 +284,14 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
             out[...] = block[:, None, :]
             writer.write(out)
             b64 = block.astype(np.float64)
-            total += float(b64.sum())
-            total_sq += float((b64 * b64).sum())
-            count += block.size
+            stop = start + block.shape[0]
+            frame_sum[start:stop] = b64.sum(axis=1)
+            frame_sum_sq[start:stop] = (b64 * b64).sum(axis=1)
+            start = stop
 
-    mean_intensity = total / count
-    variance = max(0.0, total_sq / count - mean_intensity**2)
+    count = cfg.n_frames * geom.width
+    mean_intensity = math.fsum(frame_sum) / count
+    variance = max(0.0, math.fsum(frame_sum_sq) / count - mean_intensity**2)
     contrast = math.sqrt(variance) / mean_intensity if mean_intensity > 0 else 0.0
 
     summary = {
@@ -325,14 +334,14 @@ def _parse_span(text: str, limit: int) -> range:
 def cmd_correlate(cfg: CorrelateConfig) -> int:
     import numpy as np
 
-    from . import analytic, bell, correlate, speckle, spkl
+    from . import analytic, correlate, speckle, spkl
 
     if cfg.frames is None:
         raise ConfigError("correlate requires --frames pointing at an SPKL file")
     if cfg.out is None:
         raise ConfigError("correlate requires --out as an output stem")
 
-    header, _ = spkl.read_spkl(cfg.frames, mmap=True)   # checks header and size only
+    header = spkl.read_header(cfg.frames)
     try:
         meta = spkl.read_sidecar(cfg.frames)
     except FileNotFoundError:
@@ -359,12 +368,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     cells = [cell for m in ms for cell in correlate.gm1_cells(x1, rows_for(m), scan, y2)]
     if cfg.bell:
         bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
-        if cfg.angles is not None:
-            if len(cfg.angles) != 4:
-                raise ConfigError("angles must list the four cosine arguments")
-            angles = bell.AngleSet(*cfg.angles)
-        else:
-            angles = bell.default_angles(bell.Bound(cfg.bound))
+        angles = _angle_set(cfg.angles, cfg.bound)
         cells += correlate.bell_cells(geom, angles, rows_for(bell_m), y2,
                                       cfg.realizations)
     stage_s: dict[str, float] = {}

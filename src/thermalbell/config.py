@@ -112,10 +112,6 @@ def parse_m_range(text: str) -> list[int]:
         raise ConfigError(f"cannot parse m range {text!r} (use '1..8', '3' or '1,2,5')") from exc
 
 
-GEOMETRY_FIELDS = ("wavelength", "slit_separation", "slit_width", "propagation",
-                   "pixel_pitch", "width", "height")
-
-
 @dataclass
 class AnalyticConfig:
     m_range: str = "1..8"

@@ -45,8 +45,8 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bell import (BellModel, LOWER_BOUND, UPPER_BOUND, AngleSet,
-                   detector_phases)
+from .bell import (BellModel, BellReport, LOWER_BOUND, UPPER_BOUND, AngleSet,
+                   ch74, detector_phases)
 from .errors import (InsufficientFramesError, PeriodCoverageError,
                      SamplingGuardError)
 from .speckle import FrameSet, Geometry
@@ -87,8 +87,8 @@ class VisibilityEstimate:
     fit_residual: float
 
 
-@dataclass
-class FrameBellReport:
+@dataclass(kw_only=True)
+class FrameBellReport(BellReport):
     """CH74 evaluation from measured frames.
 
     ``statistic`` averages the estimates over the pixel realizations used;
@@ -96,34 +96,11 @@ class FrameBellReport:
     records, per realization, the cosine arguments the pixel grid realized.
     """
 
-    statistic: float
     stderr: float
-    violates_lower: bool
-    violates_upper: bool
-    model_tag: BellModel
-    visibility_used: float
     n_frames: int
     n_realizations: int
     m: int
     achieved: list[dict] = field(default_factory=list)
-    lower_bound: float = LOWER_BOUND
-    upper_bound: float = UPPER_BOUND
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "stderr": self.stderr,
-            "lower_bound": self.lower_bound,
-            "upper_bound": self.upper_bound,
-            "violates_lower": self.violates_lower,
-            "violates_upper": self.violates_upper,
-            "model_tag": self.model_tag.value,
-            "visibility_used": self.visibility_used,
-            "n_frames": self.n_frames,
-            "n_realizations": self.n_realizations,
-            "m": self.m,
-            "achieved": self.achieved,
-        }
 
 
 Cell = tuple[int, int]        # (column, row)
@@ -236,7 +213,7 @@ def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
     for end in range(len(v) - 1, 0, -1):
         for i in range(end):
             v[i], v[i + 1] = np.minimum(v[i], v[i + 1]), np.maximum(v[i], v[i + 1])
-    p = v[0].copy()
+    p = np.array(v[0], dtype=np.float64)
     for factor in v[1:]:
         p *= factor
     bad = ~np.isfinite(p)
@@ -244,14 +221,8 @@ def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
     if np.any(zero):
         bad |= zero & np.logical_and.reduce([factor > 0 for factor in v])
     if np.any(bad):
-        p[bad] = np.exp(np.sum(np.log(np.column_stack(v)[bad]), axis=1))
+        p[bad] = np.exp(np.sum(np.log(np.stack(v, axis=-1)[bad]), axis=-1))
     return p
-
-
-def _sorted_prod(values: np.ndarray) -> np.ndarray:
-    """Products over the last axis in ascending factor order, so factor
-    permutations cannot change the rounding."""
-    return np.prod(np.sort(values, axis=-1), axis=-1)
 
 
 def _block_lengths(n: int, block_len: int) -> np.ndarray:
@@ -265,8 +236,6 @@ def _block_sums(arr: np.ndarray, block_len: int) -> np.ndarray:
 
 
 def _fsum_columns(block_sums: np.ndarray) -> np.ndarray:
-    if block_sums.ndim == 1:
-        return np.array(math.fsum(block_sums))
     return np.array([math.fsum(block_sums[:, j]) for j in range(block_sums.shape[1])])
 
 
@@ -356,22 +325,18 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     num_blocks = np.column_stack([
         _block_sums(products * table.series(c, shuffle), block_len) for c in x2_cells])
 
-    n = float(n_frames)
-    num_mean = _fsum_columns(num_blocks) / n
-    x1_mean = _fsum_columns(x1_blocks) / n
-    x2_mean = _fsum_columns(x2_blocks) / n
-    values = num_mean / (_sorted_prod(x1_mean) * x2_mean)
-
+    blocks = np.concatenate([x1_blocks, num_blocks, x2_blocks], axis=1)
     n_scan = len(x2_cells)
 
-    def replicate(sums: np.ndarray, n_star: np.ndarray) -> np.ndarray:
-        mean = sums / n_star[:, None]
-        x1_m, num_m, x2_m = mean[:, :m], mean[:, m:m + n_scan], mean[:, m + n_scan:]
-        return num_m / (_sorted_prod(x1_m)[:, None] * x2_m)
+    def ghat(mean: np.ndarray) -> np.ndarray:
+        """Estimates from the means [..., x1 | num | x2] of the block columns."""
+        x1_prod = _row_products([mean[..., i] for i in range(m)])
+        return mean[..., m:m + n_scan] / (x1_prod[..., None] * mean[..., m + n_scan:])
 
-    boot = _bootstrap(np.concatenate([x1_blocks, num_blocks, x2_blocks], axis=1),
-                      _block_lengths(n_frames, block_len), n_boot,
-                      (boot_seed, 0xB00727), replicate)
+    values = ghat(_fsum_columns(blocks) / float(n_frames))
+    boot = _bootstrap(blocks, _block_lengths(n_frames, block_len), n_boot,
+                      (boot_seed, 0xB00727),
+                      lambda sums, n_star: ghat(sums / n_star[:, None]))
     stderr = boot.std(axis=0, ddof=1)
 
     return CorrelationCurve(m=m, x2_positions=np.array(x2_scan, dtype=int),
@@ -513,7 +478,8 @@ def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     rows = mean[..., :4 * m].reshape(*lead, 4, m)
     t_mean = mean[..., 4 * m:4 * m + 4]
     num = mean[..., 4 * m + 4:].reshape(*lead, 4, 4)
-    ghat = num / (_sorted_prod(rows)[..., :, None] * t_mean[..., None, :])
+    s_prod = _row_products([rows[..., i] for i in range(m)])
+    ghat = num / (s_prod[..., :, None] * t_mean[..., None, :])
     # [s, t] = [2 a + partner, 2 c + partner]: a pack (a, c) holds the setting
     # pair, both partners, and each single partner
     g = ghat.reshape(*lead, 2, 2, 2, 2)
@@ -524,9 +490,7 @@ def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     # P1(d1'): (d1',d2) + (d1',p2);  P1(d2): (d1,d2) + (p1,d2)
     marg_1p = (same[..., 1, 0] + t_partner[..., 1, 0]) / total[..., 1, 0]
     marg_2 = (same[..., 0, 0] + s_partner[..., 0, 0]) / total[..., 0, 0]
-    statistic = (probs[..., 0, 0] - probs[..., 0, 1] + probs[..., 1, 0]
-                 + probs[..., 1, 1] - marg_1p - marg_2)
-    return statistic, probs
+    return ch74(probs.reshape(*lead, 4), marg_1p, marg_2), probs
 
 
 def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,

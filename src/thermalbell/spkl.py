@@ -57,8 +57,11 @@ def _pack_header(header: SpklHeader) -> bytes:
 
 
 def read_header(path: str | Path) -> SpklHeader:
+    """The header of an SPKL file, after checking that the payload size is
+    the one the header implies."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        size = os.fstat(fh.fileno()).st_size
     if len(raw) < _HEADER.size:
         raise SpklFormatError(f"{path}: file shorter than the SPKL header")
     magic, version, n_frames, height, width, tau_ratio, seed = _HEADER.unpack(raw)
@@ -66,7 +69,12 @@ def read_header(path: str | Path) -> SpklHeader:
         raise SpklFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise SpklFormatError(f"{path}: unsupported SPKL version {version}")
-    return SpklHeader(n_frames, height, width, tau_ratio, seed)
+    header = SpklHeader(n_frames, height, width, tau_ratio, seed)
+    expected = n_frames * header.frame_bytes
+    if size - _HEADER.size != expected:
+        raise SpklFormatError(
+            f"{path}: payload is {size - _HEADER.size} bytes, header implies {expected}")
+    return header
 
 
 class SpklWriter:
@@ -132,19 +140,10 @@ def write_spkl(path: str | Path, frames: FrameSet) -> None:
         writer.write(frames.pixels)
 
 
-def read_spkl(path: str | Path, mmap: bool = False) -> tuple[SpklHeader, np.ndarray]:
+def read_spkl(path: str | Path) -> tuple[SpklHeader, np.ndarray]:
     header = read_header(path)
-    expected = header.n_frames * header.frame_bytes
-    actual = Path(path).stat().st_size - _HEADER.size
-    if actual != expected:
-        raise SpklFormatError(
-            f"{path}: payload is {actual} bytes, header implies {expected}")
-    shape = (header.n_frames, header.height, header.width)
-    if mmap:
-        data = np.memmap(path, dtype="<f4", mode="r", offset=_HEADER.size, shape=shape)
-    else:
-        data = np.fromfile(path, dtype="<f4", offset=_HEADER.size).reshape(shape)
-    return header, data
+    data = np.fromfile(path, dtype="<f4", offset=_HEADER.size)
+    return header, data.reshape(header.n_frames, header.height, header.width)
 
 
 def iter_spkl(path: str | Path, chunk: int = 4096) -> Iterator[np.ndarray]:
@@ -175,13 +174,13 @@ def read_sidecar(path: str | Path) -> dict:
     return json.loads(sidecar_path(path).read_text())
 
 
-def load_frameset(path: str | Path, mmap: bool = False) -> FrameSet:
+def load_frameset(path: str | Path) -> FrameSet:
     """Read an SPKL stack plus its sidecar back into a FrameSet.
 
     Geometry and generation details come from the sidecar when present;
     otherwise they are left unset.
     """
-    header, pixels = read_spkl(path, mmap=mmap)
+    header, pixels = read_spkl(path)
     geometry = None
     substeps = 0
     n_subsources = 0

@@ -35,6 +35,15 @@ class TestCh74Middle:
         want = bell.bell_statistic(BellModel.FOUR_TERM_TLS, 1.0, angles).statistic
         assert value == pytest.approx(want, abs=1e-12)
 
+    def test_array_kernel_matches_scalar_form(self):
+        rng = np.random.default_rng(5)
+        joints = rng.random((50, 4))
+        marg = rng.random((50, 4))
+        got = bell.ch74(joints, marg[:, 1], marg[:, 2])
+        assert got.shape == (50,)
+        for k in range(50):
+            assert got[k] == bell.ch74_middle(*marg[k], tuple(joints[k]))
+
 
 class TestDefaultAngles:
     def test_upper_arguments(self):

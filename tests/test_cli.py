@@ -18,6 +18,10 @@ def run(args):
     return cli.main(args)
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestAnalyticCommand:
     def test_visibility_csv_exact(self, tmp_path):
         out = tmp_path / "vis.csv"
@@ -80,12 +84,29 @@ class TestBellCommand:
             assert not report["violates_upper"]
             assert not report["violates_lower"]
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--four-term", "--m", "5", "--scan-step", "0.05"],
+         "8d6017ed763325209c242b9677c4bf6503b34aede2598dca59ed1cd74811bd97"),
+        (["--model", "six-term-tls", "--m", "6", "--scan-step", "0.07"],
+         "4b135a58e477a6e51198d080f051fb582306235a6cacd021d86a1c3c3f71a187"),
+        (["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,2.0"],
+         "f6317afa8a8782ac0d78d9318913891f460f2686da20fe7333b5e408ec9c3cef"),
+    ])
+    def test_golden_report_bytes(self, tmp_path, args, digest):
+        out = tmp_path / "bell.json"
+        assert run(["bell", *args, "--out", str(out)]) == 0
+        assert _sha256(out) == digest
+
     def test_requires_vis_or_m(self):
         assert run(["bell", "--four-term"]) == 2
         assert run(["bell", "--four-term", "--m", "3", "--vis", "0.5"]) == 2
 
     def test_bad_visibility_rejected(self):
         assert run(["bell", "--four-term", "--vis", "1.5"]) == 2
+
+    def test_three_angles_rejected(self, capsys):
+        assert run(["bell", "--four-term", "--m", "5", "--angles", "1,2,3"]) == 2
+        assert "four cosine arguments" in capsys.readouterr().err
 
 
 class TestQuantumCommand:
@@ -134,6 +155,19 @@ class TestSimulateCommand:
                     "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "b118d345de0587315a9ced797fbd8e222bd180887016b33a628c6f1c76048c72"
+
+    def test_summary_does_not_depend_on_chunk(self, tmp_path):
+        args = list(SIM_ARGS)
+        args[1], args[3] = "3000", "0.06"
+        summaries = []
+        for chunk in (7, 1024, 4096):
+            cfg = tmp_path / f"c{chunk}.json"
+            cfg.write_text(json.dumps({"chunk": chunk}))
+            out = tmp_path / f"c{chunk}.spkl"
+            assert run(["simulate", "--config", str(cfg), *args, "--out", str(out)]) == 0
+            meta = json.loads((tmp_path / f"c{chunk}.spkl.meta.json").read_text())
+            summaries.append(meta["summary"])
+        assert summaries[0] == summaries[1] == summaries[2]
 
     def test_sampling_guard_exit_code(self, tmp_path):
         assert run(["simulate", "--frames", "10", "--pixel-pitch", "1e-4",
@@ -235,6 +269,11 @@ class TestCorrelateCommand:
         report = json.loads((tmp_path / "d_report.json").read_text())
         assert "diagnostics" not in report
 
+    def test_three_angles_rejected(self, stack, tmp_path, capsys):
+        assert run(["correlate", "--frames", str(stack), "--m", "1", "--bell",
+                    "--angles", "1,2,3", "--out", str(tmp_path / "x")]) == 2
+        assert "four cosine arguments" in capsys.readouterr().err
+
     def test_missing_frames_file_is_io_error(self, tmp_path):
         assert run(["correlate", "--frames", str(tmp_path / "nope.spkl"),
                     "--m", "1", "--out", str(tmp_path / "x")]) == 4
@@ -243,6 +282,42 @@ class TestCorrelateCommand:
         (tmp_path / "frames.spkl.meta.json").unlink()
         assert run(["correlate", "--frames", str(stack), "--m", "1",
                     "--out", str(tmp_path / "x")]) == 2
+
+
+class TestGoldenCorrelate:
+    """Pinned bytes of the correlate outputs on a pinned tau06 stack.  The
+    report records the curve file names, so the output stems are fixed."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("golden") / "frames.spkl"
+        assert run(["simulate", "--frames", "3000", "--tau-ratio", "0.06",
+                    "--substeps", "8", "--subsources", "64", "--pixel-pitch", "8e-6",
+                    "--grid-width", "128", "--grid-height", "8", "--seed", "7",
+                    "--out", str(out)]) == 0
+        return out
+
+    def test_stack_bytes(self, stack):
+        assert _sha256(stack) == \
+            "421fc1b57e0ab541647c7fe274193b400e3a2eebe7303eab2cad4b8d3a919ce5"
+
+    def test_curves_and_bell_report(self, stack, tmp_path):
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
+                    "--realizations", "2", "--boot", "40",
+                    "--out", str(tmp_path / "run")]) == 0
+        assert _sha256(tmp_path / "run_report.json") == \
+            "856a27472711e763ab5bd8368cdc2bdc9ecd81c1d6d600847873849ee7d1ec0f"
+        assert _sha256(tmp_path / "run_curve_m6.csv") == \
+            "f5073aefd2cf18f8b7e08e151bf6ebcfbf6c0f6fbf152840a0c094bda6405cff"
+        assert _sha256(tmp_path / "run_visibility.csv") == \
+            "29342509615545d1bc47c7962ea5201afa7386657794ce83ffb7d7ad7f537ab4"
+
+    def test_lower_bound_report(self, stack, tmp_path):
+        assert run(["correlate", "--frames", str(stack), "--m", "6", "--bell",
+                    "--bound", "lower", "--realizations", "2", "--boot", "40",
+                    "--out", str(tmp_path / "low")]) == 0
+        assert _sha256(tmp_path / "low_report.json") == \
+            "9775f92ca4c948fda83c252ae5248c3c6855753eaf154893ba9d34dea8f8a998"
 
 
 class TestConfigHandling:

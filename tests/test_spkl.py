@@ -51,14 +51,6 @@ def test_iter_matches_full_read(frames_tiny, tmp_path):
     assert np.array_equal(np.concatenate(chunks), pixels)
 
 
-def test_mmap_read(frames_tiny, tmp_path):
-    path = tmp_path / "frames.spkl"
-    spkl.write_spkl(path, frames_tiny)
-    _, eager = spkl.read_spkl(path)
-    _, lazy = spkl.read_spkl(path, mmap=True)
-    assert np.array_equal(np.asarray(lazy), eager)
-
-
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         spkl.read_spkl(tmp_path / "nope.spkl")
@@ -76,6 +68,8 @@ def test_truncated_payload_rejected(frames_tiny, tmp_path):
     spkl.write_spkl(path, frames_tiny)
     raw = path.read_bytes()
     path.write_bytes(raw[:-17])
+    with pytest.raises(spkl.SpklFormatError, match="payload"):
+        spkl.read_header(path)
     with pytest.raises(spkl.SpklFormatError):
         spkl.read_spkl(path)
     with pytest.raises(spkl.SpklFormatError):
