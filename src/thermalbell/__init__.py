@@ -35,8 +35,8 @@ _EXPORTS = {
         "project_m", "spe_state", "suggest_dim", "thermal_state",
     ],
     "permanents": [
-        "CoherenceMatrix", "PermanentCorrelation", "coherence_matrix",
-        "gm1_from_permanent", "permanent",
+        "PermanentCorrelation", "coherence_matrix", "gm1_from_permanent",
+        "permanent",
     ],
     "sources": ["SourceKind", "SourceModel", "coherent", "spe", "tls"],
     "speckle": ["FrameSet", "Geometry", "generate_frames", "photonize"],

@@ -183,10 +183,11 @@ def angle_scan(model_tag: BellModel, visibility: float,
 
     The four arguments are differences of four detector phases, so only three
     are free: t4 = t2 + t3 - t1.  The scan walks the first three over
-    [0, 2pi) and returns the extremal entries
-    [(angles_at_max, max), (angles_at_min, min)].  It independently confirms
-    that the canonical tuples are extremal: over realizable tuples the
-    bracket never exceeds 2*sqrt(2) in magnitude.
+    [0, 2pi), one [t2, t3] slab per t1, and returns the extremal entries
+    [(angles_at_max, max), (angles_at_min, min)]; ties go to the first grid
+    point in (t1, t2, t3) order.  It independently confirms that the
+    canonical tuples are extremal: over realizable tuples the bracket never
+    exceeds 2*sqrt(2) in magnitude.
     """
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
@@ -194,18 +195,24 @@ def angle_scan(model_tag: BellModel, visibility: float,
     n = int(round(2.0 * math.pi / grid_step))
     grid = np.arange(n) * grid_step
     cos = np.cos(grid)
-    t4 = grid[None, :, None] + grid[None, None, :] - grid[:, None, None]
-    bracket = (cos[:, None, None] - cos[None, :, None]
-               + cos[None, None, :] + np.cos(t4))
-    stat = statistic_value(model_tag, visibility, bracket)
-    flat_max = int(np.argmax(stat))
-    flat_min = int(np.argmin(stat))
+    pair = grid[:, None] + grid[None, :]
+    bracket, cos_t4 = np.empty_like(pair), np.empty_like(pair)   # reused by every slab
+    flats = np.empty((n, 2), dtype=np.intp)   # per t1: flat [t2, t3] index of max, min
+    stats = np.empty((n, 2))
+    for i in range(n):
+        np.cos(np.subtract(pair, grid[i], out=cos_t4), out=cos_t4)
+        np.subtract(cos[i], cos[:, None], out=bracket)
+        bracket += cos[None, :]
+        bracket += cos_t4
+        stat = statistic_value(model_tag, visibility, bracket)
+        flats[i] = np.argmax(stat), np.argmin(stat)
+        stats[i] = stat.flat[flats[i]]
     out = []
-    for flat in (flat_max, flat_min):
-        i, j, k = np.unravel_index(flat, stat.shape)
+    for col, i in enumerate((np.argmax(stats[:, 0]), np.argmin(stats[:, 1]))):
+        j, k = np.unravel_index(flats[i, col], pair.shape)
         angles = AngleSet(float(grid[i]), float(grid[j]), float(grid[k]),
-                          float(t4[i, j, k] % (2.0 * math.pi)))
-        out.append((angles, float(stat[i, j, k])))
+                          float((pair[j, k] - grid[i]) % (2.0 * math.pi)))
+        out.append((angles, float(stats[i, col])))
     return out
 
 

@@ -558,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
         file_data = load_config_file(config_path) if config_path else None
         cfg = merge_config(cls, file_data, args)
         return runner(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

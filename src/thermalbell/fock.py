@@ -193,8 +193,9 @@ def expect_gm1(state: TwoModeState, m: int, delta1: float, delta2: float,
     e1 = field_op(state.dim, delta1, field_amp)
     for _ in range(m):
         op = (op @ e1).tocsr()
-    b = op @ state.matrix
-    value = complex(np.vdot(op.toarray(), b))
+    # sum_ij conj(op_ij) (op rho)_ij over the nonzeros of op only: no dense
+    # copy of op, and no BLAS dot, whose thread count moves the last digits.
+    value = complex(op.conj().multiply(op @ state.matrix).sum())
     scale = max(abs(value), 1.0)
     if abs(value.imag) > 1e-9 * scale:
         raise ArithmeticError(f"correlation expectation came out complex: {value}")

@@ -173,9 +173,11 @@ class TestAngleScan:
         assert smax <= 0.63 * 2 * SQRT2 / 4 - 0.5 + 1e-12
 
     def test_flat_at_zero_visibility(self):
-        (_, smax), (_, smin) = bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.0, math.pi / 6)
+        (amax, smax), (amin, smin) = bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.0, math.pi / 6)
         assert smax == pytest.approx(-0.5)
         assert smin == pytest.approx(-0.5)
+        # Every grid point ties, so both extrema sit at the first one.
+        assert amax.arguments == amin.arguments == (0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):

@@ -44,10 +44,19 @@ class TestAnalyticCommand:
         assert max(devs) <= 1e-10
         assert "max oracle relative deviation" in capsys.readouterr().out
 
-    def test_oracle_precision_fault_is_numeric_guard(self, tmp_path, capsys):
-        """The size-16 permanent loses precision and raises ArithmeticError."""
-        assert run(["analytic", "--m", "15", "--curve", "correlation", "--oracle",
-                    "--delta-points", "8", "--out", str(tmp_path / "c.csv")]) == 3
+    def test_oracle_exact_at_largest_sizes(self, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run(["analytic", "--m", "14..15", "--curve", "correlation", "--oracle",
+                    "--delta-points", "8", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 2 * 8
+        assert max(float(r["oracle_rel_dev"]) for r in rows) <= 1e-12
+
+    def test_oracle_arithmetic_fault_is_numeric_guard(self, tmp_path, capsys, monkeypatch):
+        from thermalbell import permanents
+        monkeypatch.setattr(permanents, "permanent", lambda matrix: 1 + 1j)
+        assert run(["analytic", "--m", "2", "--curve", "correlation", "--oracle",
+                    "--out", str(tmp_path / "c.csv")]) == 3
         assert "numeric guard:" in capsys.readouterr().err
 
     def test_empty_m_range_is_usage_error(self, tmp_path):
@@ -91,6 +100,8 @@ class TestBellCommand:
          "4b135a58e477a6e51198d080f051fb582306235a6cacd021d86a1c3c3f71a187"),
         (["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,2.0"],
          "f6317afa8a8782ac0d78d9318913891f460f2686da20fe7333b5e408ec9c3cef"),
+        (["--four-term", "--m", "5", "--scan-step", "0.02"],
+         "dde18ab9c3e8e0db92caa600b4f1123f524a1cb5b3e7d9e0ca9f879d83c33ace"),
     ])
     def test_golden_report_bytes(self, tmp_path, args, digest):
         out = tmp_path / "bell.json"

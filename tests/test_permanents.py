@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ class TestPermanent:
     def test_empty_matrix(self):
         assert permanents.permanent(np.zeros((0, 0))) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_matches_definition(self, n, rng):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         got = permanents.permanent(a)
@@ -55,22 +56,22 @@ class TestPermanent:
 
 class TestCoherenceMatrix:
     def test_coincident_detectors(self):
-        J = permanents.coherence_matrix([0.0, 0.0], MODEL).entries
+        J = permanents.coherence_matrix([0.0, 0.0], MODEL)
         assert np.allclose(J, 2.0)
 
     def test_opposite_detectors(self):
-        J = permanents.coherence_matrix([0.0, math.pi], MODEL).entries
+        J = permanents.coherence_matrix([0.0, math.pi], MODEL)
         assert np.allclose(np.diag(J), 2.0)
         assert abs(J[0, 1]) == pytest.approx(0.0, abs=1e-15)
 
     def test_off_diagonal_magnitude(self):
         for delta in np.linspace(-3, 3, 13):
-            J = permanents.coherence_matrix([0.0, delta], MODEL).entries
+            J = permanents.coherence_matrix([0.0, delta], MODEL)
             assert abs(J[0, 1]) / J[0, 0].real == pytest.approx(
                 abs(math.cos(delta / 2)), abs=1e-12)
 
     def test_hermitian(self):
-        J = permanents.coherence_matrix([0.1, 0.9, -2.0], MODEL).entries
+        J = permanents.coherence_matrix([0.1, 0.9, -2.0], MODEL)
         assert np.allclose(J, J.conj().T)
 
     def test_rejects_non_thermal(self):
@@ -112,6 +113,19 @@ class TestGm1FromPermanent:
             vis = (peak - trough) / (peak + trough)
             assert vis == pytest.approx(m / (m + 2), rel=1e-10)
 
+    def test_exact_at_sizes_15_and_16(self):
+        """m = 14, 15 at 8 phases in [-pi, pi] (the benchmark's oracle sweep)
+        against the integer closed form (m+2)!/(2(m+1)) * (1 + m/(m+2) cos d)."""
+        for m in (14, 15):
+            for delta in np.linspace(-math.pi, math.pi, 8):
+                delta = float(delta)
+                want = (Fraction(math.factorial(m + 2), 2 * (m + 1))
+                        * (1 + Fraction(m, m + 2) * Fraction(math.cos(delta))))
+                got = permanents.gm1_from_permanent(m, delta, 0.0, MODEL).normalized
+                assert abs(Fraction(got) - want) <= Fraction(1e-12) * want
+                p = permanents.permanent(permanents.coherence_matrix([delta] * m + [0.0], MODEL))
+                assert abs(p.imag) <= 1e-12 * abs(p)
+
     def test_order_guard(self):
         with pytest.raises(PermanentSizeError):
             permanents.gm1_from_permanent(16, 0.0, 0.0, MODEL)
@@ -119,7 +133,7 @@ class TestGm1FromPermanent:
     @given(deltas=st.lists(st.floats(-6.0, 6.0), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
     def test_permanent_of_coherence_matrix_real_nonnegative(self, deltas):
-        J = permanents.coherence_matrix(deltas, MODEL).entries
+        J = permanents.coherence_matrix(deltas, MODEL)
         p = permanents.permanent(J)
         assert abs(p.imag) <= 1e-9 * max(abs(p), 1.0)
         assert p.real >= -1e-9
