@@ -40,9 +40,9 @@ def _write_text(out: str | None, text: str) -> None:
 def _write_sidecar(primary: str | None, payload: dict) -> None:
     if primary is None:
         return
-    payload = dict(payload)
-    payload["written_at_unix"] = time.time()
-    Path(str(primary) + ".meta.json").write_text(_json_text(payload))
+    from . import spkl
+
+    spkl.write_sidecar(primary, {**payload, "written_at_unix": time.time()})
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -197,48 +197,40 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
     import numpy as np
 
     from . import analytic, fock
-    from .errors import UnderTruncationError
     from .sources import tls
 
     ms = parse_m_range(cfg.m_range)
     cross_rows = []
     max_c_dev = 0.0
-    try:
-        for nbar in cfg.nbar:
-            for d1 in cfg.delta1:
-                for m in ms:
-                    dim = cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, m)
-                    c = fock.cm_coefficient(nbar, m, d1, dim=dim,
-                                            field_amp=cfg.field_amp)
-                    expected = analytic.visibility_tls(m)
-                    dev = abs(abs(c) - expected)
-                    max_c_dev = max(max_c_dev, dev)
-                    cross_rows.append({
-                        "m": m, "nbar": nbar, "delta1": d1, "dim": dim,
-                        "c_abs": abs(c), "c_expected": expected, "deviation": dev,
-                    })
-
-        gm1_rows = []
-        max_gm1_dev = 0.0
-        for nbar in cfg.nbar:
-            dim = cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, max(ms) + 1)
-            state = fock.thermal_state(nbar, dim)
-            model = tls(nbar, cfg.field_amp)
+    for nbar in cfg.nbar:
+        for d1 in cfg.delta1:
             for m in ms:
-                for d in np.linspace(0.0, math.pi, cfg.gm1_deltas):
-                    got = fock.expect_gm1(state, m, d, 0.0, cfg.field_amp)
-                    want = analytic.gm1_tls_set(m, d, 0.0, model).values[analytic.PAIR_DD]
-                    rel = abs(got - want) / want
-                    max_gm1_dev = max(max_gm1_dev, rel)
-                    gm1_rows.append({"m": m, "nbar": nbar, "delta": float(d),
-                                     "fock": got, "closed_form": want,
-                                     "rel_dev": rel})
-    except UnderTruncationError as exc:
-        if exc.suggested_dim is not None:
-            raise UnderTruncationError(
-                f"{exc} (suggested --dim {exc.suggested_dim})",
-                suggested_dim=exc.suggested_dim) from exc
-        raise
+                dim = cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, m)
+                c = fock.cm_coefficient(nbar, m, d1, dim=dim,
+                                        field_amp=cfg.field_amp)
+                expected = analytic.visibility_tls(m)
+                dev = abs(abs(c) - expected)
+                max_c_dev = max(max_c_dev, dev)
+                cross_rows.append({
+                    "m": m, "nbar": nbar, "delta1": d1, "dim": dim,
+                    "c_abs": abs(c), "c_expected": expected, "deviation": dev,
+                })
+
+    gm1_rows = []
+    max_gm1_dev = 0.0
+    for nbar in cfg.nbar:
+        dim = cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, max(ms) + 1)
+        state = fock.thermal_state(nbar, dim)
+        model = tls(nbar, cfg.field_amp)
+        for m in ms:
+            for d in np.linspace(0.0, math.pi, cfg.gm1_deltas):
+                got = fock.expect_gm1(state, m, d, 0.0, cfg.field_amp)
+                want = analytic.gm1_tls_set(m, d, 0.0, model).values[analytic.PAIR_DD]
+                rel = abs(got - want) / want
+                max_gm1_dev = max(max_gm1_dev, rel)
+                gm1_rows.append({"m": m, "nbar": nbar, "delta": float(d),
+                                 "fock": got, "closed_form": want,
+                                 "rel_dev": rel})
 
     payload = {
         "cross_correlation": cross_rows,

@@ -7,7 +7,11 @@ expectations, and the cross-correlation coefficient between the two source
 modes after m detections.
 
 Basis ordering: |n1, n2> maps to index n1 * dim + n2, with n1, n2 < dim.
-Density matrices are stored dense; operators are kept sparse.
+Density matrices and operators are both scipy CSR matrices.  Independent
+phase-randomized sources carry no coherence between total-photon-number
+shells and each detection lowers every shell by one, so every state built
+here stays block-diagonal in those shells.  Every trace tr(op rho) goes
+through ``_expect``.
 """
 
 from __future__ import annotations
@@ -29,25 +33,24 @@ TAIL_TOL = 1e-10
 
 @dataclass
 class TwoModeState:
-    """Truncated two-mode density matrix.
+    """Truncated two-mode density matrix, stored sparse (CSR).
 
-    ``trace_deficit`` records the probability mass lost to truncation: for
-    constructed states the geometric tail beyond the cutoff, for projected
-    states the occupancy of the highest Fock shell (an estimate of how much
-    the projection pushed against the cutoff).
+    ``matrix`` accepts anything ``sparse.csr_matrix`` does and is converted
+    on construction.  ``trace_deficit`` records the probability mass lost to
+    truncation: for constructed states the geometric tail beyond the cutoff,
+    for projected states the occupancy of the highest Fock shell.
     """
 
     dim: int
-    matrix: np.ndarray
+    matrix: sparse.csr_matrix
     trace_deficit: float = 0.0
 
-    @property
-    def under_truncated(self) -> bool:
-        return self.trace_deficit > TAIL_TOL
+    def __post_init__(self) -> None:
+        self.matrix = sparse.csr_matrix(self.matrix)
 
     def validate(self) -> None:
         """Check Hermiticity, positive semidefiniteness, and unit trace."""
-        rho = self.matrix
+        rho = self.matrix.toarray()
         if not np.allclose(rho, rho.conj().T, atol=HERMITICITY_TOL, rtol=0.0):
             raise ValueError("density matrix is not Hermitian")
         eigs = np.linalg.eigvalsh(rho)
@@ -58,8 +61,13 @@ class TwoModeState:
 
     def occupation(self, mode: int) -> float:
         """Mean photon number <a_mode^dag a_mode>."""
-        nvec = _number_diagonal(self.dim, mode)
-        return float(np.real(np.sum(nvec * np.diag(self.matrix))))
+        number = sparse.diags(np.arange(self.dim, dtype=float), format="csr")
+        return _expect(_mode_op(self.dim, number, mode), self.matrix).real
+
+
+def _expect(op: sparse.spmatrix, rho: sparse.spmatrix) -> complex:
+    """tr(op rho), summed over the entries where op and rho^T are both nonzero."""
+    return complex(op.multiply(rho.T).sum())
 
 
 def _destroy(dim: int) -> sparse.csr_matrix:
@@ -71,13 +79,6 @@ def _mode_op(dim: int, op: sparse.spmatrix, mode: int) -> sparse.csr_matrix:
     if mode == 0:
         return sparse.kron(op, eye, format="csr")
     return sparse.kron(eye, op, format="csr")
-
-
-def _number_diagonal(dim: int, mode: int) -> np.ndarray:
-    n = np.arange(dim, dtype=float)
-    if mode == 0:
-        return np.repeat(n, dim)
-    return np.tile(n, dim)
 
 
 def field_op(dim: int, delta: float, scale: float = 1.0) -> sparse.csr_matrix:
@@ -108,21 +109,21 @@ def thermal_state(mean_photons: float, dim: int) -> TwoModeState:
             f"at dim={dim}; use dim >= {suggested}", suggested_dim=suggested)
     diag = np.kron(weights, weights)
     diag /= diag.sum()
-    return TwoModeState(dim=dim, matrix=np.diag(diag.astype(complex)), trace_deficit=deficit)
+    return TwoModeState(dim=dim, matrix=sparse.diags(diag.astype(complex), format="csr"),
+                        trace_deficit=deficit)
 
 
 def spe_state(dim: int = 2) -> TwoModeState:
     """Pure |1, 1> state of two single-photon emitters."""
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     idx = 1 * dim + 1
-    rho[idx, idx] = 1.0
+    rho = sparse.csr_matrix(([1.0 + 0j], ([idx], [idx])), shape=(dim * dim, dim * dim))
     return TwoModeState(dim=dim, matrix=rho, trace_deficit=0.0)
 
 
-def _top_shell_mass(dim: int, rho: np.ndarray) -> float:
-    pops = np.real(np.diag(rho)).reshape(dim, dim)
+def _top_shell_mass(dim: int, rho: sparse.csr_matrix) -> float:
+    pops = rho.diagonal().real.reshape(dim, dim)
     return float(pops[-1, :].sum() + pops[:, -1].sum() - pops[-1, -1])
 
 
@@ -131,8 +132,8 @@ def project_m(state: TwoModeState, delta1: float, m: int,
     """State after m photon detections at phase delta1.
 
     rho(m) = E+(delta1)^m rho E-(delta1)^m / trace.  Raises on vanishing
-    detection probability; flags under-truncation through ``trace_deficit``
-    when the projected state piles up near the cutoff.
+    detection probability; ``trace_deficit`` is the projected state's
+    top-shell occupancy.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -140,10 +141,8 @@ def project_m(state: TwoModeState, delta1: float, m: int,
     epm = ep
     for _ in range(m - 1):
         epm = (epm @ ep).tocsr()
-    # E^m rho (E^m)^dag with rho Hermitian: (E^m (E^m rho)^dag)^dag
-    b = epm @ state.matrix
-    rho = (epm @ b.conj().T).conj().T
-    norm = float(np.trace(rho).real)
+    rho = epm @ state.matrix @ epm.conj().T
+    norm = float(rho.diagonal().sum().real)
     if norm < 1e-300:
         raise ZeroProjectionError(
             f"projection of {m} detections has vanishing probability (trace {norm})")
@@ -165,12 +164,8 @@ def cross_corr(state: TwoModeState) -> complex:
     a1 = _mode_op(dim, a, 0)
     a2 = _mode_op(dim, a, 1)
     rho = state.matrix
-
-    def expect(op: sparse.spmatrix) -> complex:
-        return complex((op @ rho).trace())
-
     for label, op in (("a1", a1), ("a2", a2)):
-        moment = expect(op)
+        moment = _expect(op, rho)
         if abs(moment) > 1e-12:
             raise ValueError(f"first moment <{label}> = {moment} does not vanish")
 
@@ -178,7 +173,7 @@ def cross_corr(state: TwoModeState) -> complex:
     n2 = state.occupation(1)
     if min(n1, n2) < 1e-300:
         raise ZeroDivisionError("source-mode occupation vanishes; coefficient undefined")
-    return expect((a1.conj().T @ a2).tocsr()) / math.sqrt(n1 * n2)
+    return _expect(a1.conj().T @ a2, rho) / math.sqrt(n1 * n2)
 
 
 def expect_gm1(state: TwoModeState, m: int, delta1: float, delta2: float,
@@ -235,17 +230,17 @@ def cm_coefficient(mean_photons: float, m: int, delta1: float,
                    dim: int | None = None, field_amp: float = 1.0) -> complex:
     """Cross-correlation coefficient after m detections on a thermal pair.
 
-    Convenience pipeline thermal_state -> project_m -> cross_corr with
-    automatic cutoff selection; if the post-projection tail check trips, the
-    cutoff is raised once and the computation re-run before giving up.
+    Pipeline thermal_state -> project_m -> cross_corr at cutoff ``dim``,
+    by default ``suggest_dim(mean_photons, m)``.  A smaller cutoff is
+    refused before any state is built: the projection lowers photon numbers,
+    so the truncated tail biases the result without ever showing in the
+    projected state's top shell.
     """
-    chosen = dim if dim is not None else suggest_dim(mean_photons, m)
-    for attempt in range(2):
-        state = thermal_state(mean_photons, chosen)
-        projected = project_m(state, delta1, m, field_amp)
-        if not projected.under_truncated:
-            return cross_corr(projected)
-        if attempt == 0:
-            chosen += 8
-    raise UnderTruncationError(
-        f"projected state remains under-truncated at dim={chosen}", suggested_dim=chosen + 8)
+    suggested = suggest_dim(mean_photons, m)
+    dim = suggested if dim is None else dim
+    if dim < suggested:
+        raise UnderTruncationError(
+            f"dim={dim} truncates the {m}-detection tail at nbar={mean_photons}; "
+            f"use dim >= {suggested}", suggested_dim=suggested)
+    state = thermal_state(mean_photons, dim)
+    return cross_corr(project_m(state, delta1, m, field_amp))

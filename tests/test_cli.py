@@ -131,9 +131,16 @@ class TestQuantumCommand:
         for row in payload["cross_correlation"]:
             assert row["c_abs"] == pytest.approx(row["m"] / (row["m"] + 2), abs=1e-8)
 
-    def test_under_truncation_exit_code(self, tmp_path):
-        assert run(["quantum", "--m", "1", "--nbar", "2.0", "--dim", "4",
-                    "--out", str(tmp_path / "q.json")]) == 3
+    def test_under_truncation_exit_code(self, tmp_path, capsys):
+        # the second cutoff holds the thermal state but truncates the
+        # 4-detection tail, which would put c_abs 2.6e-5 off
+        for args in (["--m", "1", "--nbar", "2.0", "--dim", "4"],
+                     ["--m", "4", "--nbar", "0.2", "--dim", "13"]):
+            assert run(["quantum", *args, "--out", str(tmp_path / "q.json")]) == 3
+            err = capsys.readouterr().err
+            assert "use dim >=" in err
+            assert "suggested --dim" not in err
+            assert not (tmp_path / "q.json").exists()
 
 
 class TestSimulateCommand:

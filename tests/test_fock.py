@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from thermalbell import analytic, fock, permanents
 from thermalbell.errors import UnderTruncationError, ZeroProjectionError
 from thermalbell.sources import tls
+
+
+def _vacuum(dim: int) -> fock.TwoModeState:
+    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return fock.TwoModeState(dim, rho)
 
 
 class TestThermalState:
@@ -20,7 +27,7 @@ class TestThermalState:
 
     def test_mode_exchange_symmetry(self):
         state = fock.thermal_state(0.3, 20)
-        rho = state.matrix.reshape(20, 20, 20, 20)
+        rho = state.matrix.toarray().reshape(20, 20, 20, 20)
         assert np.allclose(rho, rho.transpose(1, 0, 3, 2))
 
     def test_health(self):
@@ -44,7 +51,7 @@ class TestSpeState:
         assert state.occupation(0) + state.occupation(1) == pytest.approx(2.0)
 
     def test_purity(self):
-        rho = fock.spe_state(4).matrix
+        rho = fock.spe_state(4).matrix.toarray()
         assert np.trace(rho @ rho).real == pytest.approx(1.0)
 
     def test_reproduces_spe_interference(self):
@@ -70,11 +77,8 @@ class TestProjection:
         assert projected.occupation(1) == pytest.approx((m + 2) * nbar / 2, rel=1e-8)
 
     def test_projection_on_vacuum_fails(self):
-        state = fock.thermal_state(1e-12, 6)
-        state.matrix[:, :] = 0.0
-        state.matrix[0, 0] = 1.0
         with pytest.raises(ZeroProjectionError):
-            fock.project_m(state, 0.0, 1)
+            fock.project_m(_vacuum(6), 0.0, 1)
 
     def test_global_phase_invariance(self):
         state = fock.thermal_state(0.2, 16)
@@ -83,10 +87,11 @@ class TestProjection:
         dim = state.dim
         total_n = (np.repeat(np.arange(dim), dim) + np.tile(np.arange(dim), dim))
         u = np.exp(1j * 0.613 * total_n)
-        rotated_in = fock.TwoModeState(dim, (u[:, None] * state.matrix) * np.conj(u)[None, :])
+        rho_in = state.matrix.toarray()
+        rotated_in = fock.TwoModeState(dim, (u[:, None] * rho_in) * np.conj(u)[None, :])
         rotated_out = fock.project_m(rotated_in, 0.7, 2)
-        expected = (u[:, None] * projected.matrix) * np.conj(u)[None, :]
-        assert np.allclose(rotated_out.matrix, expected, atol=1e-12)
+        expected = (u[:, None] * projected.matrix.toarray()) * np.conj(u)[None, :]
+        assert np.allclose(rotated_out.matrix.toarray(), expected, atol=1e-12)
 
     def test_state_stays_healthy(self):
         projected = fock.project_m(fock.thermal_state(0.2, 20), 1.3, 3)
@@ -109,11 +114,8 @@ class TestCrossCorrelation:
         assert np.ptp(values) <= 1e-8
 
     def test_rejects_vanishing_occupation(self):
-        state = fock.spe_state(3)
-        state.matrix[:, :] = 0.0
-        state.matrix[0, 0] = 1.0  # vacuum
         with pytest.raises(ZeroDivisionError):
-            fock.cross_corr(state)
+            fock.cross_corr(_vacuum(3))
 
 
 class TestExpectGm1:
@@ -167,3 +169,42 @@ class TestSuggestDim:
 
     def test_grows_with_m(self):
         assert fock.suggest_dim(0.2, 6) > fock.suggest_dim(0.2, 1)
+
+
+class TestValuePins:
+    """Values measured before states were stored sparse; the rewrite keeps
+    them to 1e-14 relative."""
+
+    def test_cm_coefficient_pins(self):
+        assert abs(fock.cm_coefficient(0.5, 4, 1.3)) == \
+            pytest.approx(0.6666666667099047, rel=1e-14)
+        assert abs(fock.cm_coefficient(0.05, 2, 0.0)) == \
+            pytest.approx(0.5000000000027769, rel=1e-14)
+
+    def test_expect_gm1_pin(self):
+        got = fock.expect_gm1(fock.thermal_state(0.5, 35), 4, 0.9, 0.0)
+        assert got == pytest.approx(101.8372784746425, rel=1e-14)
+
+
+class TestSparseStates:
+    def test_states_are_sparse(self):
+        thermal = fock.thermal_state(0.2, 12)
+        for state in (thermal, fock.spe_state(3), fock.project_m(thermal, 0.4, 2)):
+            assert sparse.issparse(state.matrix) and state.matrix.format == "csr"
+
+    def test_projection_stays_within_photon_number_shells(self):
+        dim = 34
+        projected = fock.project_m(fock.thermal_state(0.5, dim), 1.3, 4)
+        # pairs (n1, n2) with n1 + n2 = N and both below dim
+        shells = [min(n, 2 * (dim - 1) - n) + 1 for n in range(2 * dim - 1)]
+        assert projected.matrix.nnz <= sum(size * size for size in shells)
+
+
+class TestCutoffGuard:
+    def test_refuses_cutoff_below_suggestion(self):
+        # the projected state's top shell holds only 1.6e-11 here, yet the
+        # coefficient would come out 0.7601 instead of 0.75
+        with pytest.raises(UnderTruncationError) as err:
+            fock.cm_coefficient(0.05, 6, 0.0, dim=8)
+        assert err.value.suggested_dim == fock.suggest_dim(0.05, 6)
+        assert str(err.value).endswith(f"use dim >= {fock.suggest_dim(0.05, 6)}")
