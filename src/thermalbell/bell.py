@@ -14,6 +14,7 @@ its closed form for a fringe of visibility V and a given cosine bracket.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -167,14 +168,12 @@ def threshold_visibility(model_tag: BellModel, bound: Bound) -> float:
     return 1.0 / math.sqrt(2.0)
 
 
-def min_violating_m(max_m: int = 64) -> int:
+def min_violating_m() -> int:
     """Smallest m whose (m+1)-th order thermal visibility m/(m+2) violates the
-    four-term inequality at the extremal angles."""
+    four-term inequality at the extremal angles (m/(m+2) rises to 1, above
+    the threshold, so the search ends)."""
     threshold = threshold_visibility(BellModel.FOUR_TERM_TLS, Bound.UPPER)
-    for m in range(1, max_m + 1):
-        if visibility_tls(m) > threshold:
-            return m
-    raise RuntimeError(f"no violating m found up to {max_m}")  # pragma: no cover
+    return next(m for m in itertools.count(1) if visibility_tls(m) > threshold)
 
 
 def angle_scan(model_tag: BellModel, visibility: float,

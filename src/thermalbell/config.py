@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +36,8 @@ def load_config_file(path: str | Path) -> dict:
 
 def _coerce(name: str, value, annotation):
     origin = typing.get_origin(annotation)
-    if origin is typing.Union:
+    # Optional[X] is typing.Union; X | None is types.UnionType
+    if origin is typing.Union or origin is types.UnionType:
         args = [a for a in typing.get_args(annotation) if a is not type(None)]
         if value is None:
             return None

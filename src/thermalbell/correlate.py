@@ -31,7 +31,12 @@ would.  The draws of a group of replicates become rows of block counts W,
 and the group's resampled sums are the products ``W @ block_sums`` and
 ``W @ block_lengths``.  Only the summation order differs from resampling
 block by block, so bootstrap errors move in the last digits; point
-estimates do not use the bootstrap and are unchanged.
+estimates do not use the bootstrap and are unchanged.  BLAS picks that
+order, and its rounding depends on the thread count and on each column's
+position in the block matrix.  The column order is fixed ([x1 | num | x2]
+for ``estimate_gm1``, [s | t | num] per Bell realization), but with
+thousands of blocks the bootstrap errors, and the visibility fits they
+weight, can differ in the last digits between BLAS thread counts.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -106,22 +111,14 @@ class FrameBellReport(BellReport):
 Cell = tuple[int, int]        # (column, row)
 
 
-def _source_shape(source: FrameSource) -> tuple[int, int, int]:
-    if isinstance(source, CellTable):
-        return source.n_frames, source.height, source.width
+def _stack(source: FrameSet | str | Path) -> tuple[tuple[int, int, int],
+                                                   Iterable[np.ndarray]]:
+    """Shape [N, height, width] of a frame stack and its frames in chunks;
+    an SPKL file's chunks are read only when iterated."""
     if isinstance(source, FrameSet):
-        return source.pixels.shape
+        return source.pixels.shape, (source.pixels,)
     header = spkl.read_header(source)
-    return header.n_frames, header.height, header.width
-
-
-def _iter_source(source: FrameSet | str | Path,
-                 chunk: int = 4096) -> Iterator[np.ndarray]:
-    if isinstance(source, FrameSet):
-        for start in range(0, source.pixels.shape[0], chunk):
-            yield source.pixels[start:start + chunk]
-    else:
-        yield from spkl.iter_spkl(source, chunk)
+    return (header.n_frames, header.height, header.width), spkl.iter_spkl(source)
 
 
 def collect_cells(source: FrameSet | str | Path,
@@ -131,7 +128,7 @@ def collect_cells(source: FrameSet | str | Path,
     Single sequential pass over the source; float64 output, stored
     column-major so that each cell's series ``out[:, j]`` is contiguous.
     """
-    n_frames, height, width = _source_shape(source)
+    (n_frames, height, width), chunks = _stack(source)
     cols = np.array([c for c, _ in cells], dtype=int)
     rows = np.array([r for _, r in cells], dtype=int)
     if np.any((cols < 0) | (cols >= width)):
@@ -141,7 +138,7 @@ def collect_cells(source: FrameSet | str | Path,
     flat = rows * width + cols
     out = np.empty((len(cells), n_frames), dtype=np.float64)
     start = 0
-    for block in _iter_source(source):
+    for block in chunks:
         frames = block.reshape(block.shape[0], height * width)
         out[:, start:start + block.shape[0]] = np.take(frames, flat, axis=1).T
         start += block.shape[0]
@@ -157,7 +154,7 @@ class CellTable:
     """
 
     def __init__(self, source: FrameSet | str | Path, cells: Sequence[Cell]):
-        self.n_frames, self.height, self.width = _source_shape(source)
+        (self.n_frames, self.height, self.width), _ = _stack(source)
         cells = list(dict.fromkeys(cells))
         self._index = {cell: j for j, cell in enumerate(cells)}
         self._values = collect_cells(source, cells)
@@ -189,7 +186,8 @@ class CellTable:
         return np.column_stack(columns)
 
 
-FrameSource = FrameSet | str | Path | CellTable
+# An SPKL file is read through a CellTable, which ``collect_cells`` fills.
+FrameSource = FrameSet | CellTable
 
 
 def _cell_table(source: FrameSource, cells: Sequence[Cell]) -> CellTable:
@@ -225,9 +223,12 @@ def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
     return p
 
 
-def _block_lengths(n: int, block_len: int) -> np.ndarray:
-    starts = np.arange(0, n, block_len)
-    return np.diff(np.append(starts, n)).astype(float)
+def _ghat(x1: np.ndarray, num: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """ghat from frame means, for any leading shape: the numerators ``num``
+    [..., G, S] over the sorted product of each group's x1 means ``x1``
+    [..., G, m] times the x2 means ``x2`` [..., S].  Returns [..., G, S]."""
+    x1_prod = _row_products([x1[..., i] for i in range(x1.shape[-1])])
+    return num / (x1_prod[..., None] * x2[..., None, :])
 
 
 def _block_sums(arr: np.ndarray, block_len: int) -> np.ndarray:
@@ -235,8 +236,17 @@ def _block_sums(arr: np.ndarray, block_len: int) -> np.ndarray:
     return np.add.reduceat(arr, starts, axis=0)
 
 
-def _fsum_columns(block_sums: np.ndarray) -> np.ndarray:
-    return np.array([math.fsum(block_sums[:, j]) for j in range(block_sums.shape[1])])
+def _blocks(table: CellTable, x1_groups: Sequence[Sequence[Cell]],
+            x2_cells: Sequence[Cell], block_len: int,
+            shuffle: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Block sums of ghat's series: the x1 cells of all groups, the
+    numerators (each group's sorted product times each x2 series,
+    group-major), and the x2 cells."""
+    prods = [_row_products([table.series(c) for c in group]) for group in x1_groups]
+    num = np.column_stack([_block_sums(p * table.series(c, shuffle), block_len)
+                           for p in prods for c in x2_cells])
+    return (table.block_sums([c for group in x1_groups for c in group], block_len),
+            num, table.block_sums(x2_cells, block_len, shuffle))
 
 
 def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
@@ -254,17 +264,36 @@ def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
         raise ValueError(f"need at least 2 bootstrap replicates, got {n_boot}")
 
 
-def _bootstrap(blocks: np.ndarray, lengths: np.ndarray, n_boot: int,
-               seed: tuple[int, int], replicate) -> np.ndarray:
-    """Block-bootstrap replicates of ``replicate(sums, n_star)``.
+def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
+    """The x1 rows in ascending order, once checked to be m distinct rows.
 
-    ``blocks`` [nb, C] holds block sums and ``lengths`` [nb] the frames per
-    block.  Replicate r draws ``rng.integers(0, nb, nb)``; each group of
-    BOOT_GROUP draws becomes a count matrix W, and ``replicate`` receives
-    the group's sums ``W @ blocks`` [g, C] and frame counts ``W @ lengths``
-    [g].  Returns the stacked replicate values.
+    The products do not depend on the order of the rows, and a fixed column
+    order keeps the bootstrap sums bit-identical too.
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    rows = sorted(y1_rows)
+    if len(rows) != m or len(set(rows)) != m:
+        raise ValueError(f"y1_rows must be {m} distinct rows, got {rows}")
+    return rows
+
+
+def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
+              seed: tuple[int, int], statistic) -> tuple[np.ndarray, np.ndarray]:
+    """Frame means of the block columns, and block-bootstrap replicates of
+    ``statistic`` of resampled means.
+
+    ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
+    last block holding the rest of the ``n_frames``.  The means [C] are
+    compensated sums over all frames.  Replicate r draws
+    ``rng.integers(0, nb, nb)``; each group of BOOT_GROUP draws becomes a
+    count matrix W, and ``statistic`` receives the group's means
+    ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the means and the
+    stacked replicate values.
     """
     nb = blocks.shape[0]
+    mean = np.array([math.fsum(column) for column in blocks.T]) / float(n_frames)
+    lengths = np.minimum(block_len, n_frames - block_len * np.arange(nb)).astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for start in range(0, n_boot, BOOT_GROUP):
@@ -273,8 +302,8 @@ def _bootstrap(blocks: np.ndarray, lengths: np.ndarray, n_boot: int,
         draws += nb * np.arange(size)[:, None]
         weights = np.bincount(draws.ravel(), minlength=size * nb)
         weights = weights.reshape(size, nb).astype(np.float64)
-        out.append(replicate(weights @ blocks, weights @ lengths))
-    return np.concatenate(out)
+        out.append(statistic((weights @ blocks) / (weights @ lengths)[:, None]))
+    return mean, np.concatenate(out)
 
 
 def gm1_cells(x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
@@ -297,51 +326,32 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     correlations (control estimator).  ``source`` may be a ``CellTable``
     holding the ``gm1_cells``; otherwise they are collected from it.
     """
-    n_frames, height, width = _source_shape(source)
-    _check_sampling(n_frames, block_len, n_boot)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    y1_rows = list(y1_rows)
-    if len(y1_rows) != m:
-        raise ValueError(f"need exactly m={m} rows at x1, got {len(y1_rows)}")
-    if len(set(y1_rows)) != m:
-        raise ValueError("y1_rows must be distinct")
+    _check_sampling(source.n_frames, block_len, n_boot)
+    rows = _check_rows(m, y1_rows)
     x2_scan = list(x2_scan)
     if not x2_scan:
         raise ValueError("x2_scan must be nonempty")
-    if y2 in y1_rows and x1 in x2_scan:
+    if y2 in rows and x1 in x2_scan:
         raise ValueError(
             f"x2 scan hits column {x1} on row {y2}, which is already used as an "
             "x1 pixel; choose a different y2 row")
 
-    # rows in ascending order: the product does not depend on their order,
-    # and a fixed column order keeps the bootstrap sums bit-identical too
-    cells = gm1_cells(x1, y1_rows, x2_scan, y2)
-    x1_cells, x2_cells = cells[:m], cells[m:]
+    cells = gm1_cells(x1, rows, x2_scan, y2)
     table = _cell_table(source, cells)
-    products = _row_products([table.series(c) for c in x1_cells])
-    x1_blocks = table.block_sums(x1_cells, block_len)
-    x2_blocks = table.block_sums(x2_cells, block_len, shuffle)
-    num_blocks = np.column_stack([
-        _block_sums(products * table.series(c, shuffle), block_len) for c in x2_cells])
-
-    blocks = np.concatenate([x1_blocks, num_blocks, x2_blocks], axis=1)
-    n_scan = len(x2_cells)
+    # block columns [x1 | num | x2]; BLAS rounding depends on column position
+    blocks = np.concatenate(_blocks(table, [cells[:m]], cells[m:], block_len, shuffle),
+                            axis=1)
+    n_scan = len(x2_scan)
 
     def ghat(mean: np.ndarray) -> np.ndarray:
-        """Estimates from the means [..., x1 | num | x2] of the block columns."""
-        x1_prod = _row_products([mean[..., i] for i in range(m)])
-        return mean[..., m:m + n_scan] / (x1_prod[..., None] * mean[..., m + n_scan:])
+        return _ghat(mean[..., None, :m], mean[..., None, m:-n_scan],
+                     mean[..., -n_scan:])[..., 0, :]
 
-    values = ghat(_fsum_columns(blocks) / float(n_frames))
-    boot = _bootstrap(blocks, _block_lengths(n_frames, block_len), n_boot,
-                      (boot_seed, 0xB00727),
-                      lambda sums, n_star: ghat(sums / n_star[:, None]))
-    stderr = boot.std(axis=0, ddof=1)
-
+    mean, boot = _resample(blocks, table.n_frames, block_len, n_boot,
+                           (boot_seed, 0xB00727), ghat)
     return CorrelationCurve(m=m, x2_positions=np.array(x2_scan, dtype=int),
-                            values=values, stderr=stderr,
-                            n_frames_used=n_frames)
+                            values=ghat(mean), stderr=boot.std(axis=0, ddof=1),
+                            n_frames_used=table.n_frames)
 
 
 def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimate:
@@ -437,32 +447,26 @@ def _bell_realizations(geom: Geometry, angles: AngleSet,
     phase_step = float(np.median(np.abs(np.diff(phase_map))))
     max_snap = 0.75 * phase_step
 
-    candidates = np.linspace(phase_map.min(), phase_map.max(), 512)
-    usable = [g for g in candidates
-              if _bell_columns(phase_map, angles, g, max_snap) is not None]
+    gauges = np.linspace(phase_map.min(), phase_map.max(), 512)
+    usable = [cols for cols in (_bell_columns(phase_map, angles, g, max_snap)
+                                for g in gauges) if cols is not None]
     if len(usable) < n_realizations:
         raise SamplingGuardError(
             f"only {len(usable)} pixel realizations of the angle tuple fit the "
             f"grid; {n_realizations} requested")
-    picks = [usable[i] for i in
-             np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
-    return tuple(MappingProxyType(_bell_columns(phase_map, angles, g, max_snap))
-                 for g in picks)
-
-
-def _realization_cells(cols: Mapping[str, int], rows: Sequence[int],
-                       y2: int) -> list[Cell]:
-    """Cells of one realization: the x1 pixels of each s column on ``rows``
-    (s-major, 4m cells), then the y2 pixels of the t columns (4 cells)."""
-    return ([(cols[sk], r) for sk in _S_KEYS for r in rows]
-            + [(cols[tk], y2) for tk in _T_KEYS])
+    picks = np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)
+    return tuple(MappingProxyType(usable[i]) for i in picks)
 
 
 def bell_cells(geom: Geometry, angles: AngleSet, y1_rows: Sequence[int],
                y2: int, n_realizations: int) -> list[Cell]:
-    """Cells ``bell_from_frames`` reads for these arguments."""
+    """Cells ``bell_from_frames`` reads for these arguments: per realization,
+    the x1 pixels of each s column on the rows in ascending order (s-major,
+    4m cells), then the y2 pixels of the t columns (4 cells)."""
+    rows = sorted(y1_rows)
     return [cell for cols in _bell_realizations(geom, angles, n_realizations)
-            for cell in _realization_cells(cols, sorted(y1_rows), y2)]
+            for cell in [(cols[sk], r) for sk in _S_KEYS for r in rows]
+            + [(cols[tk], y2) for tk in _T_KEYS]]
 
 
 def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -475,11 +479,8 @@ def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     the packs (s1 | s1p) x (s2 | s2p).
     """
     lead = mean.shape[:-1]
-    rows = mean[..., :4 * m].reshape(*lead, 4, m)
-    t_mean = mean[..., 4 * m:4 * m + 4]
-    num = mean[..., 4 * m + 4:].reshape(*lead, 4, 4)
-    s_prod = _row_products([rows[..., i] for i in range(m)])
-    ghat = num / (s_prod[..., :, None] * t_mean[..., None, :])
+    ghat = _ghat(mean[..., :4 * m].reshape(*lead, 4, m),
+                 mean[..., 4 * m + 4:].reshape(*lead, 4, 4), mean[..., 4 * m:4 * m + 4])
     # [s, t] = [2 a + partner, 2 c + partner]: a pack (a, c) holds the setting
     # pair, both partners, and each single partner
     g = ghat.reshape(*lead, 2, 2, 2, 2)
@@ -512,55 +513,42 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     ``CellTable`` holding the ``bell_cells``; otherwise they are collected
     from it.
     """
-    n_frames, height, width = _source_shape(source)
-    _check_sampling(n_frames, block_len, n_boot)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    _check_sampling(source.n_frames, block_len, n_boot)
+    rows = _check_rows(m, range(m) if y1_rows is None else y1_rows)
     if geom is None and isinstance(source, FrameSet):
         geom = source.geometry
     if geom is None:
         raise ValueError("geometry required (pass geom= or use a FrameSet with geometry)")
-    if y1_rows is None:
-        y1_rows = list(range(m))
-    else:
-        y1_rows = list(y1_rows)
-    if len(y1_rows) != m or len(set(y1_rows)) != m:
-        raise ValueError(f"y1_rows must be {m} distinct rows")
     if y2 is None:
-        y2 = height - 1
-    if y2 in y1_rows:
+        y2 = (source.height if isinstance(source, CellTable) else source.pixels.shape[1]) - 1
+    if y2 in rows:
         raise ValueError("y2 must differ from the y1 rows (pixels may share columns)")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
 
-    realizations = _bell_realizations(geom, angles, n_realizations)
-    rows = sorted(y1_rows)
-    cells = [_realization_cells(cols, rows, y2) for cols in realizations]
-    table = _cell_table(source, [cell for real in cells for cell in real])
-
-    # per realization, the block sums of _ch74_four_term's 4m + 20 series
+    cells = bell_cells(geom, angles, rows, y2, n_realizations)
+    table = _cell_table(source, cells)
+    # per realization, the block columns [s | t | num] of _ch74_four_term's
+    # 4m + 20 series; BLAS rounding depends on column position
     blocks = []
-    for real in cells:
-        s_cells, t_cells = real[:4 * m], real[4 * m:]
-        prods = [_row_products([table.series(c) for c in s_cells[k * m:(k + 1) * m]])
-                 for k in range(4)]
-        tvals = [table.series(c, shuffle) for c in t_cells]
-        blocks += [table.block_sums(s_cells, block_len),
-                   table.block_sums(t_cells, block_len, shuffle)]
-        blocks += [_block_sums(p * tv, block_len)[:, None] for p in prods for tv in tvals]
-    blocks = np.concatenate(blocks, axis=1)          # [nb, R * (4m + 20)]
-    width_r = 4 * m + 20
+    realizations = []
+    for start in range(0, len(cells), 4 * m + 4):
+        real = cells[start:start + 4 * m + 4]
+        s, num, t = _blocks(table, [real[k:k + m] for k in range(0, 4 * m, m)],
+                            real[4 * m:], block_len, shuffle)
+        blocks += [s, t, num]
+        # the realization's columns, read back from its cells in the key
+        # order of _bell_columns: the s columns, then the t columns
+        realizations.append(dict(zip(_S_KEYS + _T_KEYS,
+                                     [c for c, _ in real[:4 * m:m] + real[4 * m:]])))
 
-    full_mean = (_fsum_columns(blocks) / float(n_frames)).reshape(n_realizations, width_r)
-    per_realization, probs = _ch74_four_term(full_mean, m)
+    def replicate(mean: np.ndarray) -> np.ndarray:
+        return _ch74_four_term(mean.reshape(len(mean), n_realizations, -1), m)[0].mean(axis=1)
+
+    mean, boot = _resample(np.concatenate(blocks, axis=1), table.n_frames, block_len,
+                           n_boot, (boot_seed, 0xBE11), replicate)
+    per_realization, probs = _ch74_four_term(mean.reshape(n_realizations, -1), m)
     statistic = float(np.mean(per_realization))
-
-    def replicate(sums: np.ndarray, n_star: np.ndarray) -> np.ndarray:
-        mean = (sums / n_star[:, None]).reshape(len(n_star), n_realizations, width_r)
-        return _ch74_four_term(mean, m)[0].mean(axis=1)
-
-    boot = _bootstrap(blocks, _block_lengths(n_frames, block_len), n_boot,
-                      (boot_seed, 0xBE11), replicate)
     stderr = float(boot.std(ddof=1))
 
     phase_map = geom.phase_map()
@@ -584,7 +572,7 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
         violates_upper=(statistic - 2.0 * stderr) > UPPER_BOUND,
         model_tag=BellModel.FOUR_TERM_TLS,
         visibility_used=visibility_used,
-        n_frames=n_frames,
+        n_frames=table.n_frames,
         n_realizations=n_realizations,
         m=m,
         achieved=achieved,

@@ -29,6 +29,8 @@ HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_DEFICIT_TOL = 1e-8
 TAIL_TOL = 1e-10
+# Cutoff levels suggest_dim adds above the one that meets TAIL_TOL.
+DIM_MARGIN = 4
 
 
 @dataclass
@@ -197,14 +199,13 @@ def expect_gm1(state: TwoModeState, m: int, delta1: float, delta2: float,
     return value.real
 
 
-def suggest_dim(mean_photons: float, m: int, tol: float = TAIL_TOL,
-                margin: int = 4) -> int:
+def suggest_dim(mean_photons: float, m: int) -> int:
     """Smallest per-mode cutoff keeping the m-detection-weighted geometric
-    tail below ``tol``.
+    tail below TAIL_TOL.
 
     After m detections the relevant per-mode weights scale like
     binom(n+m, m) * q^n; the first cutoff whose remaining tail (geometric
-    bound) is below tol is returned, plus a safety margin.
+    bound) is below TAIL_TOL is returned, plus DIM_MARGIN.
     """
     q = mean_photons / (1.0 + mean_photons)
     log_q = math.log(q)
@@ -215,15 +216,15 @@ def suggest_dim(mean_photons: float, m: int, tol: float = TAIL_TOL,
         w = math.exp(log_w)
         terms.append(w)
         total += w
-        if n > m + 2 and w / total < tol * (1.0 - q) / 10.0:
+        if n > m + 2 and w / total < TAIL_TOL * (1.0 - q) / 10.0:
             break
     total = math.fsum(terms)
     acc = 0.0
     for n, w in enumerate(terms):
         acc += w
-        if 1.0 - acc / total < tol:
-            return n + 1 + margin
-    return len(terms) + margin  # pragma: no cover
+        if 1.0 - acc / total < TAIL_TOL:
+            return n + 1 + DIM_MARGIN
+    return len(terms) + DIM_MARGIN  # pragma: no cover
 
 
 def cm_coefficient(mean_photons: float, m: int, delta1: float,

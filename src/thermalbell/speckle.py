@@ -83,11 +83,11 @@ class Geometry:
         k = 2.0 * math.pi / self.wavelength
         return k * self.slit_separation * self.pixel_positions() / self.propagation
 
-    def check_sampling(self, min_px: float = MIN_FRINGE_PIXELS) -> None:
-        if self.fringe_period_px < min_px:
+    def check_sampling(self) -> None:
+        if self.fringe_period_px < MIN_FRINGE_PIXELS:
             raise SamplingGuardError(
                 f"fringe period spans {self.fringe_period_px:.2f} px, "
-                f"below the {min_px:.0f} px sampling guard")
+                f"below the {MIN_FRINGE_PIXELS:.0f} px sampling guard")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -23,11 +23,12 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .speckle import FrameSet, Geometry
+if TYPE_CHECKING:
+    from .speckle import FrameSet
 
 MAGIC = b"SPKL"
 VERSION = 1
@@ -180,6 +181,10 @@ def load_frameset(path: str | Path) -> FrameSet:
     Geometry and generation details come from the sidecar when present;
     otherwise they are left unset.
     """
+    # imported here: commands that only write sidecars never load the
+    # frame generator
+    from .speckle import FrameSet, Geometry
+
     header, pixels = read_spkl(path)
     geometry = None
     substeps = 0

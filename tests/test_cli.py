@@ -374,6 +374,20 @@ class TestConfigHandling:
         assert run(["analytic", "--config", str(cfg)]) == 2
         assert "delta_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, fields", [
+        ("bell", {"vis": "0.9"}),
+        ("correlate", {"x1": 63.5}),
+        ("quantum", {"nbar": [0.2], "dim": "x"}),
+    ])
+    def test_optional_field_type_checked(self, tmp_path, capsys, command, fields):
+        """Fields annotated ``X | None`` are checked like plain ``X`` fields."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(fields))
+        assert run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"field '{list(fields)[-1]}'" in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:
             run([])

@@ -187,6 +187,23 @@ class TestBellFromFrames:
         with pytest.raises(ValueError, match="geometry"):
             bell_from_frames(bare, 1, bell.UPPER_ANGLES)
 
+    def test_cell_table_source_matches_frameset(self, frames_tiny, tmp_path):
+        """A table read from an SPKL file, with the rows and y2 left to their
+        defaults, gives the FrameSet's report."""
+        path = tmp_path / "tiny.spkl"
+        spkl.write_spkl(path, frames_tiny)
+        geom = frames_tiny.geometry
+        last_row = frames_tiny.pixels.shape[1] - 1
+        table = correlate.CellTable(
+            path, correlate.bell_cells(geom, bell.UPPER_ANGLES, range(2), last_row, 2))
+        got = bell_from_frames(table, 2, bell.UPPER_ANGLES, geom,
+                               n_realizations=2, n_boot=40)
+        want = bell_from_frames(frames_tiny, 2, bell.UPPER_ANGLES,
+                                n_realizations=2, n_boot=40)
+        assert got.statistic == want.statistic
+        assert got.stderr == want.stderr
+        assert got.achieved == want.achieved
+
     def test_y2_must_differ_from_rows(self, frames_tiny):
         with pytest.raises(ValueError, match="y2"):
             bell_from_frames(frames_tiny, 2, bell.UPPER_ANGLES, y1_rows=[0, 7], y2=7)
@@ -295,15 +312,16 @@ class TestSinglePassAndMatrixBootstrap:
         lengths = np.array([4.0] * 12 + [3.0])
         n_boot = 2 * correlate.BOOT_GROUP + 5
 
-        def ratio(sums, n_star):
-            return sums[..., :2] / (n_star[..., None] * sums[..., 2:4].sum(axis=-1)[..., None])
+        def ratio(mean):
+            return mean[..., :2] / mean[..., 2:4].sum(axis=-1)[..., None]
 
-        got = correlate._bootstrap(blocks, lengths, n_boot, (3, 7), ratio)
+        mean, got = correlate._resample(blocks, 51, 4, n_boot, (3, 7), ratio)
+        assert np.array_equal(mean, np.array([math.fsum(c) for c in blocks.T]) / 51)
         gen = np.random.default_rng(np.random.SeedSequence((3, 7)))
         want = []
         for _ in range(n_boot):
             idx = gen.integers(0, 13, 13)
-            want.append(ratio(blocks[idx].sum(axis=0), np.array(lengths[idx].sum())))
+            want.append(ratio(blocks[idx].sum(axis=0) / lengths[idx].sum()))
         assert got.shape == (n_boot, 2)
         assert np.max(np.abs(got / np.array(want) - 1)) < 1e-12
 

@@ -1,4 +1,8 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,3 +129,14 @@ def test_frameset_without_sidecar_has_no_geometry(frames_tiny, tmp_path):
     spkl.write_spkl(path, frames_tiny)
     loaded = spkl.load_frameset(path)
     assert loaded.geometry is None
+
+
+def test_import_leaves_frame_generator_unloaded():
+    """Commands that only write sidecars do not pay for importing speckle."""
+    src = str(Path(spkl.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, thermalbell.spkl; print('thermalbell.speckle' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "False"
