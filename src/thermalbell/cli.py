@@ -246,9 +246,12 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(cfg: SimulateConfig) -> int:
+    import contextlib
+    import resource
+
     import numpy as np
 
-    from . import speckle, spkl
+    from . import blas, speckle, spkl
     from .sources import tls
 
     if cfg.out is None:
@@ -267,11 +270,16 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
     # every row of a frame carries the same intensities
     rows = np.empty((min(cfg.chunk, cfg.n_frames), geom.height, geom.width),
                     dtype=np.float32)
+    blas_before = blas.threads()
+    started = time.perf_counter()
+    chunks = speckle.iter_intensity_chunks(
+        geom, model, cfg.n_frames, cfg.tau_ratio, cfg.substeps,
+        cfg.n_subsources, cfg.seed, cfg.slits, cfg.chunk)
+    # closing: a failed write joins the generator's workers before the
+    # writer removes its temporary file
     with spkl.SpklWriter(cfg.out, cfg.n_frames, geom.height, geom.width,
-                         cfg.tau_ratio, cfg.seed) as writer:
-        for block in speckle.iter_intensity_chunks(
-                geom, model, cfg.n_frames, cfg.tau_ratio, cfg.substeps,
-                cfg.n_subsources, cfg.seed, cfg.slits, cfg.chunk):
+                         cfg.tau_ratio, cfg.seed) as writer, contextlib.closing(chunks):
+        for block in chunks:
             out = rows[:block.shape[0]]
             out[...] = block[:, None, :]
             writer.write(out)
@@ -280,6 +288,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
             frame_sum[start:stop] = b64.sum(axis=1)
             frame_sum_sq[start:stop] = (b64 * b64).sum(axis=1)
             start = stop
+    generate_write_s = time.perf_counter() - started
 
     count = cfg.n_frames * geom.width
     mean_intensity = math.fsum(frame_sum) / count
@@ -301,6 +310,13 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         "n_subsources": cfg.n_subsources,
         "slits": cfg.slits,
         "summary": summary,
+        "diagnostics": {
+            "workers": speckle._worker_count(-(-cfg.n_frames // cfg.chunk)),
+            "blas_pinned": blas_before is not None,
+            "blas_threads_before": blas_before,
+            "generate_write_s": generate_write_s,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        },
     })
     print(f"wrote {cfg.n_frames} frames to {cfg.out}: "
           f"mean intensity {mean_intensity:.6g}, speckle contrast {contrast:.4f}, "

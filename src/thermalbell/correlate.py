@@ -34,9 +34,9 @@ block by block, so bootstrap errors move in the last digits; point
 estimates do not use the bootstrap and are unchanged.  BLAS picks that
 order, and its rounding depends on the thread count and on each column's
 position in the block matrix.  The column order is fixed ([x1 | num | x2]
-for ``estimate_gm1``, [s | t | num] per Bell realization), but with
-thousands of blocks the bootstrap errors, and the visibility fits they
-weight, can differ in the last digits between BLAS thread counts.
+for ``estimate_gm1``, [s | t | num] per Bell realization), and the products
+run on one OpenBLAS thread (``blas.one_thread``), so the bootstrap errors
+do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .bell import (BellModel, BellReport, LOWER_BOUND, UPPER_BOUND, AngleSet,
 from .errors import (InsufficientFramesError, PeriodCoverageError,
                      SamplingGuardError)
 from .speckle import FrameSet, Geometry
-from . import spkl
+from . import blas, spkl
 
 MIN_FRAMES = 100
 # A block bootstrap over fewer blocks has next to no spread to resample (one
@@ -302,7 +302,11 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
         draws += nb * np.arange(size)[:, None]
         weights = np.bincount(draws.ravel(), minlength=size * nb)
         weights = weights.reshape(size, nb).astype(np.float64)
-        out.append(statistic((weights @ blocks) / (weights @ lengths)[:, None]))
+        # one BLAS thread: with thousands of blocks the products' rounding
+        # would otherwise depend on the thread count
+        with blas.one_thread():
+            means = (weights @ blocks) / (weights @ lengths)[:, None]
+        out.append(statistic(means))
     return mean, np.concatenate(out)
 
 

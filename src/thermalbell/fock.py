@@ -16,6 +16,7 @@ through ``_expect``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,8 +64,7 @@ class TwoModeState:
 
     def occupation(self, mode: int) -> float:
         """Mean photon number <a_mode^dag a_mode>."""
-        number = sparse.diags(np.arange(self.dim, dtype=float), format="csr")
-        return _expect(_mode_op(self.dim, number, mode), self.matrix).real
+        return _expect(_mode_ops(self.dim)[3 + mode], self.matrix).real
 
 
 def _expect(op: sparse.spmatrix, rho: sparse.spmatrix) -> complex:
@@ -81,6 +81,16 @@ def _mode_op(dim: int, op: sparse.spmatrix, mode: int) -> sparse.csr_matrix:
     if mode == 0:
         return sparse.kron(op, eye, format="csr")
     return sparse.kron(eye, op, format="csr")
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_ops(dim: int) -> tuple[sparse.csr_matrix, ...]:
+    """(a1, a2, a1^dag a2, n1, n2) at cutoff ``dim``, built once per cutoff;
+    callers only read them."""
+    a = _destroy(dim)
+    number = sparse.diags(np.arange(dim, dtype=float), format="csr")
+    a1, a2 = _mode_op(dim, a, 0), _mode_op(dim, a, 1)
+    return a1, a2, a1.conj().T @ a2, _mode_op(dim, number, 0), _mode_op(dim, number, 1)
 
 
 def field_op(dim: int, delta: float, scale: float = 1.0) -> sparse.csr_matrix:
@@ -161,10 +171,7 @@ def cross_corr(state: TwoModeState) -> complex:
     Also asserts that the first moments <a1>, <a2> vanish, as they must for
     phase-symmetric states of independent sources.
     """
-    dim = state.dim
-    a = _destroy(dim)
-    a1 = _mode_op(dim, a, 0)
-    a2 = _mode_op(dim, a, 1)
+    a1, a2, hop, _, _ = _mode_ops(state.dim)
     rho = state.matrix
     for label, op in (("a1", a1), ("a2", a2)):
         moment = _expect(op, rho)
@@ -175,7 +182,7 @@ def cross_corr(state: TwoModeState) -> complex:
     n2 = state.occupation(1)
     if min(n1, n2) < 1e-300:
         raise ZeroDivisionError("source-mode occupation vanishes; coefficient undefined")
-    return _expect(a1.conj().T @ a2, rho) / math.sqrt(n1 * n2)
+    return _expect(hop, rho) / math.sqrt(n1 * n2)
 
 
 def expect_gm1(state: TwoModeState, m: int, delta1: float, delta2: float,

@@ -13,17 +13,26 @@ the y-axis only provides the distinct detector pixels required by the
 m-photon correlation scheme.
 
 Reproducibility: every frame draws from its own counter-based Philox stream
-keyed by (seed, frame index), so generation is chunk-size independent and
-parallelizable across frames without changing output.  One Philox generator
-serves a whole run: before each frame it is rekeyed to (seed, frame index)
-with its counter and buffer cleared, the state a freshly built
+keyed by (seed, frame index), so the output depends neither on the chunk size
+nor on how many threads make the chunks.  Each chunk keeps one Philox
+generator: before each frame it is rekeyed to (seed, frame index) with its
+counter and buffer cleared, the state a freshly built
 ``Philox(key=[seed, frame])`` starts in, so the draws are those of a new
 generator per frame without the cost of building one.
+
+Parallelism: chunks are made on a pool of worker threads, one per CPU in the
+process's affinity mask (no more than there are chunks), and handed out in
+frame order.  The draws and the matrix products release the GIL.  While the
+pool runs, OpenBLAS is pinned to one thread (``blas.one_thread``), since the
+workers' products would otherwise contend with OpenBLAS's own threads; the
+pin changes the speed, never the bytes.  No process is started.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -162,15 +171,61 @@ def _validate_seed(seed: int) -> int:
     return seed
 
 
+def _worker_count(n_chunks: int) -> int:
+    """Threads that generate ``n_chunks`` chunks: one per CPU this process
+    may run on, and no more than there are chunks."""
+    return min(len(os.sched_getaffinity(0)), n_chunks)
+
+
+def _intensity_chunk(plan: tuple, start: int, batch: int) -> np.ndarray:
+    """Intensities [batch, width] (float32) of frames start .. start+batch-1.
+
+    ``plan`` is (seed, substeps, phases [n_src, width], amp_sigma, rho,
+    innov), shared by every chunk of a run.  The chunk uses only its own
+    generator and buffers, so chunks can run on any thread.
+    """
+    seed, substeps, phases, amp_sigma, rho, innov = plan
+    n_src, width = phases.shape
+    # Each frame's normals land as (re, im) pairs, which is the complex128
+    # layout, so the complex draws are a view.
+    z = np.empty((batch, substeps, n_src, 2))
+    draws = z.view(complex)[..., 0]                      # [batch, substeps, n_src]
+    rng = _frame_rng(seed, start)
+    for i in range(batch):
+        _frame_rng(seed, start + i, rng).standard_normal(out=z[i])
+    z *= amp_sigma / math.sqrt(2.0)
+    cur = draws[:, 0].copy()
+    tmp = np.empty_like(cur)
+    field = np.empty((batch, width), dtype=complex)
+    sq = np.empty((batch, width, 2))
+    power = np.empty((batch, width))
+    intensity = np.zeros_like(power)
+    fv = field.view(float).reshape(sq.shape)
+    for step in range(substeps):
+        if step:
+            cur *= rho
+            np.multiply(draws[:, step], innov, out=tmp)
+            cur += tmp
+        np.matmul(cur, phases, out=field)
+        np.multiply(fv, fv, out=sq)                 # |field|^2 = re^2 + im^2
+        np.add(sq[..., 0], sq[..., 1], out=power)
+        intensity += power
+    intensity /= substeps
+    return intensity.astype(np.float32)
+
+
 def iter_intensity_chunks(geom: Geometry, model: SourceModel, n_frames: int,
                           tau_ratio: float, substeps: int = 8,
                           n_subsources: int = 64, seed: int = 0,
                           slits: int = 2,
                           chunk: int = 1024) -> Iterator[np.ndarray]:
-    """Yield frame-intensity chunks of shape [B, width] (float32).
+    """Yield frame-intensity chunks of shape [B, width] (float32), in frame
+    order.
 
     One row per frame; callers replicate along y as needed.  Output is
-    independent of ``chunk``.
+    independent of ``chunk`` and of the number of worker threads.  The
+    workers are joined before the generator finishes, however it finishes:
+    exhausted, closed early, or left by an exception.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be >= 1, got {n_frames}")
@@ -185,51 +240,38 @@ def iter_intensity_chunks(geom: Geometry, model: SourceModel, n_frames: int,
                          f"got source kind {model.kind.value}")
     seed = _validate_seed(seed)
     geom.check_sampling()
+    # imported here: ``correlate`` imports this module and never needs them
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import blas
 
     positions = subsource_positions(geom, n_subsources, slits)
-    n_src = positions.size
     k = 2.0 * math.pi / geom.wavelength
     # far-field propagation phases, [n_src, width]
     phases = np.exp(1j * k * np.outer(positions, geom.pixel_positions()) / geom.propagation)
     amp_sigma = math.sqrt(model.field_amp**2 * model.mean_photons / n_subsources)
     rho = math.exp(-tau_ratio / substeps)
     innov = math.sqrt(max(0.0, 1.0 - rho * rho))
+    plan = (seed, substeps, phases, amp_sigma, rho, innov)
 
-    # Work buffers, allocated once.  Each frame's normals land as (re, im)
-    # pairs, which is the complex128 layout, so the complex draws are a view.
-    size = min(chunk, n_frames)
-    z = np.empty((size, substeps, n_src, 2))
-    draws = z.view(complex)[..., 0]                      # [size, substeps, n_src]
-    current = np.empty((size, n_src), dtype=complex)
-    tmp = np.empty_like(current)
-    field = np.empty((size, geom.width), dtype=complex)
-    sq = np.empty((size, geom.width, 2))
-    power = np.empty((size, geom.width))
-    intensity = np.empty_like(power)
-    rng = _frame_rng(seed, 0)
-
-    for start in range(0, n_frames, chunk):
-        batch = min(chunk, n_frames - start)
-        for i in range(batch):
-            _frame_rng(seed, start + i, rng).standard_normal(out=z[i])
-        zb = z[:batch]
-        zb *= amp_sigma / math.sqrt(2.0)
-        cur, tb, fb, sb = current[:batch], tmp[:batch], field[:batch], sq[:batch]
-        pb, ib = power[:batch], intensity[:batch]
-        fv = fb.view(float).reshape(sb.shape)
-        np.copyto(cur, draws[:batch, 0])
-        ib.fill(0.0)
-        for step in range(substeps):
-            if step:
-                cur *= rho
-                np.multiply(draws[:batch, step], innov, out=tb)
-                cur += tb
-            np.matmul(cur, phases, out=fb)
-            np.multiply(fv, fv, out=sb)             # |field|^2 = re^2 + im^2
-            np.add(sb[..., 0], sb[..., 1], out=pb)
-            ib += pb
-        ib /= substeps
-        yield ib.astype(np.float32)
+    starts = range(0, n_frames, chunk)
+    workers = _worker_count(len(starts))
+    # at most workers + 1 chunks exist at once: those being made, and the
+    # one the caller holds
+    pending = deque()
+    with blas.one_thread():
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="speckle")
+        try:
+            for start in starts:
+                pending.append(pool.submit(_intensity_chunk, plan, start,
+                                           min(chunk, n_frames - start)))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            # joins the workers once the chunks already running are done
+            pool.shutdown(cancel_futures=True)
 
 
 def generate_frames(geom: Geometry, model: SourceModel, n_frames: int,

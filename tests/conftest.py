@@ -1,6 +1,10 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from thermalbell import blas, speckle
 from thermalbell.sources import tls
 from thermalbell.speckle import Geometry, generate_frames
 
@@ -30,3 +34,43 @@ def frames_tiny(desk_geom):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(123)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch) -> int:
+    """Frame generation on this many worker threads, whatever the CPU count."""
+    monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: request.param)
+    return request.param
+
+
+@pytest.fixture()
+def threads_joined():
+    """Check that no frame-generation worker is alive and that the thread
+    count is back to its value when the test started, waiting up to 10 s
+    for other threads to finish."""
+    before = threading.active_count()
+
+    def check():
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("speckle")]
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() != before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+    return check
+
+
+@pytest.fixture()
+def blas_threads():
+    """OpenBLAS set to two threads for the test, so that a pin that is not
+    undone shows; yields the count (None where there is no OpenBLAS)."""
+    lib = blas._openblas()
+    if lib is None:
+        yield None
+        return
+    get, put = lib
+    before = get()
+    put(2)
+    try:
+        yield get()
+    finally:
+        put(before)

@@ -2,16 +2,32 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermalbell
 from thermalbell import cli
 
 SIM_ARGS = ["--frames", "1500", "--tau-ratio", "0.01", "--substeps", "2",
             "--subsources", "16", "--pixel-pitch", "8e-6", "--grid-width", "128",
             "--grid-height", "8", "--seed", "11"]
+
+
+# the tau06 acceptance config at 300 frames, and its pinned outputs
+GOLDEN_SIM_ARGS = ["--frames", "300", "--tau-ratio", "0.06", "--substeps", "8",
+                   "--subsources", "64", "--pixel-pitch", "8e-6", "--grid-width", "128",
+                   "--grid-height", "8", "--seed", "20260811"]
+GOLDEN_SIM_SPKL = "b118d345de0587315a9ced797fbd8e222bd180887016b33a628c6f1c76048c72"
+GOLDEN_SIM_SUMMARY = {"fringe_period_m": 0.000798, "fringe_period_px": 99.75,
+                      "mean_intensity": 2.062134631547597, "n_frames": 300,
+                      "speckle_contrast": 0.9614834487721088}
 
 
 def run(args):
@@ -143,6 +159,16 @@ class TestQuantumCommand:
             assert not (tmp_path / "q.json").exists()
 
 
+    def test_golden_exact_workload_bytes(self, tmp_path):
+        """Pinned bytes of the quantum report the benchmark's exact workload
+        writes."""
+        out = tmp_path / "q.json"
+        assert run(["quantum", "--m", "1..4", "--nbar", "0.05,0.2,0.5",
+                    "--delta1", "0.0,1.3", "--out", str(out)]) == 0
+        assert _sha256(out) == \
+            "384d0d5ac9ff66177b860e83b89f42a2f7368303cfc12eab2c0399553e3d39bc"
+
+
 class TestSimulateCommand:
     def test_writes_stack_and_sidecar(self, tmp_path, capsys):
         out = tmp_path / "frames.spkl"
@@ -167,12 +193,63 @@ class TestSimulateCommand:
     def test_golden_stack_bytes(self, tmp_path):
         """Pinned SPKL bytes of the tau06 acceptance config at 300 frames."""
         out = tmp_path / "g.spkl"
-        assert run(["simulate", "--frames", "300", "--tau-ratio", "0.06",
-                    "--substeps", "8", "--subsources", "64", "--pixel-pitch", "8e-6",
-                    "--grid-width", "128", "--grid-height", "8", "--seed", "20260811",
+        assert run(["simulate", *GOLDEN_SIM_ARGS, "--out", str(out)]) == 0
+        assert _sha256(out) == GOLDEN_SIM_SPKL
+
+    @pytest.mark.parametrize("chunk", [7, 50, 1000])
+    def test_golden_stack_any_workers(self, tmp_path, workers, chunk):
+        cfg = tmp_path / "chunk.json"
+        cfg.write_text(json.dumps({"chunk": chunk}))
+        out = tmp_path / "g.spkl"
+        assert run(["simulate", "--config", str(cfg), *GOLDEN_SIM_ARGS,
                     "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "b118d345de0587315a9ced797fbd8e222bd180887016b33a628c6f1c76048c72"
+        assert _sha256(out) == GOLDEN_SIM_SPKL
+        meta = json.loads((tmp_path / "g.spkl.meta.json").read_text())
+        assert meta["summary"] == GOLDEN_SIM_SUMMARY
+        assert meta["diagnostics"]["workers"] == workers
+
+    def test_sidecar_diagnostics(self, tmp_path):
+        from thermalbell import blas
+        out = tmp_path / "g.spkl"
+        assert run(["simulate", *GOLDEN_SIM_ARGS, "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "g.spkl.meta.json").read_text())["diagnostics"]
+        assert set(diag) == {"workers", "blas_pinned", "blas_threads_before",
+                             "generate_write_s", "peak_rss_mb"}
+        assert diag["workers"] == 1                  # 300 frames are one chunk
+        assert diag["blas_pinned"] == (diag["blas_threads_before"] is not None)
+        assert diag["blas_threads_before"] == blas.threads()
+        assert diag["generate_write_s"] > 0
+        assert diag["peak_rss_mb"] > 10
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch, capsys,
+                                         threads_joined, blas_threads):
+        from thermalbell import blas, spkl
+        write = spkl.SpklWriter.write
+        calls = []
+
+        def failing(self, frames):
+            calls.append(frames.shape[0])
+            if len(calls) == 2:
+                raise OSError("disk full")
+            return write(self, frames)
+        monkeypatch.setattr(spkl.SpklWriter, "write", failing)
+        monkeypatch.setattr("thermalbell.speckle._worker_count", lambda n_chunks: 3)
+        cfg = tmp_path / "chunk.json"
+        cfg.write_text(json.dumps({"chunk": 50}))
+        assert run(["simulate", "--config", str(cfg), *GOLDEN_SIM_ARGS,
+                    "--out", str(tmp_path / "g.spkl")]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+        threads_joined()
+        assert blas.threads() == blas_threads
+
+    def test_starts_no_process(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate started a process")
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        assert run(["simulate", *SIM_ARGS, "--out", str(tmp_path / "s.spkl")]) == 0
+        assert multiprocessing.active_children() == []
 
     def test_summary_does_not_depend_on_chunk(self, tmp_path):
         args = list(SIM_ARGS)
@@ -329,6 +406,26 @@ class TestGoldenCorrelate:
             "f5073aefd2cf18f8b7e08e151bf6ebcfbf6c0f6fbf152840a0c094bda6405cff"
         assert _sha256(tmp_path / "run_visibility.csv") == \
             "29342509615545d1bc47c7962ea5201afa7386657794ce83ffb7d7ad7f537ab4"
+
+    def test_outputs_do_not_depend_on_blas_threads(self, stack, tmp_path):
+        """At --block 4 the bootstrap has 750 blocks, enough for OpenBLAS's
+        rounding of the resampling products to depend on its thread count;
+        the products run on one thread, so the files must not."""
+        src = str(Path(thermalbell.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            subprocess.run([sys.executable, "-m", "thermalbell.cli", "correlate",
+                            "--frames", str(stack), "--m", "6", "--bell",
+                            "--realizations", "2", "--boot", "40", "--block", "4",
+                            "--out", str(out / "run")],
+                           env=env, check=True, capture_output=True)
+            digests.append({name: _sha256(out / name) for name in
+                            ("run_curve_m6.csv", "run_visibility.csv", "run_report.json")})
+        assert digests[0] == digests[1]
 
     def test_lower_bound_report(self, stack, tmp_path):
         assert run(["correlate", "--frames", str(stack), "--m", "6", "--bell",

@@ -1,13 +1,45 @@
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from thermalbell import correlate, speckle
+from thermalbell import blas, correlate, speckle
 from thermalbell.errors import SamplingGuardError
 from thermalbell.sources import spe, tls
 from thermalbell.speckle import Geometry, generate_frames, photonize
+
+
+GOLDEN_FRAMES = "f189be205e27cecdeca68b1fb84fea6e6f3b63fa6a94320d10cd3c463785cb01"
+
+
+def _reference_intensity(geom, model, n_frames, tau, substeps, n_sub, seed, slits):
+    """Frame intensities [n_frames, width] made the plain way: a new Philox
+    generator per frame and fresh arrays at every substep."""
+    pos = speckle.subsource_positions(geom, n_sub, slits)
+    k = 2.0 * math.pi / geom.wavelength
+    phases = np.exp(1j * k * np.outer(pos, geom.pixel_positions()) / geom.propagation)
+    sigma = math.sqrt(model.field_amp**2 * model.mean_photons / n_sub)
+    rho = math.exp(-tau / substeps)
+    innov = math.sqrt(max(0.0, 1.0 - rho * rho))
+    z = np.stack([np.random.Generator(np.random.Philox(key=np.array(
+        [seed, f], dtype=np.uint64))).standard_normal((substeps, pos.size, 2))
+        for f in range(n_frames)])
+    draws = (z[..., 0] + 1j * z[..., 1]) * (sigma / math.sqrt(2.0))
+    current = draws[:, 0]
+    field = current @ phases
+    intensity = field.real**2 + field.imag**2
+    for step in range(1, substeps):
+        current = rho * current + innov * draws[:, step]
+        field = current @ phases
+        intensity += field.real**2 + field.imag**2
+    intensity /= substeps
+    return intensity.astype(np.float32)
 
 
 @pytest.fixture(scope="module")
@@ -86,32 +118,13 @@ class TestGeneration:
         model = tls(1.3, 0.7)
         got = generate_frames(desk_geom, model, 40, tau, substeps, n_sub, seed=5,
                               slits=slits, chunk=16).pixels[:, 0, :]
-        pos = speckle.subsource_positions(desk_geom, n_sub, slits)
-        k = 2.0 * math.pi / desk_geom.wavelength
-        phases = np.exp(1j * k * np.outer(pos, desk_geom.pixel_positions())
-                        / desk_geom.propagation)
-        sigma = math.sqrt(model.field_amp**2 * model.mean_photons / n_sub)
-        rho = math.exp(-tau / substeps)
-        innov = math.sqrt(max(0.0, 1.0 - rho * rho))
-        z = np.stack([np.random.Generator(np.random.Philox(key=np.array(
-            [5, f], dtype=np.uint64))).standard_normal((substeps, pos.size, 2))
-            for f in range(40)])
-        draws = (z[..., 0] + 1j * z[..., 1]) * (sigma / math.sqrt(2.0))
-        current = draws[:, 0]
-        field = current @ phases
-        intensity = field.real**2 + field.imag**2
-        for step in range(1, substeps):
-            current = rho * current + innov * draws[:, step]
-            field = current @ phases
-            intensity += field.real**2 + field.imag**2
-        intensity /= substeps
-        assert np.array_equal(got, intensity.astype(np.float32))
+        assert np.array_equal(got, _reference_intensity(desk_geom, model, 40, tau,
+                                                        substeps, n_sub, 5, slits))
 
     def test_golden_frames(self, golden_frames):
         """Pinned bytes of the tau06 acceptance config: any change to the
         streams, the draw order or the float operations shows here."""
-        assert hashlib.sha256(golden_frames.pixels.tobytes()).hexdigest() == \
-            "f189be205e27cecdeca68b1fb84fea6e6f3b63fa6a94320d10cd3c463785cb01"
+        assert hashlib.sha256(golden_frames.pixels.tobytes()).hexdigest() == GOLDEN_FRAMES
 
     def test_rows_carry_identical_field(self, frames_tiny):
         assert np.array_equal(frames_tiny.pixels[:, 0, :], frames_tiny.pixels[:, -1, :])
@@ -132,6 +145,87 @@ class TestGeneration:
         geom = Geometry(pixel_pitch=100e-6, width=64, height=2)
         with pytest.raises(SamplingGuardError):
             generate_frames(geom, tls(1.0), 10, 0.05)
+
+
+@pytest.mark.parametrize("chunk", [7, 50, 1000])
+class TestWorkerThreads:
+    """The bytes depend on neither the worker count nor the chunk size, and
+    every worker is joined however the generator ends."""
+
+    def test_golden_frames(self, desk_geom, workers, chunk):
+        fs = generate_frames(desk_geom, tls(1.0, 1.0), 257, 0.06, substeps=8,
+                             n_subsources=64, seed=20260811, chunk=chunk)
+        assert hashlib.sha256(fs.pixels.tobytes()).hexdigest() == GOLDEN_FRAMES
+
+    def test_matches_per_frame_generator_reference(self, desk_geom, workers, chunk):
+        model = tls(1.3, 0.7)
+        got = generate_frames(desk_geom, model, 60, 0.06, 8, 16, seed=5,
+                              chunk=chunk).pixels[:, 0, :]
+        assert np.array_equal(got, _reference_intensity(desk_geom, model, 60, 0.06,
+                                                        8, 16, 5, 2))
+
+    def test_closed_early(self, desk_geom, workers, chunk, threads_joined, blas_threads):
+        chunks = speckle.iter_intensity_chunks(desk_geom, tls(1.0), 300, 0.06,
+                                               chunk=chunk)
+        next(chunks)
+        if blas_threads is not None:
+            assert blas.threads() == 1
+        chunks.close()
+        threads_joined()
+        assert blas.threads() == blas_threads
+
+    def test_consumer_raises(self, desk_geom, workers, chunk, threads_joined,
+                             blas_threads):
+        with pytest.raises(RuntimeError, match="consumer"):
+            for _ in speckle.iter_intensity_chunks(desk_geom, tls(1.0), 300, 0.06,
+                                                   chunk=chunk):
+                raise RuntimeError("consumer failed")
+        threads_joined()
+        assert blas.threads() == blas_threads
+
+    def test_worker_raises(self, desk_geom, workers, chunk, threads_joined,
+                           blas_threads, monkeypatch):
+        make = speckle._intensity_chunk
+
+        def failing(plan, start, batch):
+            if start + batch == 300:                      # the last chunk
+                raise FloatingPointError("worker failed")
+            return make(plan, start, batch)
+        monkeypatch.setattr(speckle, "_intensity_chunk", failing)
+        with pytest.raises(FloatingPointError, match="worker"):
+            generate_frames(desk_geom, tls(1.0), 300, 0.06, chunk=chunk)
+        threads_joined()
+        assert blas.threads() == blas_threads
+
+
+def test_more_workers_than_cores_under_frequent_switches(desk_geom, monkeypatch,
+                                                          threads_joined):
+    """Eight workers per CPU, with the interpreter switching threads every
+    microsecond: same bytes, in bounded time.  The pool starts a thread only
+    for a chunk, so never more than the 86 chunks here."""
+    workers = 8 * len(os.sched_getaffinity(0))
+    monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        started = time.perf_counter()
+        fs = generate_frames(desk_geom, tls(1.0, 1.0), 257, 0.06, substeps=8,
+                             n_subsources=64, seed=20260811, chunk=3)
+        elapsed = time.perf_counter() - started
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashlib.sha256(fs.pixels.tobytes()).hexdigest() == GOLDEN_FRAMES
+    assert elapsed < 60.0
+    threads_joined()
+
+
+def test_starts_no_process(desk_geom, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame generation started a process")
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    generate_frames(desk_geom, tls(1.0), 300, 0.06, chunk=50)
+    assert multiprocessing.active_children() == []
 
 
 class TestThermalStatistics:
