@@ -2,7 +2,11 @@
 
 Every command takes --config (JSON) and flag overrides, writes deterministic
 primary outputs (CSV/JSON/SPKL) for a fixed config+seed, and echoes the merged
-config plus a timestamp into a separate ``*.meta.json`` sidecar.
+config plus a timestamp into a separate ``*.meta.json`` sidecar.  A command
+computes all of its files before it writes any, and ``_publish`` writes each
+through ``spkl.AtomicFile``, whole or not at all: a failed run leaves no
+file that looks valid.  A new SPKL stack removes the sidecar of the one it
+replaces.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric guard
 (truncation/sampling/projection), 4 I/O error.
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -20,8 +25,8 @@ import time
 from pathlib import Path
 
 from .config import (AnalyticConfig, BellConfig, CorrelateConfig,
-                     QuantumConfig, SimulateConfig, config_dict,
-                     load_config_file, merge_config, parse_m_range)
+                     QuantumConfig, SimulateConfig, load_config_file,
+                     merge_config, parse_m_range)
 from .errors import ConfigError, NumericGuardError
 
 EXIT_OK = 0
@@ -30,19 +35,24 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
-def _write_sidecar(primary: str | None, payload: dict) -> None:
-    if primary is None:
-        return
+def _publish(outputs: dict, sidecar_of: str | Path, command: str, cfg, **meta) -> None:
+    """Write a command's computed text ``outputs`` {path: text}, then the
+    sidecar of ``sidecar_of`` echoing the command, its merged config and
+    ``meta``.  Each file lands whole or not at all."""
     from . import spkl
 
-    spkl.write_sidecar(primary, {**payload, "written_at_unix": time.time()})
+    for path, text in outputs.items():
+        spkl.write_text(path, text)
+    spkl.write_sidecar(sidecar_of, {"command": command, "config": dataclasses.asdict(cfg),
+                                    **meta, "written_at_unix": time.time()})
+
+
+def _emit(command: str, cfg, text: str) -> None:
+    """A command's one text output: to --out with its sidecar, or to stdout."""
+    if cfg.out is None:
+        sys.stdout.write(text)
+    else:
+        _publish({cfg.out: text}, cfg.out, command, cfg)
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -85,11 +95,9 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
             frac = analytic.visibility_tls_exact(m)
             rows.append([m, m + 1, f"{frac.numerator}/{frac.denominator}",
                          repr(float(frac))])
-        text = _csv_text(
+        _emit("analytic", cfg, _csv_text(
             ["m", "order_m_plus_1", "visibility_exact_fraction",
-             "visibility_dimensionless"], rows)
-        _write_text(cfg.out, text)
-        _write_sidecar(cfg.out, {"command": "analytic", "config": config_dict(cfg)})
+             "visibility_dimensionless"], rows))
         return EXIT_OK
 
     if cfg.curve != "correlation":
@@ -116,9 +124,7 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
                 max_dev = max(max_dev, dev)
                 row += [repr(oracle.normalized), repr(dev)]
             rows.append(row)
-    text = _csv_text(header, rows)
-    _write_text(cfg.out, text)
-    _write_sidecar(cfg.out, {"command": "analytic", "config": config_dict(cfg)})
+    _emit("analytic", cfg, _csv_text(header, rows))
     if cfg.oracle:
         print(f"max oracle relative deviation: {max_dev:.3e}")
     return EXIT_OK
@@ -186,8 +192,7 @@ def cmd_bell(cfg: BellConfig) -> int:
         extrema = bell.angle_scan(model_tag, visibility, cfg.scan_step)
         payload["angle_scan"] = [
             {"arguments": list(a.arguments), "statistic": s} for a, s in extrema]
-    _write_text(cfg.out, _json_text(payload))
-    _write_sidecar(cfg.out, {"command": "bell", "config": config_dict(cfg)})
+    _emit("bell", cfg, _json_text(payload))
     return EXIT_OK
 
 
@@ -238,8 +243,7 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
         "gm1_check": gm1_rows,
         "max_gm1_rel_dev": max_gm1_dev,
     }
-    _write_text(cfg.out, _json_text(payload))
-    _write_sidecar(cfg.out, {"command": "quantum", "config": config_dict(cfg)})
+    _emit("quantum", cfg, _json_text(payload))
     return EXIT_OK
 
 
@@ -302,22 +306,15 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         "fringe_period_px": geom.fringe_period_px,
         "n_frames": cfg.n_frames,
     }
-    _write_sidecar(cfg.out, {
-        "command": "simulate",
-        "config": config_dict(cfg),
-        "geometry": geom.to_dict(),
-        "substeps": cfg.substeps,
-        "n_subsources": cfg.n_subsources,
-        "slits": cfg.slits,
-        "summary": summary,
-        "diagnostics": {
-            "workers": speckle._worker_count(-(-cfg.n_frames // cfg.chunk)),
-            "blas_pinned": blas_before is not None,
-            "blas_threads_before": blas_before,
-            "generate_write_s": generate_write_s,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
-        },
-    })
+    _publish({}, cfg.out, "simulate", cfg, geometry=geom.to_dict(),
+             substeps=cfg.substeps, n_subsources=cfg.n_subsources, slits=cfg.slits,
+             summary=summary, diagnostics={
+                 "workers": speckle._worker_count(-(-cfg.n_frames // cfg.chunk)),
+                 "blas_pinned": blas_before is not None,
+                 "blas_threads_before": blas_before,
+                 "generate_write_s": generate_write_s,
+                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+             })
     print(f"wrote {cfg.n_frames} frames to {cfg.out}: "
           f"mean intensity {mean_intensity:.6g}, speckle contrast {contrast:.4f}, "
           f"fringe period {geom.fringe_period * 1e3:.4f} mm "
@@ -373,11 +370,11 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         return cfg.y1_rows if cfg.y1_rows is not None else list(range(m))
 
     # one pass over the stack for every m and every Bell realization
-    cells = [cell for m in ms for cell in correlate.gm1_cells(x1, rows_for(m), scan, y2)]
+    cells = [cell for m in ms for cell in correlate.gm1_cells(m, x1, rows_for(m), scan, y2)]
     if cfg.bell:
         bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
         angles = _angle_set(cfg.angles, cfg.bound)
-        cells += correlate.bell_cells(geom, angles, rows_for(bell_m), y2,
+        cells += correlate.bell_cells(geom, angles, bell_m, rows_for(bell_m), y2,
                                       cfg.realizations)
     stage_s: dict[str, float] = {}
     started = time.perf_counter()
@@ -386,6 +383,8 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
 
     started = time.perf_counter()
     out_stem = Path(cfg.out)
+    # every file is computed before any is written
+    outputs: dict[Path, str] = {}
     vis_rows = []
     table = []
     for m in ms:
@@ -396,9 +395,9 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         curve_rows = [[int(c), repr(float(phase[c])), repr(float(v)), repr(float(s))]
                       for c, v, s in zip(curve.x2_positions, curve.values, curve.stderr)]
         path = out_stem.parent / f"{out_stem.name}_curve_m{m}.csv"
-        path.write_text(_csv_text(
+        outputs[path] = _csv_text(
             ["x2_pixel", "delta_rad", "g_value_dimensionless", "stderr_dimensionless"],
-            curve_rows))
+            curve_rows)
         v_theory = analytic.visibility_tls(m)
         vis_rows.append([m, repr(v_theory), repr(estimate.value),
                          repr(estimate.stderr), repr(estimate.fit_residual)])
@@ -409,10 +408,9 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         print(f"m={m}: V_hat = {estimate.value:.4f} +- {estimate.stderr:.4f} "
               f"(theory {v_theory:.4f})")
 
-    vis_path = out_stem.parent / f"{out_stem.name}_visibility.csv"
-    vis_path.write_text(_csv_text(
+    outputs[out_stem.parent / f"{out_stem.name}_visibility.csv"] = _csv_text(
         ["m", "v_theory_dimensionless", "v_hat_dimensionless",
-         "stderr_dimensionless", "fit_residual_dimensionless"], vis_rows))
+         "stderr_dimensionless", "fit_residual_dimensionless"], vis_rows)
     stage_s["curves"] = time.perf_counter() - started
 
     payload: dict = {"visibility_table": table, "n_frames": collected.n_frames,
@@ -433,17 +431,13 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
               f"+- {report.stderr:.5f} ({verdict} at >= 2 stderr)")
 
     report_path = out_stem.parent / f"{out_stem.name}_report.json"
-    report_path.write_text(_json_text(payload))
-    _write_sidecar(str(report_path), {
-        "command": "correlate",
-        "config": config_dict(cfg),
-        "diagnostics": {
-            "n_cells": collected.n_cells,
-            "block_len": cfg.block_len,
-            "n_blocks": -(-collected.n_frames // cfg.block_len),
-            "n_boot": cfg.n_boot,
-            "stage_s": stage_s,
-        },
+    outputs[report_path] = _json_text(payload)
+    _publish(outputs, report_path, "correlate", cfg, diagnostics={
+        "n_cells": collected.n_cells,
+        "block_len": cfg.block_len,
+        "n_blocks": -(-collected.n_frames // cfg.block_len),
+        "n_boot": cfg.n_boot,
+        "stage_s": stage_s,
     })
     return EXIT_OK
 

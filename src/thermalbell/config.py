@@ -91,10 +91,6 @@ def merge_config(cls, file_data: dict | None, overrides: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def config_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def parse_m_range(text: str) -> list[int]:
     """'1..8' or '3' or '1,2,5' -> list of m values."""
     text = text.strip()

@@ -20,10 +20,10 @@ One pass over the stack.  The estimators read pixels through a
 ``CellTable``: the per-frame series of the (column, row) cells they need,
 gathered by ``collect_cells`` in one streamed pass and stored column-major,
 so a cell's series is a contiguous view.  ``gm1_cells`` and ``bell_cells``
-name the cells of one estimate; a caller that plans the union of several
-estimates (``thermalbell correlate`` does, for every m and every Bell
-realization) reads the stack once and hands the same table to each.  Block
-sums of a cell's series are computed once per table and shared.
+check the arguments of one estimate and name its cells; a caller that plans
+the union of several estimates (``thermalbell correlate`` does, for every m
+and every Bell realization) reads the stack once and hands the same table to
+each.  Block sums of a cell's series are computed once per table and shared.
 
 Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
 indices, one draw per replicate in a fixed order, as a per-replicate loop
@@ -310,11 +310,20 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
     return mean, np.concatenate(out)
 
 
-def gm1_cells(x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
+def gm1_cells(m: int, x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
               y2: int) -> list[Cell]:
     """Cells ``estimate_gm1`` reads: the x1 pixels on the rows in ascending
-    order, then the scan."""
-    return [(x1, r) for r in sorted(y1_rows)] + [(c, y2) for c in x2_scan]
+    order, then the scan.  Bad arguments raise here, so a planned read
+    fails before its pass over the stack."""
+    rows = _check_rows(m, y1_rows)
+    x2_scan = list(x2_scan)
+    if not x2_scan:
+        raise ValueError("x2_scan must be nonempty")
+    if y2 in rows and x1 in x2_scan:
+        raise ValueError(
+            f"x2 scan hits column {x1} on row {y2}, which is already used as an "
+            "x1 pixel; choose a different y2 row")
+    return [(x1, r) for r in rows] + [(c, y2) for c in x2_scan]
 
 
 def estimate_gm1(source: FrameSource, m: int, x1: int,
@@ -331,21 +340,12 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     holding the ``gm1_cells``; otherwise they are collected from it.
     """
     _check_sampling(source.n_frames, block_len, n_boot)
-    rows = _check_rows(m, y1_rows)
-    x2_scan = list(x2_scan)
-    if not x2_scan:
-        raise ValueError("x2_scan must be nonempty")
-    if y2 in rows and x1 in x2_scan:
-        raise ValueError(
-            f"x2 scan hits column {x1} on row {y2}, which is already used as an "
-            "x1 pixel; choose a different y2 row")
-
-    cells = gm1_cells(x1, rows, x2_scan, y2)
+    cells = gm1_cells(m, x1, y1_rows, x2_scan, y2)
     table = _cell_table(source, cells)
     # block columns [x1 | num | x2]; BLAS rounding depends on column position
     blocks = np.concatenate(_blocks(table, [cells[:m]], cells[m:], block_len, shuffle),
                             axis=1)
-    n_scan = len(x2_scan)
+    n_scan = len(cells) - m
 
     def ghat(mean: np.ndarray) -> np.ndarray:
         return _ghat(mean[..., None, :m], mean[..., None, m:-n_scan],
@@ -353,7 +353,7 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
 
     mean, boot = _resample(blocks, table.n_frames, block_len, n_boot,
                            (boot_seed, 0xB00727), ghat)
-    return CorrelationCurve(m=m, x2_positions=np.array(x2_scan, dtype=int),
+    return CorrelationCurve(m=m, x2_positions=np.array(cells[m:], dtype=int)[:, 0],
                             values=ghat(mean), stderr=boot.std(axis=0, ddof=1),
                             n_frames_used=table.n_frames)
 
@@ -462,12 +462,17 @@ def _bell_realizations(geom: Geometry, angles: AngleSet,
     return tuple(MappingProxyType(usable[i]) for i in picks)
 
 
-def bell_cells(geom: Geometry, angles: AngleSet, y1_rows: Sequence[int],
+def bell_cells(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
                y2: int, n_realizations: int) -> list[Cell]:
     """Cells ``bell_from_frames`` reads for these arguments: per realization,
     the x1 pixels of each s column on the rows in ascending order (s-major,
-    4m cells), then the y2 pixels of the t columns (4 cells)."""
-    rows = sorted(y1_rows)
+    4m cells), then the y2 pixels of the t columns (4 cells).  Bad arguments
+    raise here, so a planned read fails before its pass over the stack."""
+    rows = _check_rows(m, y1_rows)
+    if y2 in rows:
+        raise ValueError("y2 must differ from the y1 rows (pixels may share columns)")
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
     return [cell for cols in _bell_realizations(geom, angles, n_realizations)
             for cell in [(cols[sk], r) for sk in _S_KEYS for r in rows]
             + [(cols[tk], y2) for tk in _T_KEYS]]
@@ -518,19 +523,14 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     from it.
     """
     _check_sampling(source.n_frames, block_len, n_boot)
-    rows = _check_rows(m, range(m) if y1_rows is None else y1_rows)
     if geom is None and isinstance(source, FrameSet):
         geom = source.geometry
     if geom is None:
         raise ValueError("geometry required (pass geom= or use a FrameSet with geometry)")
     if y2 is None:
         y2 = (source.height if isinstance(source, CellTable) else source.pixels.shape[1]) - 1
-    if y2 in rows:
-        raise ValueError("y2 must differ from the y1 rows (pixels may share columns)")
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-
-    cells = bell_cells(geom, angles, rows, y2, n_realizations)
+    cells = bell_cells(geom, angles, m, range(m) if y1_rows is None else y1_rows, y2,
+                       n_realizations)
     table = _cell_table(source, cells)
     # per realization, the block columns [s | t | num] of _ch74_four_term's
     # 4m + 20 series; BLAS rounding depends on column position

@@ -39,14 +39,11 @@ class TwoModeState:
     """Truncated two-mode density matrix, stored sparse (CSR).
 
     ``matrix`` accepts anything ``sparse.csr_matrix`` does and is converted
-    on construction.  ``trace_deficit`` records the probability mass lost to
-    truncation: for constructed states the geometric tail beyond the cutoff,
-    for projected states the occupancy of the highest Fock shell.
+    on construction.
     """
 
     dim: int
     matrix: sparse.csr_matrix
-    trace_deficit: float = 0.0
 
     def __post_init__(self) -> None:
         self.matrix = sparse.csr_matrix(self.matrix)
@@ -72,31 +69,22 @@ def _expect(op: sparse.spmatrix, rho: sparse.spmatrix) -> complex:
     return complex(op.multiply(rho.T).sum())
 
 
-def _destroy(dim: int) -> sparse.csr_matrix:
-    return sparse.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
-
-
-def _mode_op(dim: int, op: sparse.spmatrix, mode: int) -> sparse.csr_matrix:
-    eye = sparse.identity(dim, format="csr")
-    if mode == 0:
-        return sparse.kron(op, eye, format="csr")
-    return sparse.kron(eye, op, format="csr")
-
-
 @functools.lru_cache(maxsize=8)
 def _mode_ops(dim: int) -> tuple[sparse.csr_matrix, ...]:
     """(a1, a2, a1^dag a2, n1, n2) at cutoff ``dim``, built once per cutoff;
     callers only read them."""
-    a = _destroy(dim)
-    number = sparse.diags(np.arange(dim, dtype=float), format="csr")
-    a1, a2 = _mode_op(dim, a, 0), _mode_op(dim, a, 1)
-    return a1, a2, a1.conj().T @ a2, _mode_op(dim, number, 0), _mode_op(dim, number, 1)
+    eye = sparse.identity(dim, format="csr")
+    a = sparse.diags(np.sqrt(np.arange(1, dim)), 1, format="csr")
+    n = sparse.diags(np.arange(dim, dtype=float), format="csr")
+    a1, a2, n1, n2 = (sparse.kron(x, y, format="csr")
+                      for x, y in ((a, eye), (eye, a), (n, eye), (eye, n)))
+    return a1, a2, a1.conj().T @ a2, n1, n2
 
 
 def field_op(dim: int, delta: float, scale: float = 1.0) -> sparse.csr_matrix:
     """Positive-frequency field operator E+(delta) = scale * (a1 + e^{i delta} a2)."""
-    a = _destroy(dim)
-    return (scale * (_mode_op(dim, a, 0) + np.exp(1j * delta) * _mode_op(dim, a, 1))).tocsr()
+    a1, a2 = _mode_ops(dim)[:2]
+    return (scale * (a1 + np.exp(1j * delta) * a2)).tocsr()
 
 
 def thermal_state(mean_photons: float, dim: int) -> TwoModeState:
@@ -121,8 +109,7 @@ def thermal_state(mean_photons: float, dim: int) -> TwoModeState:
             f"at dim={dim}; use dim >= {suggested}", suggested_dim=suggested)
     diag = np.kron(weights, weights)
     diag /= diag.sum()
-    return TwoModeState(dim=dim, matrix=sparse.diags(diag.astype(complex), format="csr"),
-                        trace_deficit=deficit)
+    return TwoModeState(dim=dim, matrix=sparse.diags(diag.astype(complex), format="csr"))
 
 
 def spe_state(dim: int = 2) -> TwoModeState:
@@ -131,12 +118,7 @@ def spe_state(dim: int = 2) -> TwoModeState:
         raise ValueError(f"dim must be >= 2, got {dim}")
     idx = 1 * dim + 1
     rho = sparse.csr_matrix(([1.0 + 0j], ([idx], [idx])), shape=(dim * dim, dim * dim))
-    return TwoModeState(dim=dim, matrix=rho, trace_deficit=0.0)
-
-
-def _top_shell_mass(dim: int, rho: sparse.csr_matrix) -> float:
-    pops = rho.diagonal().real.reshape(dim, dim)
-    return float(pops[-1, :].sum() + pops[:, -1].sum() - pops[-1, -1])
+    return TwoModeState(dim=dim, matrix=rho)
 
 
 def project_m(state: TwoModeState, delta1: float, m: int,
@@ -144,8 +126,7 @@ def project_m(state: TwoModeState, delta1: float, m: int,
     """State after m photon detections at phase delta1.
 
     rho(m) = E+(delta1)^m rho E-(delta1)^m / trace.  Raises on vanishing
-    detection probability; ``trace_deficit`` is the projected state's
-    top-shell occupancy.
+    detection probability.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
@@ -160,8 +141,7 @@ def project_m(state: TwoModeState, delta1: float, m: int,
             f"projection of {m} detections has vanishing probability (trace {norm})")
     rho = rho / norm
     rho = 0.5 * (rho + rho.conj().T)
-    return TwoModeState(dim=state.dim, matrix=rho,
-                        trace_deficit=_top_shell_mass(state.dim, rho))
+    return TwoModeState(dim=state.dim, matrix=rho)
 
 
 def cross_corr(state: TwoModeState) -> complex:

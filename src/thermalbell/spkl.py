@@ -14,6 +14,9 @@ A JSON sidecar at ``<path>.meta.json`` carries everything the header cannot
 (geometry, model, substeps, run provenance).  The .spkl payload is
 deterministic under a fixed config and seed; timestamps live only in the
 sidecar.
+
+``AtomicFile`` is the one writer of the package: stacks, sidecars and the
+commands' text outputs all land whole or not at all.
 """
 
 from __future__ import annotations
@@ -52,11 +55,6 @@ class SpklHeader:
         return self.height * self.width * 4
 
 
-def _pack_header(header: SpklHeader) -> bytes:
-    return _HEADER.pack(MAGIC, VERSION, header.n_frames, header.height,
-                        header.width, header.tau_ratio, header.seed)
-
-
 def read_header(path: str | Path) -> SpklHeader:
     """The header of an SPKL file, after checking that the payload size is
     the one the header implies."""
@@ -78,24 +76,66 @@ def read_header(path: str | Path) -> SpklHeader:
     return header
 
 
-class SpklWriter:
+class AtomicFile:
+    """A binary file that appears at ``path`` whole or not at all.
+
+    Bytes go to a hidden temporary file beside ``path``, which takes its
+    place only on a clean close.  On any error, in ``_before_replace`` or
+    the rename too, the temporary file is removed.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+        self._fh = open(self._tmp, "wb")
+
+    def write(self, data) -> None:
+        self._fh.write(data)
+
+    def _before_replace(self) -> None:
+        """Last step before the rename; raising here publishes nothing."""
+
+    def close(self) -> None:
+        try:
+            self._fh.close()
+            self._before_replace()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Close and discard everything written."""
+        self._fh.close()
+        self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
+
+class SpklWriter(AtomicFile):
     """Streaming writer; frame count is fixed up front and enforced on close.
 
-    Frames go to a temporary file beside ``path``, which takes its place only
-    on a clean close.  On an error, or a frame count short of the header's,
-    the temporary file is removed, so a failed run leaves no partial stack.
+    A stack short of its header's frame count is never published.  Publishing
+    a stack first removes the sidecar of the stack it replaces, which may
+    describe another geometry.
     """
 
     def __init__(self, path: str | Path, n_frames: int, height: int, width: int,
                  tau_ratio: float, seed: int):
-        self.path = Path(path)
         self.header = SpklHeader(n_frames, height, width, tau_ratio, seed)
-        header = _pack_header(self.header)
-        self._tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        self._fh = open(self._tmp, "wb")
+        # packed before the file exists: a field out of range leaves none
+        header = _HEADER.pack(MAGIC, VERSION, n_frames, height, width, tau_ratio, seed)
+        super().__init__(path)
         self._written = 0
         try:
-            self._fh.write(header)
+            super().write(header)
         except BaseException:
             self.abort()
             raise
@@ -105,34 +145,14 @@ class SpklWriter:
         if frames.ndim != 3 or frames.shape[1:] != (self.header.height, self.header.width):
             raise ValueError(f"chunk shape {frames.shape} does not match header "
                              f"(h={self.header.height}, w={self.header.width})")
-        self._fh.write(np.ascontiguousarray(frames, dtype="<f4").data)
+        super().write(np.ascontiguousarray(frames, dtype="<f4").data)
         self._written += frames.shape[0]
 
-    def close(self) -> None:
-        try:
-            self._fh.close()
-            if self._written != self.header.n_frames:
-                raise SpklFormatError(
-                    f"{self.path}: wrote {self._written} frames, header promised "
-                    f"{self.header.n_frames}")
-        except BaseException:
-            self._tmp.unlink(missing_ok=True)
-            raise
-        os.replace(self._tmp, self.path)
-
-    def abort(self) -> None:
-        """Close and discard everything written."""
-        self._fh.close()
-        self._tmp.unlink(missing_ok=True)
-
-    def __enter__(self) -> "SpklWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:
-            self.abort()
+    def _before_replace(self) -> None:
+        if self._written != self.header.n_frames:
+            raise SpklFormatError(f"{self.path}: wrote {self._written} frames, header "
+                                  f"promised {self.header.n_frames}")
+        sidecar_path(self.path).unlink(missing_ok=True)
 
 
 def write_spkl(path: str | Path, frames: FrameSet) -> None:
@@ -167,8 +187,14 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` whole or not at all."""
+    with AtomicFile(path) as fh:
+        fh.write(text.encode())
+
+
 def write_sidecar(path: str | Path, payload: dict) -> None:
-    sidecar_path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(sidecar_path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_sidecar(path: str | Path) -> dict:

@@ -38,12 +38,17 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestAnalyticCommand:
     def test_visibility_csv_exact(self, tmp_path):
         out = tmp_path / "vis.csv"
         assert run(["analytic", "--m", "1..8", "--curve", "visibility",
                     "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert len(rows) == 8
         for row in rows:
             m = int(row["m"])
@@ -54,7 +59,7 @@ class TestAnalyticCommand:
         out = tmp_path / "corr.csv"
         assert run(["analytic", "--m", "1..3", "--curve", "correlation",
                     "--delta-points", "16", "--oracle", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert len(rows) == 3 * 16
         devs = [float(r["oracle_rel_dev"]) for r in rows]
         assert max(devs) <= 1e-10
@@ -64,7 +69,7 @@ class TestAnalyticCommand:
         out = tmp_path / "c.csv"
         assert run(["analytic", "--m", "14..15", "--curve", "correlation", "--oracle",
                     "--delta-points", "8", "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert len(rows) == 2 * 8
         assert max(float(r["oracle_rel_dev"]) for r in rows) <= 1e-12
 
@@ -243,6 +248,28 @@ class TestSimulateCommand:
         threads_joined()
         assert blas.threads() == blas_threads
 
+    def test_new_stack_never_beside_earlier_sidecar(self, tmp_path, monkeypatch, capsys):
+        """A stack whose sidecar write fails is left without a sidecar, not
+        beside the sidecar of the stack it replaced."""
+        from thermalbell import spkl
+        out = tmp_path / "frames.spkl"
+        assert run(["simulate", *SIM_ARGS, "--out", str(out)]) == 0
+
+        def refuse(*args, **kwargs):
+            raise OSError("disk full")
+        monkeypatch.setattr(spkl, "write_sidecar", refuse)
+        args = list(SIM_ARGS)
+        args[args.index("--grid-width") + 1] = "96"
+        assert run(["simulate", *args, "--out", str(out)]) == 4
+        assert list(tmp_path.iterdir()) == [out]
+        assert spkl.read_header(out).width == 96
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run(["correlate", "--frames", str(out), "--m", "1",
+                    "--out", str(tmp_path / "r")]) == 2
+        assert "is missing" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_starts_no_process(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("simulate started a process")
@@ -294,11 +321,11 @@ class TestCorrelateCommand:
         stem = tmp_path / "run"
         assert run(["correlate", "--frames", str(stack), "--m", "1..2",
                     "--boot", "60", "--out", str(stem)]) == 0
-        vis_rows = list(csv.DictReader((tmp_path / "run_visibility.csv").open()))
+        vis_rows = _csv_rows(tmp_path / "run_visibility.csv")
         assert [int(r["m"]) for r in vis_rows] == [1, 2]
         v1 = float(vis_rows[0]["v_hat_dimensionless"])
         assert v1 == pytest.approx(1 / 3, abs=0.05)
-        curve = list(csv.DictReader((tmp_path / "run_curve_m1.csv").open()))
+        curve = _csv_rows(tmp_path / "run_curve_m1.csv")
         assert set(curve[0]) == {"x2_pixel", "delta_rad", "g_value_dimensionless",
                                  "stderr_dimensionless"}
         report = json.loads((tmp_path / "run_report.json").read_text())
@@ -331,15 +358,53 @@ class TestCorrelateCommand:
                     "--block", "4000", "--out", str(tmp_path / "x")]) == 3
         assert "bootstrap blocks" in capsys.readouterr().err
 
-    def test_block_count_checked_before_reading(self, stack, tmp_path, monkeypatch):
+    @pytest.fixture()
+    def collect_calls(self, monkeypatch):
+        """One entry per pass over a stack."""
         from thermalbell import correlate
         calls = []
         real = correlate.collect_cells
         monkeypatch.setattr(correlate, "collect_cells",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
+        return calls
+
+    def test_block_count_checked_before_reading(self, stack, tmp_path, collect_calls):
         assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
                     "--block", "4000", "--out", str(tmp_path / "x")]) == 3
-        assert calls == []
+        assert collect_calls == []
+
+    @pytest.mark.parametrize("args", [
+        ["--m", "6", "--bell", "--bell-m", "5", "--y1-rows", "0,1,2,3,4,5"],
+        ["--m", "2", "--x1", "0", "--y1-rows", "0,1", "--y2", "1",
+         "--x2-range", "1:128", "--bell"],
+    ])
+    def test_bad_rows_rejected_before_reading(self, stack, tmp_path, collect_calls,
+                                              capsys, args):
+        """Rows the Bell estimate cannot use stop the run before the pass
+        over the stack, and nothing is written."""
+        assert run(["correlate", "--frames", str(stack), *args,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
+    @pytest.mark.parametrize("target, error, code", [
+        ("thermalbell.correlate.bell_from_frames", ArithmeticError, 3),
+        ("thermalbell.cli._json_text", OSError, 4),
+    ])
+    def test_failed_last_step_writes_nothing(self, stack, tmp_path, monkeypatch,
+                                             target, error, code):
+        """Curves and the visibility table are written only once the report
+        is computed too."""
+        def fail(*args, **kwargs):
+            raise error("late failure")
+        monkeypatch.setattr(target, fail)
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
+                    "--realizations", "2", "--boot", "20",
+                    "--out", str(tmp_path / "run")]) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
 
     def test_bell_realizations_found_once(self, stack, tmp_path):
         from thermalbell import correlate
@@ -435,13 +500,37 @@ class TestGoldenCorrelate:
             "9775f92ca4c948fda83c252ae5248c3c6855753eaf154893ba9d34dea8f8a998"
 
 
+@pytest.mark.parametrize("args", [
+    ["analytic", "--m", "1..3", "--curve", "correlation", "--delta-points", "8"],
+    ["bell", "--four-term", "--m", "5", "--scan-step", "0.5"],
+    ["quantum", "--m", "1..2", "--nbar", "0.2"],
+])
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys, args):
+    """A write that fails half way removes its temporary file and leaves
+    nothing at the output path."""
+    from thermalbell import spkl
+    seen = []
+
+    def half_then_fail(self, data):
+        self._fh.write(bytes(data)[:len(data) // 2])
+        self._fh.flush()
+        seen.append(sorted(p.name for p in tmp_path.iterdir()))
+        raise OSError("disk full")
+    monkeypatch.setattr(spkl.AtomicFile, "write", half_then_fail)
+    out = tmp_path / "out.txt"
+    assert run([*args, "--out", str(out)]) == 4
+    assert "disk full" in capsys.readouterr().err
+    assert seen == [[f".out.txt.{os.getpid()}.tmp"]]
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigHandling:
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m_range": "1..3", "curve": "visibility"}))
         out = tmp_path / "vis.csv"
         assert run(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert [int(r["m"]) for r in rows] == [1, 2, 3]
 
     def test_cli_flag_overrides_config(self, tmp_path):
@@ -450,7 +539,7 @@ class TestConfigHandling:
         out = tmp_path / "vis.csv"
         assert run(["analytic", "--config", str(cfg), "--m", "5",
                     "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
+        rows = _csv_rows(out)
         assert [int(r["m"]) for r in rows] == [5]
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):

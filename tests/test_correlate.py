@@ -121,6 +121,23 @@ class TestEstimatorValidation:
         with pytest.raises(ValueError, match="out of range"):
             estimate_gm1(frames_tiny, 1, 63, [11], FULL_SCAN, 7)
 
+    def test_cell_plans_check_arguments(self, frames_tiny):
+        """The plans hold the estimators' argument checks, so a caller that
+        plans before reading fails before the pass over the stack."""
+        geom = frames_tiny.geometry
+        with pytest.raises(ValueError, match="distinct"):
+            correlate.gm1_cells(2, 63, [1, 1], FULL_SCAN, 7)
+        with pytest.raises(ValueError, match="nonempty"):
+            correlate.gm1_cells(1, 63, [0], [], 7)
+        with pytest.raises(ValueError, match="already used"):
+            correlate.gm1_cells(2, 63, [0, 1], FULL_SCAN, 1)
+        with pytest.raises(ValueError, match="distinct"):
+            correlate.bell_cells(geom, bell.UPPER_ANGLES, 5, range(6), 7, 1)
+        with pytest.raises(ValueError, match="y2"):
+            correlate.bell_cells(geom, bell.UPPER_ANGLES, 2, [0, 1], 1, 1)
+        with pytest.raises(ValueError, match="n_realizations"):
+            correlate.bell_cells(geom, bell.UPPER_ANGLES, 1, [0], 7, 0)
+
 
 class TestVisibilityFit:
     def test_exact_recovery_on_noiseless_curve(self, desk_geom):
@@ -195,7 +212,7 @@ class TestBellFromFrames:
         geom = frames_tiny.geometry
         last_row = frames_tiny.pixels.shape[1] - 1
         table = correlate.CellTable(
-            path, correlate.bell_cells(geom, bell.UPPER_ANGLES, range(2), last_row, 2))
+            path, correlate.bell_cells(geom, bell.UPPER_ANGLES, 2, range(2), last_row, 2))
         got = bell_from_frames(table, 2, bell.UPPER_ANGLES, geom,
                                n_realizations=2, n_boot=40)
         want = bell_from_frames(frames_tiny, 2, bell.UPPER_ANGLES,

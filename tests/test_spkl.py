@@ -109,6 +109,44 @@ def test_stack_appears_only_on_close(tmp_path):
     assert np.array_equal(pixels, np.ones((2, 2, 4)))
 
 
+def test_new_stack_removes_earlier_sidecar(frames_tiny, tmp_path):
+    """A published stack drops the sidecar of the stack it replaced; one that
+    fails leaves the earlier stack and sidecar together."""
+    path = tmp_path / "w.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    spkl.write_sidecar(path, {"geometry": frames_tiny.geometry.to_dict()})
+    earlier = path.read_bytes()
+    with pytest.raises(spkl.SpklFormatError, match="promised"):
+        with spkl.SpklWriter(path, 10, 2, 4, 0.1, 1) as writer:
+            writer.write(np.zeros((3, 2, 4), dtype=np.float32))
+    assert path.read_bytes() == earlier
+    assert spkl.read_sidecar(path)["geometry"] == frames_tiny.geometry.to_dict()
+    with spkl.SpklWriter(path, 2, 2, 4, 0.1, 1) as writer:
+        writer.write(np.ones((2, 2, 4)))
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_text_replaces_whole(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+    spkl.write_text(path, "a,b\n1,2\n")
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    """A target that cannot be replaced (a non-empty directory) fails the
+    write and removes the temporary file."""
+    target = tmp_path / "taken"
+    (target / "inside").mkdir(parents=True)
+    with pytest.raises(OSError):
+        spkl.write_text(target, "x\n")
+    with pytest.raises(OSError):
+        with spkl.SpklWriter(target, 1, 2, 4, 0.1, 1) as writer:
+            writer.write(np.ones((1, 2, 4)))
+    assert list(tmp_path.iterdir()) == [target]
+
+
 def test_sidecar_and_frameset_reload(frames_tiny, tmp_path):
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
