@@ -31,6 +31,10 @@ UPPER_BOUND = 0.0
 
 BRACKET_MAX = 2.0 * math.sqrt(2.0)
 
+# Grid points per argument of ``angle_scan``, which holds a few n x n float64
+# buffers: about 100 MB at the maximum.
+MAX_SCAN_POINTS = 2048
+
 
 class BellModel(str, enum.Enum):
     """Which probability normalization feeds the statistic.
@@ -192,6 +196,9 @@ def angle_scan(model_tag: BellModel, visibility: float,
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     visibility = _check_visibility(visibility)
     n = int(round(2.0 * math.pi / grid_step))
+    if not 1 <= n <= MAX_SCAN_POINTS:
+        raise ValueError(f"grid_step {grid_step} gives {n} points per argument; "
+                         f"between 1 and {MAX_SCAN_POINTS} are supported")
     grid = np.arange(n) * grid_step
     cos = np.cos(grid)
     pair = grid[:, None] + grid[None, :]

@@ -3,10 +3,10 @@
 Every command takes --config (JSON) and flag overrides, writes deterministic
 primary outputs (CSV/JSON/SPKL) for a fixed config+seed, and echoes the merged
 config plus a timestamp into a separate ``*.meta.json`` sidecar.  A command
-computes all of its files before it writes any, and ``_publish`` writes each
-through ``spkl.AtomicFile``, whole or not at all: a failed run leaves no
-file that looks valid.  A new SPKL stack removes the sidecar of the one it
-replaces.
+computes all of its files before it writes any, and ``_publish`` writes them
+through ``spkl.AtomicFile`` as one set, renaming none until all are written:
+a failed run leaves no file that looks valid.  A new SPKL stack removes the
+sidecar of the one it replaces.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric guard
 (truncation/sampling/projection), 4 I/O error.
@@ -36,15 +36,14 @@ EXIT_IO = 4
 
 
 def _publish(outputs: dict, sidecar_of: str | Path, command: str, cfg, **meta) -> None:
-    """Write a command's computed text ``outputs`` {path: text}, then the
+    """Write a command's computed text ``outputs`` {path: text} and the
     sidecar of ``sidecar_of`` echoing the command, its merged config and
-    ``meta``.  Each file lands whole or not at all."""
+    ``meta``, as one set: no file is renamed into place until all are
+    written, and the last output and the sidecar are renamed last."""
     from . import spkl
 
-    for path, text in outputs.items():
-        spkl.write_text(path, text)
     spkl.write_sidecar(sidecar_of, {"command": command, "config": dataclasses.asdict(cfg),
-                                    **meta, "written_at_unix": time.time()})
+                                    **meta, "written_at_unix": time.time()}, outputs)
 
 
 def _emit(command: str, cfg, text: str) -> None:

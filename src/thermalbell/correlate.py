@@ -41,12 +41,10 @@ do not depend on the thread count either.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -397,69 +395,47 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
                               stderr=stderr, fit_residual=residual)
 
 
-def _snap_column(phase_map: np.ndarray, target: float) -> tuple[int, float]:
-    col = int(np.argmin(np.abs(phase_map - target)))
-    return col, float(phase_map[col] - target)
+# Columns of a realization: the s settings with their pi partners, then the t
+# settings with theirs.  Per pack, the (s, t) indices of its setting pair;
+# packs follow the CH74 joint order (d1,d2), (d1,d2'), (d1',d2), (d1',d2').
+_KEYS = ("s1", "p1", "s1p", "p1p", "s2", "p2", "s2p", "p2p")
+_PACKS = ((0, 4), (0, 6), (2, 4), (2, 6))
 
 
-def _partner_column(phase_map: np.ndarray, setting_phase: float) -> tuple[int, float]:
-    """Column realizing the pi-shifted partner of a setting, trying both
-    directions and keeping the better snap."""
-    cand = [_snap_column(phase_map, setting_phase + math.pi),
-            _snap_column(phase_map, setting_phase - math.pi)]
-    return min(cand, key=lambda ce: abs(ce[1]))
+def _snap(phase_map: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest column to each target phase (ties to the lower column) and
+    its signed phase error."""
+    cols = np.argmin(np.abs(phase_map - targets[..., None]), axis=-1)
+    return cols, phase_map[cols] - targets
 
 
-# Per pack: (s setting key, t setting key); packs follow the CH74 joint order
-# (d1,d2), (d1,d2'), (d1',d2), (d1',d2').
-_PACKS = (("s1", "s2"), ("s1", "s2p"), ("s1p", "s2"), ("s1p", "s2p"))
-_PARTNER = {"s1": "p1", "s1p": "p1p", "s2": "p2", "s2p": "p2p"}
-_S_KEYS = ("s1", "p1", "s1p", "p1p")
-_T_KEYS = ("s2", "p2", "s2p", "p2p")
-
-
-def _bell_columns(phase_map: np.ndarray, angles: AngleSet, gauge: float,
-                  max_snap: float) -> dict[str, int] | None:
-    """Pixel columns realizing the four settings plus pi partners at a gauge
-    offset, or None when any snap error exceeds ``max_snap``."""
-    d1, d1p, d2, d2p = detector_phases(angles)
-    targets = {"s1": d1 + gauge, "s1p": d1p + gauge,
-               "s2": d2 + gauge, "s2p": d2p + gauge}
-    cols: dict[str, int] = {}
-    for key, phase in targets.items():
-        col, err = _snap_column(phase_map, phase)
-        if abs(err) > max_snap:
-            return None
-        cols[key] = col
-        pcol, perr = _partner_column(phase_map, phase_map[col])
-        if abs(perr) > max_snap:
-            return None
-        cols[_PARTNER[key]] = pcol
-    return cols
-
-
-@functools.lru_cache(maxsize=16)
 def _bell_realizations(geom: Geometry, angles: AngleSet,
-                       n_realizations: int) -> tuple[Mapping[str, int], ...]:
-    """Pixel columns of ``n_realizations`` gauges of the angle tuple, spread
-    evenly over the gauges the grid can realize.
+                       n_realizations: int) -> np.ndarray:
+    """Pixel columns [n_realizations, 8] (in ``_KEYS`` order) of gauges of
+    the angle tuple, spread evenly over the gauges the grid can realize.
 
-    Memoized: a ``correlate --bell`` needs them for its cell plan and again
-    for the statistic, and each search snaps 512 gauges.
+    512 gauges offset the four settings along the fringe.  Each setting
+    snaps to its nearest column; its partner snaps to that column's phase
+    + pi, or - pi where that is strictly nearer.  A gauge is usable when
+    every snap error is within 0.75 of the median phase step.
     """
     phase_map = geom.phase_map()
-    phase_step = float(np.median(np.abs(np.diff(phase_map))))
-    max_snap = 0.75 * phase_step
-
+    max_snap = 0.75 * float(np.median(np.abs(np.diff(phase_map))))
     gauges = np.linspace(phase_map.min(), phase_map.max(), 512)
-    usable = [cols for cols in (_bell_columns(phase_map, angles, g, max_snap)
-                                for g in gauges) if cols is not None]
+    cols, err = _snap(phase_map, np.add.outer(gauges, detector_phases(angles)))
+    plus, plus_err = _snap(phase_map, phase_map[cols] + math.pi)
+    minus, minus_err = _snap(phase_map, phase_map[cols] - math.pi)
+    use_minus = np.abs(minus_err) < np.abs(plus_err)
+    partner_err = np.where(use_minus, minus_err, plus_err)
+    usable = np.flatnonzero(np.all((np.abs(err) <= max_snap)
+                                   & (np.abs(partner_err) <= max_snap), axis=1))
     if len(usable) < n_realizations:
         raise SamplingGuardError(
             f"only {len(usable)} pixel realizations of the angle tuple fit the "
             f"grid; {n_realizations} requested")
-    picks = np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)
-    return tuple(MappingProxyType(usable[i]) for i in picks)
+    picks = usable[np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
+    # [gauge, setting (d1, d1', d2, d2'), setting | partner]
+    return np.stack([cols, np.where(use_minus, minus, plus)], axis=-1)[picks].reshape(-1, 8)
 
 
 def bell_cells(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
@@ -473,9 +449,8 @@ def bell_cells(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
         raise ValueError("y2 must differ from the y1 rows (pixels may share columns)")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    return [cell for cols in _bell_realizations(geom, angles, n_realizations)
-            for cell in [(cols[sk], r) for sk in _S_KEYS for r in rows]
-            + [(cols[tk], y2) for tk in _T_KEYS]]
+    return [cell for cols in _bell_realizations(geom, angles, n_realizations).tolist()
+            for cell in [(c, r) for c in cols[:4] for r in rows] + [(c, y2) for c in cols[4:]]]
 
 
 def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -535,16 +510,11 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     # per realization, the block columns [s | t | num] of _ch74_four_term's
     # 4m + 20 series; BLAS rounding depends on column position
     blocks = []
-    realizations = []
     for start in range(0, len(cells), 4 * m + 4):
         real = cells[start:start + 4 * m + 4]
         s, num, t = _blocks(table, [real[k:k + m] for k in range(0, 4 * m, m)],
                             real[4 * m:], block_len, shuffle)
         blocks += [s, t, num]
-        # the realization's columns, read back from its cells in the key
-        # order of _bell_columns: the s columns, then the t columns
-        realizations.append(dict(zip(_S_KEYS + _T_KEYS,
-                                     [c for c, _ in real[:4 * m:m] + real[4 * m:]])))
 
     def replicate(mean: np.ndarray) -> np.ndarray:
         return _ch74_four_term(mean.reshape(len(mean), n_realizations, -1), m)[0].mean(axis=1)
@@ -558,15 +528,15 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     phase_map = geom.phase_map()
     achieved = []
     vis_samples = []
-    for cols, pack_probs in zip(realizations, probs):
+    for cols, pack_probs in zip(_bell_realizations(geom, angles, n_realizations).tolist(),
+                                probs):
         args = {}
-        for (sk, tk), prob in zip(_PACKS, pack_probs.ravel()):
-            arg = float(phase_map[cols[sk]] - phase_map[cols[tk]])
-            args[f"{sk}-{tk}"] = arg
+        for (s, t), prob in zip(_PACKS, pack_probs.ravel()):
+            arg = float(phase_map[cols[s]] - phase_map[cols[t]])
+            args[f"{_KEYS[s]}-{_KEYS[t]}"] = arg
             if abs(math.cos(arg)) > 0.2:
                 vis_samples.append((4.0 * prob - 1.0) / math.cos(arg))
-        achieved.append({"gauge_columns": {k: int(v) for k, v in cols.items()},
-                         "arguments": args})
+        achieved.append({"gauge_columns": dict(zip(_KEYS, cols)), "arguments": args})
     visibility_used = float(np.mean(vis_samples)) if vis_samples else float("nan")
 
     return FrameBellReport(

@@ -187,14 +187,33 @@ def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 
 
+def write_texts(files: dict) -> None:
+    """Write each text of ``files`` {path: text} whole or not at all.
+
+    Every temporary file is written before any is renamed, so a failed write
+    publishes none; the renames follow the order of ``files``.
+    """
+    pending = []
+    try:
+        for path, text in files.items():
+            pending.append(AtomicFile(path))
+            pending[-1].write(text.encode())
+        while pending:
+            pending.pop(0).close()
+    finally:
+        for fh in pending:
+            fh.abort()
+
+
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` to ``path`` whole or not at all."""
-    with AtomicFile(path) as fh:
-        fh.write(text.encode())
+    write_texts({path: text})
 
 
-def write_sidecar(path: str | Path, payload: dict) -> None:
-    write_text(sidecar_path(path), json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_sidecar(path: str | Path, payload: dict, outputs: dict | None = None) -> None:
+    """Write the sidecar of ``path``; the texts of ``outputs`` {path: text}
+    are written with it as one ``write_texts`` set, the sidecar renamed last."""
+    write_texts({**(outputs or {}),
+                 sidecar_path(path): json.dumps(payload, indent=2, sort_keys=True) + "\n"})
 
 
 def read_sidecar(path: str | Path) -> dict:

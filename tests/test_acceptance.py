@@ -59,7 +59,8 @@ def test_criterion_1_visibility_law(tmp_path):
                     "--m", "1..8", "--curve", "visibility", "--out", str(out)],
                    check=True)
     elapsed = time.monotonic() - started
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     expected = [Fraction(m, m + 2) for m in range(1, 9)]
     got = [Fraction(row["visibility_exact_fraction"]) for row in rows]
     assert got == expected
@@ -132,8 +133,8 @@ def _fitted_visibilities(path, m_range, out_stem):
     code = cli.main(["correlate", "--frames", str(path), "--m", m_range,
                      "--boot", "200", "--out", str(out_stem)])
     assert code == 0
-    rows = list(csv.DictReader((out_stem.parent /
-                                f"{out_stem.name}_visibility.csv").open()))
+    with (out_stem.parent / f"{out_stem.name}_visibility.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     return {int(r["m"]): float(r["v_hat_dimensionless"]) for r in rows}
 
 

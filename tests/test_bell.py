@@ -183,6 +183,19 @@ class TestAngleScan:
         with pytest.raises(ValueError):
             bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.5, 0.0)
 
+    @pytest.mark.parametrize("step, points", [
+        (100.0, 0),
+        (2 * math.pi / (bell.MAX_SCAN_POINTS + 1), bell.MAX_SCAN_POINTS + 1),
+    ])
+    def test_rejects_grid_size_outside_limits(self, step, points):
+        with pytest.raises(ValueError, match=f"gives {points} points per argument"):
+            bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.5, step)
+
+    def test_one_point_grid(self):
+        """A step rounding to one point per argument scans the zero tuple."""
+        (amax, _), (amin, _) = bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.5, 2 * math.pi)
+        assert amax.arguments == amin.arguments == (0.0, 0.0, 0.0, 0.0)
+
 
 class TestDetectorPhases:
     @pytest.mark.parametrize("angles", [

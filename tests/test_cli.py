@@ -129,6 +129,17 @@ class TestBellCommand:
         assert run(["bell", *args, "--out", str(out)]) == 0
         assert _sha256(out) == digest
 
+    @pytest.mark.parametrize("step, points", [("100", 0), ("1e-4", 62832)])
+    def test_scan_grid_size_guarded(self, tmp_path, capsys, step, points):
+        """A step giving no grid point, or too many to hold, is refused
+        before the scan allocates anything."""
+        out = tmp_path / "bell.json"
+        assert run(["bell", "--four-term", "--m", "5", "--scan-step", step,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"gives {points} points per argument" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_requires_vis_or_m(self):
         assert run(["bell", "--four-term"]) == 2
         assert run(["bell", "--four-term", "--m", "3", "--vis", "0.5"]) == 2
@@ -406,14 +417,37 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
-    def test_bell_realizations_found_once(self, stack, tmp_path):
-        from thermalbell import correlate
-        correlate._bell_realizations.cache_clear()
-        assert run(["correlate", "--frames", str(stack), "--m", "1", "--bell",
+    def test_failed_third_write_publishes_nothing(self, stack, tmp_path, monkeypatch,
+                                                  capsys):
+        """Every temporary file is written before any is renamed, so a write
+        that fails part way leaves none of the command's files."""
+        from thermalbell import spkl
+        real = spkl.AtomicFile.write
+        calls = []
+
+        def third_fails(self, data):
+            calls.append(self.path.name)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real(self, data)
+        monkeypatch.setattr(spkl.AtomicFile, "write", third_fails)
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
                     "--realizations", "2", "--boot", "20",
-                    "--out", str(tmp_path / "r")]) == 0
-        info = correlate._bell_realizations.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+                    "--out", str(tmp_path / "part")]) == 4
+        assert "disk full" in capsys.readouterr().err
+        assert calls == ["part_curve_m1.csv", "part_curve_m2.csv", "part_curve_m3.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
+    def test_too_many_realizations_refused_before_reading(self, stack, tmp_path,
+                                                          collect_calls, capsys):
+        """The desk geometry fits 364 realizations of the upper-bound angles."""
+        assert run(["correlate", "--frames", str(stack), "--m", "1", "--bell",
+                    "--realizations", "365", "--out", str(tmp_path / "run")]) == 3
+        assert "only 364 pixel realizations" in capsys.readouterr().err
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
 
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"

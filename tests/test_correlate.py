@@ -7,8 +7,9 @@ import pytest
 from thermalbell import bell, cli, correlate, spkl
 from thermalbell.correlate import (CorrelationCurve, bell_from_frames,
                                    estimate_gm1, fit_visibility)
-from thermalbell.errors import InsufficientFramesError, PeriodCoverageError
-from thermalbell.speckle import FrameSet, photonize
+from thermalbell.errors import (InsufficientFramesError, PeriodCoverageError,
+                                SamplingGuardError)
+from thermalbell.speckle import FrameSet, Geometry, photonize
 
 FULL_SCAN = range(128)
 
@@ -226,6 +227,62 @@ class TestBellFromFrames:
             bell_from_frames(frames_tiny, 2, bell.UPPER_ANGLES, y1_rows=[0, 7], y2=7)
 
 
+def _loop_usable_gauges(geom, angles):
+    """The pixel-column search one gauge and one snap at a time: the
+    reference for the vectorized ``correlate._bell_realizations``.  Returns
+    the columns of every usable gauge in the order s1, p1, s1p, p1p, s2, p2,
+    s2p, p2p."""
+    phase_map = geom.phase_map()
+    max_snap = 0.75 * float(np.median(np.abs(np.diff(phase_map))))
+
+    def snap(target):
+        col = int(np.argmin(np.abs(phase_map - target)))
+        return col, float(phase_map[col] - target)
+
+    usable = []
+    for gauge in np.linspace(phase_map.min(), phase_map.max(), 512):
+        cols = []
+        for phase in bell.detector_phases(angles):
+            col, err = snap(phase + gauge)
+            # + pi first: min keeps the first of equal errors
+            pcol, perr = min(snap(phase_map[col] + math.pi), snap(phase_map[col] - math.pi),
+                             key=lambda ce: abs(ce[1]))
+            if abs(err) > max_snap or abs(perr) > max_snap:
+                break
+            cols += [col, pcol]
+        else:
+            usable.append(cols)
+    return usable
+
+
+class TestBellRealizations:
+    # fringe periods of 99.75, 145.1, 25, 110.8 and 20 px
+    GEOMETRIES = [dict(pixel_pitch=8e-6, width=128), dict(),
+                  dict(pixel_pitch=3.192e-5, width=64),
+                  dict(pixel_pitch=6e-6, width=300, propagation=0.25),
+                  dict(wavelength=500e-9, slit_separation=250e-6, propagation=0.2,
+                       pixel_pitch=2e-5, width=60)]
+
+    @pytest.mark.parametrize("angles", [bell.UPPER_ANGLES, bell.LOWER_ANGLES,
+                                        bell.AngleSet(0.3, 1.1, 0.5, 1.3)])
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_matches_loop_search(self, geometry, angles):
+        """The same columns as the loop, picked evenly from its usable
+        gauges, and the same refusal one past their count."""
+        geom = Geometry(**geometry)
+        usable = _loop_usable_gauges(geom, angles)
+        for n in (1, 2, 6, 11, 100, len(usable)):
+            picks = np.linspace(0, len(usable) - 1, n).round().astype(int)
+            got = correlate._bell_realizations(geom, angles, n)
+            assert got.shape == (n, 8)
+            assert got.tolist() == [usable[i] for i in picks]
+        with pytest.raises(SamplingGuardError) as info:
+            correlate._bell_realizations(geom, angles, len(usable) + 1)
+        assert str(info.value) == (
+            f"only {len(usable)} pixel realizations of the angle tuple fit the grid; "
+            f"{len(usable) + 1} requested")
+
+
 def _loop_bootstrap_stderr(frames, m, x1, rows, scan, y2, n_boot, block_len, seed):
     """estimate_gm1's bootstrap resampled block by block, one replicate at a
     time: the reference for the matrix bootstrap."""
@@ -252,7 +309,7 @@ def _loop_bootstrap_stderr(frames, m, x1, rows, scan, y2, n_boot, block_len, see
 
 def _ch74_reference(mean, m):
     """The four-term CH74 statistic of one realization, term by term."""
-    s_keys, t_keys = correlate._S_KEYS, correlate._T_KEYS
+    s_keys, t_keys = ("s1", "p1", "s1p", "p1p"), ("s2", "p2", "s2p", "p2p")
     rows = {sk: mean[i * m:(i + 1) * m] for i, sk in enumerate(s_keys)}
     tvals = {tk: mean[4 * m + j] for j, tk in enumerate(t_keys)}
     num = {(sk, tk): mean[4 * m + 4 + 4 * i + j]
@@ -261,10 +318,10 @@ def _ch74_reference(mean, m):
     def ghat(sk, tk):
         return num[(sk, tk)] / (np.prod(np.sort(rows[sk])) * tvals[tk])
 
-    partner = correlate._PARTNER
+    partner = {"s1": "p1", "s1p": "p1p", "s2": "p2", "s2p": "p2p"}
     quads = {}
     probs = []
-    for sk, tk in correlate._PACKS:
+    for sk, tk in (("s1", "s2"), ("s1", "s2p"), ("s1p", "s2"), ("s1p", "s2p")):
         quad = (ghat(sk, tk), ghat(partner[sk], partner[tk]),
                 ghat(sk, partner[tk]), ghat(partner[sk], tk))
         quads[(sk, tk)] = quad
