@@ -336,6 +336,8 @@ def _parse_span(text: str, limit: int) -> range:
 
 
 def cmd_correlate(cfg: CorrelateConfig) -> int:
+    import resource
+
     import numpy as np
 
     from . import analytic, correlate, speckle, spkl
@@ -366,7 +368,13 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         else range(geom.width)
 
     def rows_for(m: int) -> list[int]:
-        return cfg.y1_rows if cfg.y1_rows is not None else list(range(m))
+        if cfg.y1_rows is not None:
+            return cfg.y1_rows
+        if m + 1 > geom.height:
+            raise ConfigError(
+                f"m = {m} needs {m + 1} rows ({m} x1 rows and the y2 row); "
+                f"the grid is {geom.height} rows high")
+        return list(range(m))
 
     # one pass over the stack for every m and every Bell realization
     cells = [cell for m in ms for cell in correlate.gm1_cells(m, x1, rows_for(m), scan, y2)]
@@ -433,6 +441,9 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     outputs[report_path] = _json_text(payload)
     _publish(outputs, report_path, "correlate", cfg, diagnostics={
         "n_cells": collected.n_cells,
+        "collect_workers": collected.workers,
+        "table_mb": collected.nbytes / 1e6,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "block_len": cfg.block_len,
         "n_blocks": -(-collected.n_frames // cfg.block_len),
         "n_boot": cfg.n_boot,

@@ -16,14 +16,19 @@ Because the inequality holds for arbitrary angles, the statistic is evaluated
 at the phases the pixel grid actually achieves; violation is asserted only
 when the bound is exceeded by at least two standard errors.
 
-One pass over the stack.  The estimators read pixels through a
+One gather from the stack.  The estimators read pixels through a
 ``CellTable``: the per-frame series of the (column, row) cells they need,
-gathered by ``collect_cells`` in one streamed pass and stored column-major,
-so a cell's series is a contiguous view.  ``gm1_cells`` and ``bell_cells``
-check the arguments of one estimate and name its cells; a caller that plans
-the union of several estimates (``thermalbell correlate`` does, for every m
-and every Bell realization) reads the stack once and hands the same table to
-each.  Block sums of a cell's series are computed once per table and shared.
+gathered by ``collect_cells`` and stored column-major, so a cell's series is
+a contiguous view.  The gather reads chunks of frames on one worker thread
+per CPU, each scattering its cells straight into the table, which keeps the
+stack's float32 (any other dtype is held in float64).  Widening float32 to
+float64 is exact, and every sum and product is taken in float64, so the
+results are those of a float64 table, whatever the worker count.
+``gm1_cells`` and ``bell_cells`` check the arguments of one estimate and
+name its cells; a caller that plans the union of several estimates
+(``thermalbell correlate`` does, for every m and every Bell realization)
+reads the stack once and hands the same table to each.  Block sums of a
+cell's series are computed once per table and shared.
 
 Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
 indices, one draw per replicate in a fixed order, as a per-replicate loop
@@ -42,9 +47,10 @@ do not depend on the thread count either.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from .bell import (BellModel, BellReport, LOWER_BOUND, UPPER_BOUND, AngleSet,
 from .errors import (InsufficientFramesError, PeriodCoverageError,
                      SamplingGuardError)
 from .speckle import FrameSet, Geometry
-from . import blas, spkl
+from . import blas, speckle, spkl
 
 MIN_FRAMES = 100
 # A block bootstrap over fewer blocks has next to no spread to resample (one
@@ -63,6 +69,9 @@ DEFAULT_BLOCK_LEN = 64
 DEFAULT_N_BOOT = 200
 # Replicates per count matrix W, which holds BOOT_GROUP * n_blocks floats.
 BOOT_GROUP = 32
+# Pixels per chunk of the gather: 4 MB of float32 frames, 1024 frames of a
+# 128 x 8 grid.
+CHUNK_PIXELS = 1 << 20
 
 
 @dataclass
@@ -109,24 +118,39 @@ class FrameBellReport(BellReport):
 Cell = tuple[int, int]        # (column, row)
 
 
-def _stack(source: FrameSet | str | Path) -> tuple[tuple[int, int, int],
-                                                   Iterable[np.ndarray]]:
-    """Shape [N, height, width] of a frame stack and its frames in chunks;
-    an SPKL file's chunks are read only when iterated."""
+def _frames(source: FrameSet | str | Path) -> tuple[tuple[int, int, int], type,
+                                                    Callable[[int, int], np.ndarray]]:
+    """Shape [N, height, width] of a frame stack, the dtype of its cell table
+    (float32 for a float32 stack, float64 for any other, so every value is
+    exact), and a reader of ``count`` frames from ``start``."""
     if isinstance(source, FrameSet):
-        return source.pixels.shape, (source.pixels,)
+        pixels = source.pixels
+        dtype = np.float32 if pixels.dtype == np.float32 else np.float64
+        return pixels.shape, dtype, lambda start, count: pixels[start:start + count]
     header = spkl.read_header(source)
-    return (header.n_frames, header.height, header.width), spkl.iter_spkl(source)
+    return ((header.n_frames, header.height, header.width), np.float32,
+            lambda start, count: spkl.read_frames(source, start, count))
+
+
+def _chunk_starts(shape: tuple[int, int, int]) -> range:
+    """First frames of the chunks the gather reads, CHUNK_PIXELS pixels each."""
+    n_frames, height, width = shape
+    return range(0, n_frames, max(1, CHUNK_PIXELS // (height * width)))
 
 
 def collect_cells(source: FrameSet | str | Path,
                   cells: Sequence[Cell]) -> np.ndarray:
     """Per-frame values of the listed (column, row) pixels, shape [N, n_cells].
 
-    Single sequential pass over the source; float64 output, stored
-    column-major so that each cell's series ``out[:, j]`` is contiguous.
+    Chunks of frames are read on worker threads, one per CPU this process
+    may run on (``speckle._worker_count``), and each scatters its cells
+    straight into the table.  The table is float32 for a float32 stack and
+    float64 otherwise, stored column-major so that each cell's series
+    ``out[:, j]`` is contiguous; it does not depend on the number of
+    workers.  The workers are joined before this returns or raises.
     """
-    (n_frames, height, width), chunks = _stack(source)
+    shape, dtype, read = _frames(source)
+    n_frames, height, width = shape
     cols = np.array([c for c, _ in cells], dtype=int)
     rows = np.array([r for _, r in cells], dtype=int)
     if np.any((cols < 0) | (cols >= width)):
@@ -134,25 +158,35 @@ def collect_cells(source: FrameSet | str | Path,
     if np.any((rows < 0) | (rows >= height)):
         raise ValueError(f"row index out of range [0, {height})")
     flat = rows * width + cols
-    out = np.empty((len(cells), n_frames), dtype=np.float64)
-    start = 0
-    for block in chunks:
-        frames = block.reshape(block.shape[0], height * width)
-        out[:, start:start + block.shape[0]] = np.take(frames, flat, axis=1).T
-        start += block.shape[0]
+    out = np.empty((len(cells), n_frames), dtype=dtype)
+    starts = _chunk_starts(shape)
+
+    def gather(start: int) -> None:
+        frames = read(start, min(starts.step, n_frames - start))
+        out[:, start:start + len(frames)] = np.take(
+            frames.reshape(len(frames), height * width), flat, axis=1).T
+
+    workers = max(1, speckle._worker_count(len(starts)))
+    # leaving the block cancels the chunks not yet started and joins the
+    # workers, also when a chunk raises
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="collect") as pool:
+        for _ in pool.map(gather, starts):
+            pass
     return out.T
 
 
 class CellTable:
-    """Per-frame series of pixel cells, read in one pass over a stack.
+    """Per-frame series of pixel cells, gathered once from a stack.
 
-    ``series`` returns a view of the stored column.  Block sums are computed
-    once per cell, block length and shuffle flag, and reused by every
-    estimate that reads the table.
+    ``series`` returns a view of the stored column, in the table's dtype.
+    Block sums are computed in float64 once per cell, block length and
+    shuffle flag, and reused by every estimate that reads the table.
     """
 
     def __init__(self, source: FrameSet | str | Path, cells: Sequence[Cell]):
-        (self.n_frames, self.height, self.width), _ = _stack(source)
+        shape = _frames(source)[0]
+        self.n_frames, self.height, self.width = shape
+        self.workers = speckle._worker_count(len(_chunk_starts(shape)))
         cells = list(dict.fromkeys(cells))
         self._index = {cell: j for j, cell in enumerate(cells)}
         self._values = collect_cells(source, cells)
@@ -161,6 +195,10 @@ class CellTable:
     @property
     def n_cells(self) -> int:
         return len(self._index)
+
+    @property
+    def nbytes(self) -> int:
+        return self._values.nbytes
 
     def series(self, cell: Cell, shuffle: bool = False) -> np.ndarray:
         """Values of ``cell`` per frame; ``shuffle`` moves frame i+1 to i
@@ -178,8 +216,8 @@ class CellTable:
         for cell in cells:
             key = (cell, block_len, shuffle)
             if key not in self._block_sums:
-                self._block_sums[key] = _block_sums(self.series(cell, shuffle),
-                                                    block_len)
+                series = np.asarray(self.series(cell, shuffle), dtype=np.float64)
+                self._block_sums[key] = _block_sums(series, block_len)
             columns.append(self._block_sums[key])
         return np.column_stack(columns)
 

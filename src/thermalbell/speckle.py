@@ -33,11 +33,13 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
+from . import blas
 from .errors import SamplingGuardError
 from .sources import SourceKind, SourceModel
 
@@ -172,8 +174,9 @@ def _validate_seed(seed: int) -> int:
 
 
 def _worker_count(n_chunks: int) -> int:
-    """Threads that generate ``n_chunks`` chunks: one per CPU this process
-    may run on, and no more than there are chunks."""
+    """Threads that make (here) or read (``correlate.collect_cells``)
+    ``n_chunks`` chunks: one per CPU this process may run on, and no more
+    than there are chunks."""
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 
@@ -240,11 +243,6 @@ def iter_intensity_chunks(geom: Geometry, model: SourceModel, n_frames: int,
                          f"got source kind {model.kind.value}")
     seed = _validate_seed(seed)
     geom.check_sampling()
-    # imported here: ``correlate`` imports this module and never needs them
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import blas
-
     positions = subsource_positions(geom, n_subsources, slits)
     k = 2.0 * math.pi / geom.wavelength
     # far-field propagation phases, [n_src, width]

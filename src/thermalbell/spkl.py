@@ -26,7 +26,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -167,20 +167,20 @@ def read_spkl(path: str | Path) -> tuple[SpklHeader, np.ndarray]:
     return header, data.reshape(header.n_frames, header.height, header.width)
 
 
-def iter_spkl(path: str | Path, chunk: int = 4096) -> Iterator[np.ndarray]:
-    """Yield frame chunks [B, height, width] sequentially from disk."""
+def read_frames(path: str | Path, start: int, count: int) -> np.ndarray:
+    """Frames ``start`` .. ``start + count - 1`` [count, height, width] of an
+    SPKL file.  Each call reads through its own file handle, so threads may
+    read ranges of the same file at once."""
     header = read_header(path)
+    if start < 0 or count < 0 or start + count > header.n_frames:
+        raise ValueError(f"frames {start}..{start + count - 1} outside the stack's "
+                         f"{header.n_frames}")
+    frames = np.empty((count, header.height, header.width), dtype="<f4")
     with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        remaining = header.n_frames
-        while remaining > 0:
-            batch = min(chunk, remaining)
-            raw = fh.read(batch * header.frame_bytes)
-            if len(raw) != batch * header.frame_bytes:
-                raise SpklFormatError(f"{path}: truncated frame payload")
-            yield np.frombuffer(raw, dtype="<f4").reshape(
-                batch, header.height, header.width)
-            remaining -= batch
+        fh.seek(_HEADER.size + start * header.frame_bytes)
+        if fh.readinto(frames) != frames.nbytes:
+            raise SpklFormatError(f"{path}: truncated frame payload")
+    return frames
 
 
 def sidecar_path(path: str | Path) -> Path:

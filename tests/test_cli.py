@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -449,6 +450,52 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
+    @pytest.mark.parametrize("args", [
+        ["--m", "8"],
+        ["--m", "9"],
+        ["--m", "1..8", "--bell"],
+        ["--m", "6", "--bell", "--bell-m", "8"],
+    ])
+    def test_more_rows_than_the_grid_refused_before_reading(self, stack, tmp_path,
+                                                            collect_calls, capsys, args):
+        """m x1 rows and the y2 row need m + 1 rows; the 8-row grid holds
+        m <= 7 with the default rows."""
+        assert run(["correlate", "--frames", str(stack), *args,
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: m = " in err and "the grid is 8 rows high" in err
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
+    def test_failed_range_read_joins_workers(self, stack, tmp_path, monkeypatch, capsys,
+                                             workers, threads_joined):
+        """A range read that fails on its third call fails the gather: the
+        error reaches the caller once every worker is joined, and the command
+        exits 4 with nothing written."""
+        from thermalbell import correlate, spkl
+        # 3000 frames in chunks of 100
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 100 * 8 * 128)
+        real = spkl.read_frames
+        calls = itertools.count(1)
+
+        def third_fails(*args):
+            if next(calls) == 3:
+                raise OSError("read failed")
+            return real(*args)
+        monkeypatch.setattr(spkl, "read_frames", third_fails)
+        with pytest.raises(OSError, match="read failed"):
+            correlate.CellTable(stack, [(0, 0), (64, 7)])
+        threads_joined()
+        calls = itertools.count(1)
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
+                    "--realizations", "2", "--boot", "20",
+                    "--out", str(tmp_path / "run")]) == 4
+        assert "read failed" in capsys.readouterr().err
+        threads_joined()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"
         assert run(["correlate", "--frames", str(stack), "--m", "1..2", "--bell",
@@ -460,6 +507,10 @@ class TestCorrelateCommand:
         # 2 x1 pixels, 128 scan pixels, 2 x 4 Bell columns on 2 rows
         assert 130 < diag["n_cells"] <= 130 + 16
         assert set(diag["stage_s"]) == {"collect", "curves", "bell"}
+        # 3000 frames of 8 x 128 pixels are 3 chunks of the gather
+        assert diag["collect_workers"] == min(len(os.sched_getaffinity(0)), 3)
+        assert diag["table_mb"] == diag["n_cells"] * 3000 * 4 / 1e6
+        assert diag["peak_rss_mb"] > diag["table_mb"]
         report = json.loads((tmp_path / "d_report.json").read_text())
         assert "diagnostics" not in report
 

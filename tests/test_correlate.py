@@ -1,10 +1,15 @@
 import csv
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from thermalbell import bell, cli, correlate, spkl
+from thermalbell import bell, cli, correlate, speckle, spkl
 from thermalbell.correlate import (CorrelationCurve, bell_from_frames,
                                    estimate_gm1, fit_visibility)
 from thermalbell.errors import (InsufficientFramesError, PeriodCoverageError,
@@ -425,3 +430,96 @@ class TestSinglePassAndMatrixBootstrap:
                 want_stat, want_probs = _ch74_reference(mean[i, r], m)
                 assert stat[i, r] == want_stat
                 assert list(probs[i, r].ravel()) == want_probs
+
+
+class TestGather:
+    """``collect_cells`` against a plain gather, on 1 to 3 worker threads in
+    chunks of 37 frames: the 600 frames of ``frames_tiny`` are 16 full
+    chunks and one of 8."""
+
+    CELLS = [(c, r) for c in (0, 5, 64, 127) for r in (0, 3, 7)] + [(64, 3)]
+
+    @pytest.fixture(autouse=True)
+    def chunk_37(self, monkeypatch):
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128 + 5)
+
+    def _reference(self, pixels):
+        flat = [r * 128 + c for c, r in self.CELLS]
+        return pixels.reshape(len(pixels), -1)[:, flat]
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    def test_table_matches_reference(self, frames_tiny, tmp_path, workers,
+                                     threads_joined, from_file):
+        source = frames_tiny
+        if from_file:
+            source = tmp_path / "tiny.spkl"
+            spkl.write_spkl(source, frames_tiny)
+        assert len(correlate._chunk_starts((600, 8, 128))) == 17
+        table = correlate.collect_cells(source, self.CELLS)
+        assert table.dtype == np.float32 and table.flags.f_contiguous
+        assert np.array_equal(table, self._reference(frames_tiny.pixels))
+        assert correlate.CellTable(source, self.CELLS).workers == workers
+        threads_joined()
+
+    def test_more_workers_than_cores_under_frequent_switches(self, frames_tiny, tmp_path,
+                                                              monkeypatch, threads_joined):
+        """Eight workers per CPU over the 17 chunks, with the interpreter
+        switching threads every microsecond: the reference table, in bounded
+        time."""
+        path = tmp_path / "tiny.spkl"
+        spkl.write_spkl(path, frames_tiny)
+        workers = 8 * len(os.sched_getaffinity(0))
+        monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            table = correlate.collect_cells(path, self.CELLS)
+            elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(table, self._reference(frames_tiny.pixels))
+        assert elapsed < 60.0
+        threads_joined()
+
+    def test_starts_no_process(self, frames_tiny, tmp_path, monkeypatch):
+        path = tmp_path / "tiny.spkl"
+        spkl.write_spkl(path, frames_tiny)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gather started a process")
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        correlate.collect_cells(path, self.CELLS)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("convert, dtype", [
+        (lambda f: f, np.float32),
+        (lambda f: photonize(f, 3.0, seed=1), np.float64),
+        # values a float32 table could not hold
+        (lambda f: FrameSet(f.pixels.astype(np.float64) * (1.0 + 2.0**-40), None,
+                             0, 0.0, 1, 1),
+         np.float64),
+    ], ids=["float32", "int32", "float64"])
+    def test_table_dtype_holds_every_value(self, frames_tiny, convert, dtype):
+        source = convert(frames_tiny)
+        table = correlate.collect_cells(source, self.CELLS)
+        assert table.dtype == dtype
+        assert np.array_equal(table, self._reference(source.pixels))
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_float32_table_gives_float64_results(self, frames_tiny, shuffle):
+        """Widening is exact and the sums run in float64, so a float32 table
+        gives the estimates of the same values held in float64."""
+        wide = FrameSet(frames_tiny.pixels.astype(np.float64), frames_tiny.geometry,
+                        0, 0.0, 1, 1)
+        kwargs = dict(n_boot=40, shuffle=shuffle)
+        for source in (frames_tiny, wide):
+            assert correlate.collect_cells(source, [(0, 0)]).dtype == source.pixels.dtype
+        got, want = (estimate_gm1(s, 3, 64, range(3), FULL_SCAN, 7, **kwargs)
+                     for s in (frames_tiny, wide))
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.stderr, want.stderr)
+        got, want = (bell_from_frames(s, 3, bell.UPPER_ANGLES, n_realizations=2, **kwargs)
+                     for s in (frames_tiny, wide))
+        assert (got.statistic, got.stderr) == (want.statistic, want.stderr)

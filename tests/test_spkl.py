@@ -47,12 +47,18 @@ def test_header_layout_is_stable(frames_tiny, tmp_path):
     assert len(raw) == 36 + n * h * w * 4
 
 
-def test_iter_matches_full_read(frames_tiny, tmp_path):
+def test_read_frames_matches_full_read(frames_tiny, tmp_path):
+    """Ranges of 37 frames, the last one short, give the full read."""
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
     _, pixels = spkl.read_spkl(path)
-    chunks = list(spkl.iter_spkl(path, chunk=37))
+    chunks = [spkl.read_frames(path, start, min(37, len(pixels) - start))
+              for start in range(0, len(pixels), 37)]
+    assert chunks[-1].shape == (600 % 37, 8, 128)
     assert np.array_equal(np.concatenate(chunks), pixels)
+    assert spkl.read_frames(path, 600, 0).shape == (0, 8, 128)
+    with pytest.raises(ValueError, match="outside"):
+        spkl.read_frames(path, 590, 11)
 
 
 def test_missing_file_is_oserror(tmp_path):
@@ -76,8 +82,21 @@ def test_truncated_payload_rejected(frames_tiny, tmp_path):
         spkl.read_header(path)
     with pytest.raises(spkl.SpklFormatError):
         spkl.read_spkl(path)
-    with pytest.raises(spkl.SpklFormatError):
-        list(spkl.iter_spkl(path))
+    with pytest.raises(spkl.SpklFormatError, match="payload"):
+        spkl.read_frames(path, 0, 10)
+
+
+def test_payload_truncated_after_header_check(frames_tiny, tmp_path, monkeypatch):
+    """A stack cut short after its header was checked fails the range
+    read, not the caller."""
+    path = tmp_path / "frames.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    header = spkl.read_header(path)
+    path.write_bytes(path.read_bytes()[:-17])
+    monkeypatch.setattr(spkl, "read_header", lambda p: header)
+    assert spkl.read_frames(path, 0, 10).shape == (10, 8, 128)
+    with pytest.raises(spkl.SpklFormatError, match="truncated frame payload"):
+        spkl.read_frames(path, 590, 10)
 
 
 def test_writer_enforces_declared_count(tmp_path):
