@@ -362,6 +362,13 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
 
     ms = parse_m_range(cfg.m_range)
     phase = geom.phase_map()
+    # explicit pixels are checked against the grid before the cells are planned
+    explicit = [("--x1", cfg.x1, geom.width, "columns"), ("--y2", cfg.y2, geom.height, "rows")]
+    explicit += [("--y1-rows", row, geom.height, "rows") for row in cfg.y1_rows or []]
+    for flag, index, size, axis in explicit:
+        if index is not None and not 0 <= index < size:
+            raise ConfigError(f"{flag} {index} is outside the grid of {size} {axis} "
+                              f"(0..{size - 1})")
     x1 = cfg.x1 if cfg.x1 is not None else int(np.argmin(np.abs(phase)))
     y2 = cfg.y2 if cfg.y2 is not None else geom.height - 1
     scan = _parse_span(cfg.x2_range, geom.width) if cfg.x2_range is not None \
@@ -442,6 +449,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     _publish(outputs, report_path, "correlate", cfg, diagnostics={
         "n_cells": collected.n_cells,
         "collect_workers": collected.workers,
+        "estimate_workers": collected.estimate_workers,
         "table_mb": collected.nbytes / 1e6,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "block_len": cfg.block_len,

@@ -4,8 +4,9 @@ The central quantity is
     ghat(x2) = < prod_i I(x1, y_i) * I(x2, y2) >_frames
                / ( prod_i <I(x1, y_i)> * <I(x2, y2)> ),
 the (m+1)-th order correlation normalized by first-order averages, estimated
-in a single pass with compensated accumulation.  Error bars come from a block
-bootstrap over frames (frames may carry residual temporal correlation).
+in a single pass: frame means are exact column sums of block sums, rounded
+once.  Error bars come from a block bootstrap over frames (frames may carry
+residual temporal correlation).
 Visibility is extracted by weighted least squares against
 A * (1 + V cos(delta(x2) - phi)) with the fringe period fixed by geometry.
 
@@ -28,7 +29,9 @@ results are those of a float64 table, whatever the worker count.
 name its cells; a caller that plans the union of several estimates
 (``thermalbell correlate`` does, for every m and every Bell realization)
 reads the stack once and hands the same table to each.  Block sums of a
-cell's series are computed once per table and shared.
+cell's series are computed once per table and shared; the products of an
+estimate and their block sums are made on one worker thread per CPU, and
+each is the same float64 arithmetic whatever the worker count.
 
 Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
 indices, one draw per replicate in a fixed order, as a per-replicate loop
@@ -72,6 +75,12 @@ BOOT_GROUP = 32
 # Pixels per chunk of the gather: 4 MB of float32 frames, 1024 frames of a
 # 128 x 8 grid.
 CHUNK_PIXELS = 1 << 20
+# Frames per slice of a group's sorted product: the slice's m float64 series
+# stay in cache through the compare-exchange network.
+PRODUCT_FRAMES = 1 << 14
+# Columns per slice of the exact column sums: 16 columns of 3125 blocks are
+# 400 kB.
+SUM_COLUMNS = 16
 
 
 @dataclass
@@ -181,6 +190,8 @@ class CellTable:
     ``series`` returns a view of the stored column, in the table's dtype.
     Block sums are computed in float64 once per cell, block length and
     shuffle flag, and reused by every estimate that reads the table.
+    ``estimate_workers`` is the most worker threads an estimate from the
+    table has run on (0 before the first).
     """
 
     def __init__(self, source: FrameSet | str | Path, cells: Sequence[Cell]):
@@ -191,6 +202,7 @@ class CellTable:
         self._index = {cell: j for j, cell in enumerate(cells)}
         self._values = collect_cells(source, cells)
         self._block_sums: dict[tuple[Cell, int, bool], np.ndarray] = {}
+        self.estimate_workers = 0
 
     @property
     def n_cells(self) -> int:
@@ -277,12 +289,43 @@ def _blocks(table: CellTable, x1_groups: Sequence[Sequence[Cell]],
             shuffle: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block sums of ghat's series: the x1 cells of all groups, the
     numerators (each group's sorted product times each x2 series,
-    group-major), and the x2 cells."""
-    prods = [_row_products([table.series(c) for c in group]) for group in x1_groups]
-    num = np.column_stack([_block_sums(p * table.series(c, shuffle), block_len)
-                           for p in prods for c in x2_cells])
-    return (table.block_sums([c for group in x1_groups for c in group], block_len),
-            num, table.block_sums(x2_cells, block_len, shuffle))
+    group-major), and the x2 cells.
+
+    Worker threads, one per CPU (``speckle._worker_count``), make each
+    group's product, PRODUCT_FRAMES frames at a time, and then the
+    numerator columns, each worker taking every ``workers``-th column into
+    its own product buffer.  Every column is the same float64 product and
+    ``np.add.reduceat`` whatever the count.  Meanwhile the table takes the
+    x1 and x2 block sums on this thread.
+    """
+    n_frames, n_x2 = table.n_frames, len(x2_cells)
+    starts = np.arange(0, n_frames, block_len)
+    num = np.empty((len(starts), len(x1_groups) * n_x2))
+    workers = max(1, speckle._worker_count(num.shape[1]))
+    table.estimate_workers = max(table.estimate_workers, workers)
+
+    def product(group: Sequence[Cell]) -> np.ndarray:
+        prod = np.empty(n_frames)
+        for lo in range(0, n_frames, PRODUCT_FRAMES):
+            hi = lo + PRODUCT_FRAMES
+            prod[lo:hi] = _row_products([table.series(c)[lo:hi] for c in group])
+        return prod
+
+    def numerators(first: int) -> None:
+        buf = np.empty(n_frames)
+        for j in range(first, num.shape[1], workers):
+            np.multiply(prods[j // n_x2], table.series(x2_cells[j % n_x2], shuffle), out=buf)
+            np.add.reduceat(buf, starts, out=num[:, j])
+
+    # leaving the block joins the workers, also when a task raises
+    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocks") as pool:
+        prods = list(pool.map(product, x1_groups))
+        tasks = [pool.submit(numerators, first) for first in range(workers)]
+        x1 = table.block_sums([c for group in x1_groups for c in group], block_len)
+        x2 = table.block_sums(x2_cells, block_len, shuffle)
+        for task in tasks:
+            task.result()
+    return x1, num, x2
 
 
 def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
@@ -314,6 +357,46 @@ def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
     return rows
 
 
+def _column_sums(blocks: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every column of ``blocks`` [n, C], bit for bit.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I", SIAM J. Sci. Comput. 31:189, 2008): with max|r| <
+    2^e in a column and sigma = 2^(ceil(log2(n + 2)) + e), the parts
+    q = (sigma + r) - sigma are exact, their sum is exact in any order, and
+    so is r - q.  After up to three such passes, ``math.fsum`` of the pass
+    sums and the nonzero remainders rounds the column's exact sum once, as
+    ``math.fsum`` of the column does.  A column holding a non-finite value,
+    or whose sigma would overflow, goes through ``math.fsum`` as it is.
+    """
+    n, n_cols = blocks.shape
+    out = np.empty(n_cols)
+    shift = (n + 1).bit_length()
+    for lo in range(0, n_cols, SUM_COLUMNS):
+        r = np.array(blocks[:, lo:lo + SUM_COLUMNS], dtype=np.float64, order="F")
+        top = np.abs(r).max(axis=0, initial=0.0)       # inf or nan if not finite
+        exponent = np.frexp(top)[1] + shift
+        # and all-zero columns, whose sign of zero fsum decides
+        direct = ~np.isfinite(top) | (exponent > 1023) | (top == 0)
+        r[:, direct] = 0.0
+        exponent[direct] = shift
+        parts = []
+        for _ in range(3):
+            sigma = np.ldexp(1.0, exponent)
+            q = (sigma + r) - sigma
+            parts.append(q.sum(axis=0))
+            r -= q
+            if not r.any():
+                break
+            exponent = np.frexp(np.abs(r).max(axis=0))[1] + shift
+        parts = np.stack(parts, axis=1)
+        for k in range(r.shape[1]):
+            column = blocks[:, lo + k] if direct[k] else \
+                [*parts[k], *r[np.flatnonzero(r[:, k]), k]]
+            out[lo + k] = math.fsum(column)
+    return out
+
+
 def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
               seed: tuple[int, int], statistic) -> tuple[np.ndarray, np.ndarray]:
     """Frame means of the block columns, and block-bootstrap replicates of
@@ -321,14 +404,14 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
 
     ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
     last block holding the rest of the ``n_frames``.  The means [C] are
-    compensated sums over all frames.  Replicate r draws
-    ``rng.integers(0, nb, nb)``; each group of BOOT_GROUP draws becomes a
-    count matrix W, and ``statistic`` receives the group's means
-    ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the means and the
-    stacked replicate values.
+    exact column sums (``_column_sums``), rounded once, over ``n_frames``.
+    Replicate r draws ``rng.integers(0, nb, nb)``; each group of BOOT_GROUP
+    draws becomes a count matrix W, and ``statistic`` receives the group's
+    means ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the means and
+    the stacked replicate values.
     """
     nb = blocks.shape[0]
-    mean = np.array([math.fsum(column) for column in blocks.T]) / float(n_frames)
+    mean = _column_sums(blocks) / float(n_frames)
     lengths = np.minimum(block_len, n_frames - block_len * np.arange(nb)).astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -468,6 +469,21 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
+    @pytest.mark.parametrize("args, message", [
+        (["--x1", "200"], "--x1 200 is outside the grid of 128 columns (0..127)"),
+        (["--y2", "9"], "--y2 9 is outside the grid of 8 rows (0..7)"),
+        (["--y1-rows", "0,9"], "--y1-rows 9 is outside the grid of 8 rows (0..7)"),
+    ])
+    def test_pixel_outside_the_grid_refused_before_reading(self, stack, tmp_path,
+                                                           collect_calls, capsys, args,
+                                                           message):
+        assert run(["correlate", "--frames", str(stack), "--m", "2", "--bell", *args,
+                    "--out", str(tmp_path / "run")]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
     def test_failed_range_read_joins_workers(self, stack, tmp_path, monkeypatch, capsys,
                                              workers, threads_joined):
         """A range read that fails on its third call fails the gather: the
@@ -496,6 +512,38 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
+    def test_failed_product_joins_workers(self, stack, tmp_path, monkeypatch, capsys,
+                                          workers, threads_joined):
+        """A group product that fails on its second slice, on a worker, fails
+        the estimate: the error reaches the caller once every worker is
+        joined, and the command exits 3 with nothing written."""
+        from thermalbell import correlate
+        # 3000 frames in product slices of 1000
+        monkeypatch.setattr(correlate, "PRODUCT_FRAMES", 1000)
+        real = correlate._row_products
+        threads = []
+
+        def second_fails(columns):
+            threads.append(threading.current_thread().name)
+            if len(threads) == 2:
+                raise ArithmeticError("product failed")
+            return real(columns)
+        monkeypatch.setattr(correlate, "_row_products", second_fails)
+        table = correlate.CellTable(stack, correlate.gm1_cells(2, 64, [0, 1], range(128), 7))
+        with pytest.raises(ArithmeticError, match="product failed"):
+            correlate.estimate_gm1(table, 2, 64, [0, 1], range(128), 7, n_boot=20)
+        assert threads[1].startswith("blocks")
+        threads_joined()
+        threads.clear()
+        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
+                    "--realizations", "2", "--boot", "20",
+                    "--out", str(tmp_path / "run")]) == 3
+        assert "product failed" in capsys.readouterr().err
+        assert threads[1].startswith("blocks")
+        threads_joined()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"
         assert run(["correlate", "--frames", str(stack), "--m", "1..2", "--bell",
@@ -509,6 +557,8 @@ class TestCorrelateCommand:
         assert set(diag["stage_s"]) == {"collect", "curves", "bell"}
         # 3000 frames of 8 x 128 pixels are 3 chunks of the gather
         assert diag["collect_workers"] == min(len(os.sched_getaffinity(0)), 3)
+        # the curves' 128 numerator columns
+        assert diag["estimate_workers"] == min(len(os.sched_getaffinity(0)), 128)
         assert diag["table_mb"] == diag["n_cells"] * 3000 * 4 / 1e6
         assert diag["peak_rss_mb"] > diag["table_mb"]
         report = json.loads((tmp_path / "d_report.json").read_text())

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import multiprocessing
 import os
@@ -8,6 +9,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermalbell import bell, cli, correlate, speckle, spkl
 from thermalbell.correlate import (CorrelationCurve, bell_from_frames,
@@ -523,3 +527,175 @@ class TestGather:
         got, want = (bell_from_frames(s, 3, bell.UPPER_ANGLES, n_realizations=2, **kwargs)
                      for s in (frames_tiny, wide))
         assert (got.statistic, got.stderr) == (want.statistic, want.stderr)
+
+
+def _assert_fsum_columns(a: np.ndarray) -> None:
+    """``_column_sums(a)`` is ``math.fsum`` of each column, bit for bit, and
+    raises what ``math.fsum`` raises."""
+    try:
+        want = np.array([math.fsum(column) for column in a.T])
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            correlate._column_sums(a)
+        return
+    got = correlate._column_sums(a)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestColumnSums:
+    """``_column_sums`` against ``math.fsum`` per column.  Forty columns are
+    three slices of SUM_COLUMNS, and twenty are two."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(-1e3, 1e3),
+                                     st.integers(-4, 4).map(float),
+                                     # sums a plain float sum rounds wrongly
+                                     st.sampled_from([2.0**53, -2.0**53, 1.0, -0.5]))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fsum(self, a):
+        _assert_fsum_columns(a)
+
+    @pytest.mark.parametrize("decades", [0, 12])
+    def test_block_sum_sized_columns(self, rng, decades):
+        """3125 rows, as 200k frames in blocks of 64, of one sign or both and
+        over up to 12 decades; a plain float sum misses fsum's rounding in
+        some of the columns."""
+        a = rng.random((3125, 40)) * 3000.0
+        if decades:
+            a = (a - 1500.0) * 10.0 ** rng.integers(0, decades, a.shape)
+            assert not np.array_equal(np.asfortranarray(a).sum(axis=0),
+                                      [math.fsum(c) for c in a.T])
+        _assert_fsum_columns(a)
+
+    def test_exponent_spread(self, rng):
+        a = rng.standard_normal((3125, 40)) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
+        _assert_fsum_columns(a)
+
+    def test_exact_cancellation(self, rng):
+        a = rng.standard_normal((500, 40)) * 10.0 ** rng.uniform(-20, 20, (500, 40))
+        cancel = np.concatenate([a, -a[::-1]])
+        assert not np.any(correlate._column_sums(cancel))
+        _assert_fsum_columns(cancel)
+        # all but a remainder far below the largest terms
+        _assert_fsum_columns(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
+
+    @pytest.mark.parametrize("a", [np.zeros((64, 40)), -np.zeros((64, 40)),
+                                   np.zeros((1, 3)), np.arange(40.0)[None, :] - 20.5],
+                             ids=["zeros", "negative-zeros", "zero-row", "one-row"])
+    def test_zeros_and_one_row(self, a):
+        _assert_fsum_columns(a)
+
+    def test_subnormals(self, rng):
+        tiny = rng.integers(-2**30, 2**30, (500, 40)) * 5e-324
+        _assert_fsum_columns(tiny)
+        _assert_fsum_columns(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
+
+    def test_near_overflow_and_non_finite(self, rng):
+        """These columns take the plain ``math.fsum`` path."""
+        near = rng.uniform(-1.0, 1.0, (8, 40)) * 2e307
+        near[:, 5] = 1.7e308              # the sum overflows: fsum raises
+        _assert_fsum_columns(near)
+        _assert_fsum_columns(np.delete(near, 5, axis=1))
+        for value in (np.inf, -np.inf, np.nan):
+            a = rng.random((64, 40))
+            a[7, 3] = value
+            _assert_fsum_columns(a)
+        a = rng.random((64, 40))
+        a[1, 20], a[2, 20] = np.inf, -np.inf
+        _assert_fsum_columns(a)
+
+
+class TestEstimateWorkers:
+    """The estimates' products and block sums on 1 to 3 worker threads, with
+    group products in slices of 37 frames: the 600 frames of
+    ``frames_tiny`` are 16 full slices and one of 8."""
+
+    GROUPS = [[(c, r) for r in (0, 2, 5)] for c in (5, 40, 64, 100)]
+    X1_CELLS = [cell for group in GROUPS for cell in group]
+    X2_CELLS = [(c, 7) for c in range(0, 128, 9)]
+
+    @pytest.fixture(autouse=True)
+    def slices_37(self, monkeypatch):
+        monkeypatch.setattr(correlate, "PRODUCT_FRAMES", 37)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_blocks_match_serial_sums(self, frames_tiny, workers, threads_joined, shuffle):
+        x2_cells = self.X2_CELLS
+        table = correlate.CellTable(frames_tiny, self.X1_CELLS + x2_cells)
+        x1, num, x2 = correlate._blocks(table, self.GROUPS, x2_cells, 64, shuffle)
+        assert table.estimate_workers == workers
+        threads_joined()
+
+        def sums(series):
+            return correlate._block_sums(np.asarray(series, dtype=np.float64), 64)
+        prods = [correlate._row_products([table.series(c) for c in group])
+                 for group in self.GROUPS]
+        assert np.array_equal(num, np.column_stack(
+            [sums(p * table.series(c, shuffle)) for p in prods for c in x2_cells]))
+        assert np.array_equal(x1, np.column_stack(
+            [sums(table.series(c)) for c in self.X1_CELLS]))
+        assert np.array_equal(x2, np.column_stack(
+            [sums(table.series(c, shuffle)) for c in x2_cells]))
+
+    def test_more_workers_than_cores_under_frequent_switches(self, frames_tiny, monkeypatch,
+                                                              threads_joined):
+        """Eight workers per CPU filling their columns of one matrix, with the
+        interpreter switching threads every microsecond: the one-worker
+        sums, in bounded time."""
+        table = correlate.CellTable(frames_tiny, self.X1_CELLS + self.X2_CELLS)
+        monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: 1)
+        want = correlate._blocks(table, self.GROUPS, self.X2_CELLS, 16, True)
+        workers = 8 * len(os.sched_getaffinity(0))
+        monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            started = time.perf_counter()
+            got = correlate._blocks(table, self.GROUPS, self.X2_CELLS, 16, True)
+            elapsed = time.perf_counter() - started
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert table.estimate_workers == workers
+        assert elapsed < 60.0
+        threads_joined()
+
+    @pytest.mark.parametrize("from_file", [True, False])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_estimates_do_not_depend_on_worker_count(self, frames_tiny, tmp_path, monkeypatch,
+                                                     workers, threads_joined, from_file,
+                                                     shuffle):
+        geom = frames_tiny.geometry
+        source = frames_tiny
+        if from_file:
+            path = tmp_path / "tiny.spkl"
+            spkl.write_spkl(path, frames_tiny)
+            source = correlate.CellTable(
+                path, correlate.gm1_cells(3, 64, range(3), FULL_SCAN, 7)
+                + correlate.bell_cells(geom, bell.UPPER_ANGLES, 3, range(3), 7, 2))
+        kwargs = dict(n_boot=40, shuffle=shuffle)
+
+        def estimates():
+            curve = estimate_gm1(source, 3, 64, range(3), FULL_SCAN, 7, **kwargs)
+            report = bell_from_frames(source, 3, bell.UPPER_ANGLES, geom, y2=7,
+                                      n_realizations=2, **kwargs)
+            return curve, json.dumps(report.to_dict())
+
+        got = estimates()
+        threads_joined()
+        monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: 1)
+        want = estimates()
+        assert np.array_equal(got[0].values, want[0].values)
+        assert np.array_equal(got[0].stderr, want[0].stderr)
+        assert got[1] == want[1]
+
+    def test_starts_no_process(self, frames_tiny, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an estimate started a process")
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        estimate_gm1(frames_tiny, 3, 64, range(3), FULL_SCAN, 7, n_boot=20)
+        bell_from_frames(frames_tiny, 3, bell.UPPER_ANGLES, n_realizations=2, n_boot=20,
+                         shuffle=True)
+        assert multiprocessing.active_children() == []
