@@ -384,15 +384,15 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         return list(range(m))
 
     # one pass over the stack for every m and every Bell realization
-    cells = [cell for m in ms for cell in correlate.gm1_cells(m, x1, rows_for(m), scan, y2)]
+    terms = [term for m in ms for term in correlate.gm1_terms(m, x1, rows_for(m), scan, y2)]
     if cfg.bell:
         bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
         angles = _angle_set(cfg.angles, cfg.bound)
-        cells += correlate.bell_cells(geom, angles, bell_m, rows_for(bell_m), y2,
+        terms += correlate.bell_terms(geom, angles, bell_m, rows_for(bell_m), y2,
                                       cfg.realizations)
     stage_s: dict[str, float] = {}
     started = time.perf_counter()
-    collected = correlate.CellTable(cfg.frames, cells)
+    collected = correlate.collect_cells(cfg.frames, terms, cfg.block_len, cfg.shuffle)
     stage_s["collect"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -446,17 +446,19 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
 
     report_path = out_stem.parent / f"{out_stem.name}_report.json"
     outputs[report_path] = _json_text(payload)
-    _publish(outputs, report_path, "correlate", cfg, diagnostics={
-        "n_cells": collected.n_cells,
+    diagnostics = {
+        "n_cells": len(collected.cells),
         "collect_workers": collected.workers,
-        "estimate_workers": collected.estimate_workers,
-        "table_mb": collected.nbytes / 1e6,
+        "table_mb": collected.blocks.nbytes / 1e6,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "block_len": cfg.block_len,
-        "n_blocks": -(-collected.n_frames // cfg.block_len),
+        "n_blocks": collected.blocks.shape[0],
         "n_boot": cfg.n_boot,
         "stage_s": stage_s,
-    })
+    }
+    if cfg.bell:
+        diagnostics["bell_snap"] = correlate.bell_snap(geom, angles, cfg.realizations)
+    _publish(outputs, report_path, "correlate", cfg, diagnostics=diagnostics)
     return EXIT_OK
 
 

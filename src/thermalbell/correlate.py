@@ -17,21 +17,22 @@ Because the inequality holds for arbitrary angles, the statistic is evaluated
 at the phases the pixel grid actually achieves; violation is asserted only
 when the bound is exceeded by at least two standard errors.
 
-One gather from the stack.  The estimators read pixels through a
-``CellTable``: the per-frame series of the (column, row) cells they need,
-gathered by ``collect_cells`` and stored column-major, so a cell's series is
-a contiguous view.  The gather reads chunks of frames on one worker thread
-per CPU, each scattering its cells straight into the table, which keeps the
-stack's float32 (any other dtype is held in float64).  Widening float32 to
-float64 is exact, and every sum and product is taken in float64, so the
-results are those of a float64 table, whatever the worker count.
-``gm1_cells`` and ``bell_cells`` check the arguments of one estimate and
-name its cells; a caller that plans the union of several estimates
-(``thermalbell correlate`` does, for every m and every Bell realization)
-reads the stack once and hands the same table to each.  Block sums of a
-cell's series are computed once per table and shared; the products of an
-estimate and their block sums are made on one worker thread per CPU, and
-each is the same float64 arithmetic whatever the worker count.
+One pass from the stack to block sums.  Every estimate here reads frames
+only through sums over bootstrap blocks: of its x1 cells, of its x2 cells
+and of its numerators, the sorted product of a group of x1 cells times an
+x2 cell.  ``gm1_terms`` and ``bell_terms`` check the arguments of one
+estimate and name those series as terms; ``collect_cells`` makes the block
+sums of every series a list of terms reads in one pass over the stack and
+keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix, and no
+per-frame series.  The pass reads chunks of whole blocks on one worker
+thread per CPU; each worker widens its chunk's cells to float64 (exact),
+refuses values that are not finite and nonnegative, makes the products and
+``np.add.reduceat``s them into the matrix rows of its blocks.  Summed along
+the frames, a chunk of whole blocks gives the whole series' block sums bit
+for bit, so the table does not depend on the worker count.  A caller that
+plans the union of several estimates (``thermalbell correlate`` does, for
+every m and every Bell realization) reads the stack once and hands the
+same table to each.
 
 Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
 indices, one draw per replicate in a fixed order, as a per-replicate loop
@@ -49,7 +50,9 @@ do not depend on the thread count either.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,8 +62,8 @@ import numpy as np
 
 from .bell import (BellModel, BellReport, LOWER_BOUND, UPPER_BOUND, AngleSet,
                    ch74, detector_phases)
-from .errors import (InsufficientFramesError, PeriodCoverageError,
-                     SamplingGuardError)
+from .errors import (InsufficientFramesError, NumericGuardError,
+                     PeriodCoverageError, SamplingGuardError)
 from .speckle import FrameSet, Geometry
 from . import blas, speckle, spkl
 
@@ -72,12 +75,9 @@ DEFAULT_BLOCK_LEN = 64
 DEFAULT_N_BOOT = 200
 # Replicates per count matrix W, which holds BOOT_GROUP * n_blocks floats.
 BOOT_GROUP = 32
-# Pixels per chunk of the gather: 4 MB of float32 frames, 1024 frames of a
-# 128 x 8 grid.
+# Pixels per read of the pass: 4 MB of float32 frames, 1024 frames of a
+# 128 x 8 grid.  A chunk is as many whole blocks as fit, and at least one.
 CHUNK_PIXELS = 1 << 20
-# Frames per slice of a group's sorted product: the slice's m float64 series
-# stay in cache through the compare-exchange network.
-PRODUCT_FRAMES = 1 << 14
 # Columns per slice of the exact column sums: 16 columns of 3125 blocks are
 # 400 kB.
 SUM_COLUMNS = 16
@@ -125,129 +125,182 @@ class FrameBellReport(BellReport):
 
 
 Cell = tuple[int, int]        # (column, row)
+# The series one estimate reads: groups of x1 cells, and the x2 cells.  Each
+# group's sorted product times each x2 cell's series is a numerator.
+Term = tuple[tuple[tuple[Cell, ...], ...], tuple[Cell, ...]]
 
 
-def _frames(source: FrameSet | str | Path) -> tuple[tuple[int, int, int], type,
-                                                    Callable[[int, int], np.ndarray]]:
-    """Shape [N, height, width] of a frame stack, the dtype of its cell table
-    (float32 for a float32 stack, float64 for any other, so every value is
-    exact), and a reader of ``count`` frames from ``start``."""
+def _frames(source: FrameSet | str | Path) -> tuple[tuple[int, int, int], np.dtype,
+                                                    Callable[[int, int, np.ndarray], np.ndarray]]:
+    """Shape [N, height, width] of a frame stack, the dtype of its pixels,
+    and a reader of ``count`` frames from ``start``, which a file reads
+    into ``buf`` [>= count, height, width]."""
     if isinstance(source, FrameSet):
         pixels = source.pixels
-        dtype = np.float32 if pixels.dtype == np.float32 else np.float64
-        return pixels.shape, dtype, lambda start, count: pixels[start:start + count]
+        return pixels.shape, pixels.dtype, lambda start, count, buf: pixels[start:start + count]
     header = spkl.read_header(source)
-    return ((header.n_frames, header.height, header.width), np.float32,
-            lambda start, count: spkl.read_frames(source, start, count))
+    return ((header.n_frames, header.height, header.width), np.dtype("<f4"),
+            lambda start, count, buf: spkl.read_frames(source, start, count, out=buf[:count]))
 
 
-def _chunk_starts(shape: tuple[int, int, int]) -> range:
-    """First frames of the chunks the gather reads, CHUNK_PIXELS pixels each."""
-    n_frames, height, width = shape
-    return range(0, n_frames, max(1, CHUNK_PIXELS // (height * width)))
+class BlockTable:
+    """Block sums of the series a set of estimates reads, from one pass over
+    a stack (``collect_cells``).
+
+    ``blocks`` [n_blocks, K] holds float64 sums over blocks of ``block_len``
+    frames, the last block holding the rest: first one column per distinct
+    cell series, then per term its numerators, group-major.  With
+    ``shuffle`` the x2 cells' series (numerators included) are those of the
+    next frame, cyclically.  ``workers`` is the pass's thread count.
+    """
+
+    def __init__(self, shape: tuple[int, int, int], terms: Sequence[Term],
+                 block_len: int, shuffle: bool):
+        self.n_frames, self.height, self.width = shape
+        self.block_len, self.shuffle = block_len, shuffle
+        keys: dict[tuple[Cell, bool], None] = {}
+        for groups, x2 in terms:
+            keys.update(dict.fromkeys((c, shuffle) for c in x2))
+            keys.update(dict.fromkeys((c, False) for g in groups for c in g))
+        # (cell, of the next frame): the series of this frame first
+        self.cells = sorted(keys, key=lambda key: key[1])
+        self._cell_col = {key: j for j, key in enumerate(self.cells)}
+        self._num_col: dict[Term, int] = {}
+        k = len(self.cells)
+        for groups, x2 in terms:
+            if (groups, x2) not in self._num_col:
+                self._num_col[(groups, x2)] = k
+                k += len(groups) * len(x2)
+        self.blocks = np.empty((-(-self.n_frames // block_len), k))
+        self.workers = 0
+
+    def columns(self, term: Term) -> tuple[list[int], list[int], list[int]]:
+        """Columns of ``term``: its x1 cells (group-major), its numerators
+        and its x2 cells."""
+        if term not in self._num_col:
+            raise ValueError(f"term {term} is not in the table")
+        (groups, x2), first = term, self._num_col[term]
+        return ([self._cell_col[(c, False)] for g in groups for c in g],
+                list(range(first, first + len(groups) * len(x2))),
+                [self._cell_col[(c, self.shuffle)] for c in x2])
 
 
-def collect_cells(source: FrameSet | str | Path,
-                  cells: Sequence[Cell]) -> np.ndarray:
-    """Per-frame values of the listed (column, row) pixels, shape [N, n_cells].
+def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
+                  block_len: int = DEFAULT_BLOCK_LEN, shuffle: bool = False) -> BlockTable:
+    """Block sums of every series ``terms`` read, in one pass over the stack.
 
-    Chunks of frames are read on worker threads, one per CPU this process
-    may run on (``speckle._worker_count``), and each scatters its cells
-    straight into the table.  The table is float32 for a float32 stack and
-    float64 otherwise, stored column-major so that each cell's series
-    ``out[:, j]`` is contiguous; it does not depend on the number of
-    workers.  The workers are joined before this returns or raises.
+    A chunk is as many whole blocks as CHUNK_PIXELS pixels of frames hold,
+    and at least one.  Worker threads, one per CPU this process may run on
+    (``speckle._worker_count``), take the chunks in turn, each into buffers
+    it allocates on its first chunk and keeps.  A worker gathers its
+    chunk's cells into float64 rows (with ``shuffle``, one frame more: the
+    next-frame series start a frame later), from reads of up to
+    CHUNK_PIXELS pixels, and refuses a value that is not finite and
+    nonnegative (``NumericGuardError``).  It makes the sorted products of
+    all groups of one size in one network, multiplies them by the x2 rows,
+    and ``np.add.reduceat``s cells and numerators straight into its blocks'
+    rows of the table.  Summed along the frames, a chunk of whole blocks
+    gives the whole series' block sums bit for bit, so the table does not
+    depend on the worker count.  The workers are joined before this
+    returns or raises.
     """
     shape, dtype, read = _frames(source)
     n_frames, height, width = shape
-    cols = np.array([c for c, _ in cells], dtype=int)
-    rows = np.array([r for _, r in cells], dtype=int)
-    if np.any((cols < 0) | (cols >= width)):
-        raise ValueError(f"column index out of range [0, {width})")
-    if np.any((rows < 0) | (rows >= height)):
-        raise ValueError(f"row index out of range [0, {height})")
+    table = BlockTable(shape, terms, block_len, shuffle)
+    cols, rows = np.array([cell for cell, _ in table.cells], dtype=int).reshape(-1, 2).T
+    if np.any((cols < 0) | (cols >= width) | (rows < 0) | (rows >= height)):
+        raise ValueError(f"pixel index out of range: columns [0, {width}), rows [0, {height})")
     flat = rows * width + cols
-    out = np.empty((len(cells), n_frames), dtype=dtype)
-    starts = _chunk_starts(shape)
+    n_now = sum(not next_frame for _, next_frame in table.cells)
+    read_len = max(1, CHUNK_PIXELS // (height * width))
+    chunk = max(1, read_len // block_len) * block_len
+    shift = int(shuffle)          # the next-frame rows' column offset
+    # the groups of one size are contiguous rows of the products, one network
+    groups = sorted(dict.fromkeys(g for gs, _ in terms for g in gs), key=len)
+    group_row = {g: i for i, g in enumerate(groups)}
+    sizes = []      # per size: first product row, group count, cell rows [size, count]
+    for _, same in itertools.groupby(groups, key=len):
+        same = list(same)
+        sizes.append((group_row[same[0]], len(same),
+                      np.array([[table._cell_col[(c, False)] for c in g] for g in same]).T))
+    # per multiply: product row, x2 rows (a slice where contiguous), first column
+    numerators = []
+    for (gs, x2), first in table._num_col.items():
+        sel = [table._cell_col[(c, shuffle)] for c in x2]
+        if sel == list(range(sel[0], sel[0] + len(sel))):
+            sel = slice(sel[0], sel[0] + len(x2))
+        numerators += [(group_row[g], sel, first + i * len(x2), len(x2)) for i, g in enumerate(gs)]
+    starts = range(0, n_frames, chunk)
+    buffers = threading.local()
 
-    def gather(start: int) -> None:
-        frames = read(start, min(starts.step, n_frames - start))
-        out[:, start:start + len(frames)] = np.take(
-            frames.reshape(len(frames), height * width), flat, axis=1).T
+    def work(a: int) -> None:
+        try:
+            buf, gathered, cell, prod, num = buffers.arrays
+        except AttributeError:      # a worker's first chunk: buffers it keeps
+            buffers.arrays = buf, gathered, cell, prod, num = (
+                np.empty((read_len, height, width), dtype),
+                np.empty((read_len, len(flat)), dtype),
+                np.empty((len(flat), chunk + shift)),
+                np.empty((len(groups), chunk)),
+                np.empty((max((count for *_, count in numerators), default=0), chunk)))
+        n = min(chunk, n_frames - a)
+        # frames a .. a + n + shift - 1; frame n_frames is frame 0
+        lo = a
+        while lo < a + n + shift:
+            hi = min(lo + read_len, a + n + shift, max(n_frames, lo + 1))
+            frames = read(lo % n_frames, hi - lo, buf).reshape(hi - lo, -1)
+            np.take(frames, flat, axis=1, out=gathered[:hi - lo], mode="clip")
+            cell[:, lo - a:hi - a] = gathered[:hi - lo].T
+            lo = hi
+        values = cell[:, :n + shift]
+        if not (values.min() >= 0 and values.max() < np.inf):
+            j, i = np.argwhere(~((values >= 0) & (values < np.inf)).T)[0]
+            c, r = table.cells[i][0]
+            raise NumericGuardError(
+                f"frame {(a + j) % n_frames}, column {c}, row {r} holds {values[i, j]}: "
+                "intensities must be finite and nonnegative")
+        block_starts = np.arange(0, n, block_len)
+        out = table.blocks[a // block_len:a // block_len + len(block_starts)]
+        np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
+        np.add.reduceat(cell[n_now:, shift:shift + n], block_starts, axis=1,
+                        out=out[:, n_now:len(flat)].T)
+        # a read's frames at a time, so the network's temporaries stay small
+        for f in range(0, n, read_len):
+            hi = min(f + read_len, n)
+            for lo, count, idx in sizes:
+                prod[lo:lo + count, f:hi] = _row_products([cell[i, f:hi] for i in idx])
+        for g, sel, col, count in numerators:
+            np.multiply(prod[g, :n], cell[sel, shift:shift + n], out=num[:count, :n])
+            np.add.reduceat(num[:count, :n], block_starts, axis=1,
+                            out=out[:, col:col + count].T)
 
-    workers = max(1, speckle._worker_count(len(starts)))
+    table.workers = max(1, speckle._worker_count(len(starts)))
     # leaving the block cancels the chunks not yet started and joins the
     # workers, also when a chunk raises
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="collect") as pool:
-        for _ in pool.map(gather, starts):
+    with ThreadPoolExecutor(max_workers=table.workers, thread_name_prefix="collect") as pool:
+        for _ in pool.map(work, starts):
             pass
-    return out.T
+    return table
 
 
-class CellTable:
-    """Per-frame series of pixel cells, gathered once from a stack.
-
-    ``series`` returns a view of the stored column, in the table's dtype.
-    Block sums are computed in float64 once per cell, block length and
-    shuffle flag, and reused by every estimate that reads the table.
-    ``estimate_workers`` is the most worker threads an estimate from the
-    table has run on (0 before the first).
-    """
-
-    def __init__(self, source: FrameSet | str | Path, cells: Sequence[Cell]):
-        shape = _frames(source)[0]
-        self.n_frames, self.height, self.width = shape
-        self.workers = speckle._worker_count(len(_chunk_starts(shape)))
-        cells = list(dict.fromkeys(cells))
-        self._index = {cell: j for j, cell in enumerate(cells)}
-        self._values = collect_cells(source, cells)
-        self._block_sums: dict[tuple[Cell, int, bool], np.ndarray] = {}
-        self.estimate_workers = 0
-
-    @property
-    def n_cells(self) -> int:
-        return len(self._index)
-
-    @property
-    def nbytes(self) -> int:
-        return self._values.nbytes
-
-    def series(self, cell: Cell, shuffle: bool = False) -> np.ndarray:
-        """Values of ``cell`` per frame; ``shuffle`` moves frame i+1 to i
-        (cyclically)."""
-        try:
-            values = self._values[:, self._index[cell]]
-        except KeyError:
-            raise ValueError(f"cell {cell} is not in the table") from None
-        return np.roll(values, -1) if shuffle else values
-
-    def block_sums(self, cells: Sequence[Cell], block_len: int,
-                   shuffle: bool = False) -> np.ndarray:
-        """Block sums of the cells' series, shape [n_blocks, len(cells)]."""
-        columns = []
-        for cell in cells:
-            key = (cell, block_len, shuffle)
-            if key not in self._block_sums:
-                series = np.asarray(self.series(cell, shuffle), dtype=np.float64)
-                self._block_sums[key] = _block_sums(series, block_len)
-            columns.append(self._block_sums[key])
-        return np.column_stack(columns)
+# An SPKL file is read through a BlockTable, which ``collect_cells`` fills.
+FrameSource = FrameSet | BlockTable
 
 
-# An SPKL file is read through a CellTable, which ``collect_cells`` fills.
-FrameSource = FrameSet | CellTable
-
-
-def _cell_table(source: FrameSource, cells: Sequence[Cell]) -> CellTable:
-    """The table to read: ``source`` itself, or one pass collecting ``cells``."""
-    if isinstance(source, CellTable):
-        return source
-    return CellTable(source, cells)
+def _block_table(source: FrameSource, terms: Sequence[Term], block_len: int,
+                 shuffle: bool) -> BlockTable:
+    """The table to read: ``source`` itself, or one pass over it for ``terms``."""
+    if not isinstance(source, BlockTable):
+        return collect_cells(source, terms, block_len, shuffle)
+    if (source.block_len, source.shuffle) != (block_len, shuffle):
+        raise ValueError(f"the table holds blocks of {source.block_len} frames with "
+                         f"shuffle={source.shuffle}; {block_len} and {shuffle} requested")
+    return source
 
 
 def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-frame products of the series in ``columns``, factors multiplied in
-    ascending order.
+    """Per-frame products of the series in ``columns`` (arrays of one shape),
+    factors multiplied in ascending order.
 
     Sorting makes the result invariant under permutation of the chosen rows;
     a compare-exchange network sorts every frame at once, where a per-frame
@@ -277,55 +330,6 @@ def _ghat(x1: np.ndarray, num: np.ndarray, x2: np.ndarray) -> np.ndarray:
     [..., G, m] times the x2 means ``x2`` [..., S].  Returns [..., G, S]."""
     x1_prod = _row_products([x1[..., i] for i in range(x1.shape[-1])])
     return num / (x1_prod[..., None] * x2[..., None, :])
-
-
-def _block_sums(arr: np.ndarray, block_len: int) -> np.ndarray:
-    starts = np.arange(0, arr.shape[0], block_len)
-    return np.add.reduceat(arr, starts, axis=0)
-
-
-def _blocks(table: CellTable, x1_groups: Sequence[Sequence[Cell]],
-            x2_cells: Sequence[Cell], block_len: int,
-            shuffle: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block sums of ghat's series: the x1 cells of all groups, the
-    numerators (each group's sorted product times each x2 series,
-    group-major), and the x2 cells.
-
-    Worker threads, one per CPU (``speckle._worker_count``), make each
-    group's product, PRODUCT_FRAMES frames at a time, and then the
-    numerator columns, each worker taking every ``workers``-th column into
-    its own product buffer.  Every column is the same float64 product and
-    ``np.add.reduceat`` whatever the count.  Meanwhile the table takes the
-    x1 and x2 block sums on this thread.
-    """
-    n_frames, n_x2 = table.n_frames, len(x2_cells)
-    starts = np.arange(0, n_frames, block_len)
-    num = np.empty((len(starts), len(x1_groups) * n_x2))
-    workers = max(1, speckle._worker_count(num.shape[1]))
-    table.estimate_workers = max(table.estimate_workers, workers)
-
-    def product(group: Sequence[Cell]) -> np.ndarray:
-        prod = np.empty(n_frames)
-        for lo in range(0, n_frames, PRODUCT_FRAMES):
-            hi = lo + PRODUCT_FRAMES
-            prod[lo:hi] = _row_products([table.series(c)[lo:hi] for c in group])
-        return prod
-
-    def numerators(first: int) -> None:
-        buf = np.empty(n_frames)
-        for j in range(first, num.shape[1], workers):
-            np.multiply(prods[j // n_x2], table.series(x2_cells[j % n_x2], shuffle), out=buf)
-            np.add.reduceat(buf, starts, out=num[:, j])
-
-    # leaving the block joins the workers, also when a task raises
-    with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocks") as pool:
-        prods = list(pool.map(product, x1_groups))
-        tasks = [pool.submit(numerators, first) for first in range(workers)]
-        x1 = table.block_sums([c for group in x1_groups for c in group], block_len)
-        x2 = table.block_sums(x2_cells, block_len, shuffle)
-        for task in tasks:
-            task.result()
-    return x1, num, x2
 
 
 def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
@@ -429,11 +433,11 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
     return mean, np.concatenate(out)
 
 
-def gm1_cells(m: int, x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
-              y2: int) -> list[Cell]:
-    """Cells ``estimate_gm1`` reads: the x1 pixels on the rows in ascending
-    order, then the scan.  Bad arguments raise here, so a planned read
-    fails before its pass over the stack."""
+def gm1_terms(m: int, x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
+              y2: int) -> list[Term]:
+    """The one term ``estimate_gm1`` reads: the x1 pixels on the rows in
+    ascending order as one group, and the scan.  Bad arguments raise here,
+    so a planned read fails before its pass over the stack."""
     rows = _check_rows(m, y1_rows)
     x2_scan = list(x2_scan)
     if not x2_scan:
@@ -442,7 +446,7 @@ def gm1_cells(m: int, x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
         raise ValueError(
             f"x2 scan hits column {x1} on row {y2}, which is already used as an "
             "x1 pixel; choose a different y2 row")
-    return [(x1, r) for r in rows] + [(c, y2) for c in x2_scan]
+    return [((tuple((x1, r) for r in rows),), tuple((c, y2) for c in x2_scan))]
 
 
 def estimate_gm1(source: FrameSource, m: int, x1: int,
@@ -455,16 +459,17 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     m pixels sit at column x1 on the distinct rows ``y1_rows``; the single
     second-side pixel scans ``x2_scan`` on row ``y2``.  ``shuffle`` pairs the
     x1 product of frame i with the x2 values of frame i+1, destroying genuine
-    correlations (control estimator).  ``source`` may be a ``CellTable``
-    holding the ``gm1_cells``; otherwise they are collected from it.
+    correlations (control estimator).  ``source`` may be a ``BlockTable``
+    holding the ``gm1_terms``; otherwise they are collected from it.
     """
     _check_sampling(source.n_frames, block_len, n_boot)
-    cells = gm1_cells(m, x1, y1_rows, x2_scan, y2)
-    table = _cell_table(source, cells)
-    # block columns [x1 | num | x2]; BLAS rounding depends on column position
-    blocks = np.concatenate(_blocks(table, [cells[:m]], cells[m:], block_len, shuffle),
-                            axis=1)
-    n_scan = len(cells) - m
+    [term] = gm1_terms(m, x1, y1_rows, x2_scan, y2)
+    table = _block_table(source, [term], block_len, shuffle)
+    x1_cols, num_cols, x2_cols = table.columns(term)
+    # block columns [x1 | num | x2], C-ordered: BLAS rounding depends on
+    # column position and memory order
+    blocks = table.blocks.take(x1_cols + num_cols + x2_cols, axis=1)
+    n_scan = len(x2_cols)
 
     def ghat(mean: np.ndarray) -> np.ndarray:
         return _ghat(mean[..., None, :m], mean[..., None, m:-n_scan],
@@ -472,7 +477,7 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
 
     mean, boot = _resample(blocks, table.n_frames, block_len, n_boot,
                            (boot_seed, 0xB00727), ghat)
-    return CorrelationCurve(m=m, x2_positions=np.array(cells[m:], dtype=int)[:, 0],
+    return CorrelationCurve(m=m, x2_positions=np.array(term[1], dtype=int)[:, 0],
                             values=ghat(mean), stderr=boot.std(axis=0, ddof=1),
                             n_frames_used=table.n_frames)
 
@@ -510,7 +515,9 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
         grad = np.array([-r / c0**2, c1 / (r * c0), c2 / (r * c0)])
     else:
         grad = np.array([0.0, 1.0 / c0, 1.0 / c0])
-    stderr = float(math.sqrt(max(0.0, grad @ cov @ grad)))
+    var = float(grad @ cov @ grad)
+    # a rounding-negative variance is 0; a nan one stays nan, as the value does
+    stderr = 0.0 if var < 0 else math.sqrt(var)
     residual = float(np.sqrt(np.mean((y - design @ coef) ** 2)) / c0)
     return VisibilityEstimate(value=float(min(max(vis, 0.0), 1.0)),
                               stderr=stderr, fit_residual=residual)
@@ -530,10 +537,11 @@ def _snap(phase_map: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.nd
     return cols, phase_map[cols] - targets
 
 
-def _bell_realizations(geom: Geometry, angles: AngleSet,
-                       n_realizations: int) -> np.ndarray:
+def _bell_realizations(geom: Geometry, angles: AngleSet, n_realizations: int
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pixel columns [n_realizations, 8] (in ``_KEYS`` order) of gauges of
-    the angle tuple, spread evenly over the gauges the grid can realize.
+    the angle tuple, spread evenly over the gauges the grid can realize,
+    with each column's target phase and signed snap error (same shape).
 
     512 gauges offset the four settings along the fringe.  Each setting
     snaps to its nearest column; its partner snaps to that column's phase
@@ -543,7 +551,8 @@ def _bell_realizations(geom: Geometry, angles: AngleSet,
     phase_map = geom.phase_map()
     max_snap = 0.75 * float(np.median(np.abs(np.diff(phase_map))))
     gauges = np.linspace(phase_map.min(), phase_map.max(), 512)
-    cols, err = _snap(phase_map, np.add.outer(gauges, detector_phases(angles)))
+    targets = np.add.outer(gauges, detector_phases(angles))
+    cols, err = _snap(phase_map, targets)
     plus, plus_err = _snap(phase_map, phase_map[cols] + math.pi)
     minus, minus_err = _snap(phase_map, phase_map[cols] - math.pi)
     use_minus = np.abs(minus_err) < np.abs(plus_err)
@@ -555,23 +564,39 @@ def _bell_realizations(geom: Geometry, angles: AngleSet,
             f"only {len(usable)} pixel realizations of the angle tuple fit the "
             f"grid; {n_realizations} requested")
     picks = usable[np.linspace(0, len(usable) - 1, n_realizations).round().astype(int)]
-    # [gauge, setting (d1, d1', d2, d2'), setting | partner]
-    return np.stack([cols, np.where(use_minus, minus, plus)], axis=-1)[picks].reshape(-1, 8)
+
+    def pick(setting: np.ndarray, partner: np.ndarray) -> np.ndarray:
+        # [gauge, setting (d1, d1', d2, d2'), setting | partner]
+        return np.stack([setting, partner], axis=-1)[picks].reshape(-1, 8)
+    return (pick(cols, np.where(use_minus, minus, plus)),
+            pick(targets, phase_map[cols] + np.where(use_minus, -math.pi, math.pi)),
+            pick(err, partner_err))
 
 
-def bell_cells(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
-               y2: int, n_realizations: int) -> list[Cell]:
-    """Cells ``bell_from_frames`` reads for these arguments: per realization,
-    the x1 pixels of each s column on the rows in ascending order (s-major,
-    4m cells), then the y2 pixels of the t columns (4 cells).  Bad arguments
-    raise here, so a planned read fails before its pass over the stack."""
+def bell_snap(geom: Geometry, angles: AngleSet, n_realizations: int) -> list[dict]:
+    """Per realization of ``bell_from_frames``, the target phase and the
+    signed snap error (radians) of each of its 8 columns, keyed as
+    ``achieved``'s ``gauge_columns``."""
+    _, targets, errors = _bell_realizations(geom, angles, n_realizations)
+    return [{"target_rad": dict(zip(_KEYS, t)), "snap_error_rad": dict(zip(_KEYS, e))}
+            for t, e in zip(targets.tolist(), errors.tolist())]
+
+
+def bell_terms(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
+               y2: int, n_realizations: int) -> list[Term]:
+    """Terms ``bell_from_frames`` reads for these arguments, one per
+    realization: the x1 pixels of each s column on the rows in ascending
+    order (s-major, 4 groups of m), and the y2 pixels of the t columns.
+    Bad arguments raise here, so a planned read fails before its pass over
+    the stack."""
     rows = _check_rows(m, y1_rows)
     if y2 in rows:
         raise ValueError("y2 must differ from the y1 rows (pixels may share columns)")
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    return [cell for cols in _bell_realizations(geom, angles, n_realizations).tolist()
-            for cell in [(c, r) for c in cols[:4] for r in rows] + [(c, y2) for c in cols[4:]]]
+    return [(tuple(tuple((c, r) for r in rows) for c in cols[:4]),
+             tuple((c, y2) for c in cols[4:]))
+            for cols in _bell_realizations(geom, angles, n_realizations)[0].tolist()]
 
 
 def _ch74_four_term(mean: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -615,7 +640,7 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     tuple fixes only phase differences, so it can be realized anywhere along
     the fringe) are averaged; the block bootstrap resamples frames through the
     full pipeline, capturing all correlations.  ``source`` may be a
-    ``CellTable`` holding the ``bell_cells``; otherwise they are collected
+    ``BlockTable`` holding the ``bell_terms``; otherwise they are collected
     from it.
     """
     _check_sampling(source.n_frames, block_len, n_boot)
@@ -624,23 +649,22 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     if geom is None:
         raise ValueError("geometry required (pass geom= or use a FrameSet with geometry)")
     if y2 is None:
-        y2 = (source.height if isinstance(source, CellTable) else source.pixels.shape[1]) - 1
-    cells = bell_cells(geom, angles, m, range(m) if y1_rows is None else y1_rows, y2,
+        y2 = (source.height if isinstance(source, BlockTable) else source.pixels.shape[1]) - 1
+    terms = bell_terms(geom, angles, m, range(m) if y1_rows is None else y1_rows, y2,
                        n_realizations)
-    table = _cell_table(source, cells)
+    table = _block_table(source, terms, block_len, shuffle)
     # per realization, the block columns [s | t | num] of _ch74_four_term's
-    # 4m + 20 series; BLAS rounding depends on column position
-    blocks = []
-    for start in range(0, len(cells), 4 * m + 4):
-        real = cells[start:start + 4 * m + 4]
-        s, num, t = _blocks(table, [real[k:k + m] for k in range(0, 4 * m, m)],
-                            real[4 * m:], block_len, shuffle)
-        blocks += [s, t, num]
+    # 4m + 20 series, C-ordered; BLAS rounding depends on column position
+    # and memory order
+    columns = []
+    for term in terms:
+        s, num, t = table.columns(term)
+        columns += s + t + num
 
     def replicate(mean: np.ndarray) -> np.ndarray:
         return _ch74_four_term(mean.reshape(len(mean), n_realizations, -1), m)[0].mean(axis=1)
 
-    mean, boot = _resample(np.concatenate(blocks, axis=1), table.n_frames, block_len,
+    mean, boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len,
                            n_boot, (boot_seed, 0xBE11), replicate)
     per_realization, probs = _ch74_four_term(mean.reshape(n_realizations, -1), m)
     statistic = float(np.mean(per_realization))
@@ -649,8 +673,8 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     phase_map = geom.phase_map()
     achieved = []
     vis_samples = []
-    for cols, pack_probs in zip(_bell_realizations(geom, angles, n_realizations).tolist(),
-                                probs):
+    for (groups, x2), pack_probs in zip(terms, probs):
+        cols = [g[0][0] for g in groups] + [c for c, _ in x2]
         args = {}
         for (s, t), prob in zip(_PACKS, pack_probs.ravel()):
             arg = float(phase_map[cols[s]] - phase_map[cols[t]])

@@ -174,9 +174,9 @@ def _validate_seed(seed: int) -> int:
 
 
 def _worker_count(n_chunks: int) -> int:
-    """Threads that make (here) or read (``correlate.collect_cells``)
-    ``n_chunks`` chunks: one per CPU this process may run on, and no more
-    than there are chunks."""
+    """Worker threads for ``n_chunks`` chunks, made here or summed into
+    block sums by ``correlate.collect_cells``: one per CPU this process may
+    run on, and no more than there are chunks."""
     return min(len(os.sched_getaffinity(0)), n_chunks)
 
 

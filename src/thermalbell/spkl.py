@@ -167,15 +167,23 @@ def read_spkl(path: str | Path) -> tuple[SpklHeader, np.ndarray]:
     return header, data.reshape(header.n_frames, header.height, header.width)
 
 
-def read_frames(path: str | Path, start: int, count: int) -> np.ndarray:
+def read_frames(path: str | Path, start: int, count: int,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Frames ``start`` .. ``start + count - 1`` [count, height, width] of an
-    SPKL file.  Each call reads through its own file handle, so threads may
+    SPKL file, read into ``out`` (a contiguous float32 array of that shape)
+    when given.  Each call reads through its own file handle, so threads may
     read ranges of the same file at once."""
     header = read_header(path)
     if start < 0 or count < 0 or start + count > header.n_frames:
         raise ValueError(f"frames {start}..{start + count - 1} outside the stack's "
                          f"{header.n_frames}")
-    frames = np.empty((count, header.height, header.width), dtype="<f4")
+    shape = (count, header.height, header.width)
+    if out is None:
+        frames = np.empty(shape, dtype="<f4")
+    elif out.shape != shape or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a contiguous float32 array of shape {shape}")
+    else:
+        frames = out
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size + start * header.frame_bytes)
         if fh.readinto(frames) != frames.nbytes:

@@ -38,22 +38,22 @@ def rng():
 
 @pytest.fixture(params=[1, 2, 3])
 def workers(request, monkeypatch) -> int:
-    """Frame generation, the cell gather and the estimates' block sums on
-    this many worker threads, whatever the CPU count."""
+    """Frame generation and the pass from the stack to block sums on this
+    many worker threads, whatever the CPU count."""
     monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: request.param)
     return request.param
 
 
 @pytest.fixture()
 def threads_joined():
-    """Check that no frame-generation, cell-gathering or block-sum worker is
-    alive and that the thread count is back to its value when the test
-    started, waiting up to 10 s for other threads to finish."""
+    """Check that no frame-generation or block-sum worker is alive and that
+    the thread count is back to its value when the test started, waiting up
+    to 10 s for other threads to finish."""
     before = threading.active_count()
 
     def check():
         assert not [t.name for t in threading.enumerate()
-                    if t.name.startswith(("speckle", "collect", "blocks"))]
+                    if t.name.startswith(("speckle", "collect"))]
         deadline = time.monotonic() + 10.0
         while threading.active_count() != before and time.monotonic() < deadline:
             time.sleep(0.01)

@@ -495,13 +495,13 @@ class TestCorrelateCommand:
         real = spkl.read_frames
         calls = itertools.count(1)
 
-        def third_fails(*args):
+        def third_fails(*args, **kwargs):
             if next(calls) == 3:
                 raise OSError("read failed")
-            return real(*args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(spkl, "read_frames", third_fails)
         with pytest.raises(OSError, match="read failed"):
-            correlate.CellTable(stack, [(0, 0), (64, 7)])
+            correlate.collect_cells(stack, [((((0, 0),),), ((64, 7),))])
         threads_joined()
         calls = itertools.count(1)
         assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
@@ -514,12 +514,12 @@ class TestCorrelateCommand:
 
     def test_failed_product_joins_workers(self, stack, tmp_path, monkeypatch, capsys,
                                           workers, threads_joined):
-        """A group product that fails on its second slice, on a worker, fails
-        the estimate: the error reaches the caller once every worker is
-        joined, and the command exits 3 with nothing written."""
+        """Group products that fail on their second call, on a worker, fail
+        the pass: the error reaches the caller once every worker is joined,
+        and the command exits 3 with nothing written."""
         from thermalbell import correlate
-        # 3000 frames in product slices of 1000
-        monkeypatch.setattr(correlate, "PRODUCT_FRAMES", 1000)
+        # 3000 frames in chunks of 1000
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 1000 * 8 * 128)
         real = correlate._row_products
         threads = []
 
@@ -529,18 +529,31 @@ class TestCorrelateCommand:
                 raise ArithmeticError("product failed")
             return real(columns)
         monkeypatch.setattr(correlate, "_row_products", second_fails)
-        table = correlate.CellTable(stack, correlate.gm1_cells(2, 64, [0, 1], range(128), 7))
         with pytest.raises(ArithmeticError, match="product failed"):
-            correlate.estimate_gm1(table, 2, 64, [0, 1], range(128), 7, n_boot=20)
-        assert threads[1].startswith("blocks")
+            correlate.collect_cells(stack, correlate.gm1_terms(2, 64, [0, 1], range(128), 7))
+        assert threads[1].startswith("collect")
         threads_joined()
         threads.clear()
         assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
                     "--realizations", "2", "--boot", "20",
                     "--out", str(tmp_path / "run")]) == 3
         assert "product failed" in capsys.readouterr().err
-        assert threads[1].startswith("blocks")
+        assert threads[1].startswith("collect")
         threads_joined()
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
+    @pytest.mark.parametrize("value", [np.nan, -1.0])
+    def test_bad_pixel_refused(self, stack, tmp_path, capsys, value):
+        """One pixel an estimate reads that is NaN or negative stops the run
+        with exit 3, naming the frame and the pixel, and nothing is written."""
+        with open(stack, "r+b") as fh:
+            fh.seek(36 + 4 * (10 * 1024 + 7 * 128 + 5))
+            fh.write(np.float32(value).tobytes())
+        assert run(["correlate", "--frames", str(stack), "--m", "2", "--bell",
+                    "--bell-m", "2", "--realizations", "2", "--out", str(tmp_path / "run")]) == 3
+        assert f"numeric guard: frame 10, column 5, row 7 holds {value}: " \
+            in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
@@ -555,12 +568,22 @@ class TestCorrelateCommand:
         # 2 x1 pixels, 128 scan pixels, 2 x 4 Bell columns on 2 rows
         assert 130 < diag["n_cells"] <= 130 + 16
         assert set(diag["stage_s"]) == {"collect", "curves", "bell"}
-        # 3000 frames of 8 x 128 pixels are 3 chunks of the gather
+        # 3000 frames of 8 x 128 pixels are 3 chunks of the pass
         assert diag["collect_workers"] == min(len(os.sched_getaffinity(0)), 3)
-        # the curves' 128 numerator columns
-        assert diag["estimate_workers"] == min(len(os.sched_getaffinity(0)), 128)
-        assert diag["table_mb"] == diag["n_cells"] * 3000 * 4 / 1e6
+        # the block sums of every cell and of the numerators: 128 for each
+        # curve, 16 for each Bell realization
+        assert diag["table_mb"] == 47 * (diag["n_cells"] + 2 * 128 + 2 * 16) * 8 / 1e6
         assert diag["peak_rss_mb"] > diag["table_mb"]
+        assert "estimate_workers" not in diag
+        # per realization, every column's target phase and snap error
+        assert len(diag["bell_snap"]) == 2
+        step = 2 * math.pi / 99.75
+        for snap in diag["bell_snap"]:
+            assert list(snap) == ["snap_error_rad", "target_rad"]
+            assert set(snap["target_rad"]) == set(snap["snap_error_rad"]) == \
+                {"s1", "p1", "s1p", "p1p", "s2", "p2", "s2p", "p2p"}
+            assert all(abs(err) <= 0.75 * step * (1 + 1e-9)
+                       for err in snap["snap_error_rad"].values())
         report = json.loads((tmp_path / "d_report.json").read_text())
         assert "diagnostics" not in report
 

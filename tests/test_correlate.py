@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis.extra.numpy import arrays
 from thermalbell import bell, cli, correlate, speckle, spkl
 from thermalbell.correlate import (CorrelationCurve, bell_from_frames,
                                    estimate_gm1, fit_visibility)
-from thermalbell.errors import (InsufficientFramesError, PeriodCoverageError,
-                                SamplingGuardError)
+from thermalbell.errors import (InsufficientFramesError, NumericGuardError,
+                                PeriodCoverageError, SamplingGuardError)
 from thermalbell.speckle import FrameSet, Geometry, photonize
 
 FULL_SCAN = range(128)
@@ -136,17 +137,17 @@ class TestEstimatorValidation:
         plans before reading fails before the pass over the stack."""
         geom = frames_tiny.geometry
         with pytest.raises(ValueError, match="distinct"):
-            correlate.gm1_cells(2, 63, [1, 1], FULL_SCAN, 7)
+            correlate.gm1_terms(2, 63, [1, 1], FULL_SCAN, 7)
         with pytest.raises(ValueError, match="nonempty"):
-            correlate.gm1_cells(1, 63, [0], [], 7)
+            correlate.gm1_terms(1, 63, [0], [], 7)
         with pytest.raises(ValueError, match="already used"):
-            correlate.gm1_cells(2, 63, [0, 1], FULL_SCAN, 1)
+            correlate.gm1_terms(2, 63, [0, 1], FULL_SCAN, 1)
         with pytest.raises(ValueError, match="distinct"):
-            correlate.bell_cells(geom, bell.UPPER_ANGLES, 5, range(6), 7, 1)
+            correlate.bell_terms(geom, bell.UPPER_ANGLES, 5, range(6), 7, 1)
         with pytest.raises(ValueError, match="y2"):
-            correlate.bell_cells(geom, bell.UPPER_ANGLES, 2, [0, 1], 1, 1)
+            correlate.bell_terms(geom, bell.UPPER_ANGLES, 2, [0, 1], 1, 1)
         with pytest.raises(ValueError, match="n_realizations"):
-            correlate.bell_cells(geom, bell.UPPER_ANGLES, 1, [0], 7, 0)
+            correlate.bell_terms(geom, bell.UPPER_ANGLES, 1, [0], 7, 0)
 
 
 class TestVisibilityFit:
@@ -169,6 +170,16 @@ class TestVisibilityFit:
         curve = estimate_gm1(frames_tiny, 1, 63, [0], range(40, 80), 7)
         with pytest.raises(PeriodCoverageError):
             fit_visibility(curve, desk_geom)
+
+    def test_nan_value_gets_nan_stderr(self, desk_geom):
+        """A nan in the curve makes the visibility nan, and its error bar
+        too: never a finite (zero) stderr beside a nan value."""
+        delta = desk_geom.phase_map()
+        values = 1.0 * (1 + 0.3 * np.cos(delta))
+        values[17] = np.nan
+        curve = CorrelationCurve(1, np.arange(128), values, np.full(128, 1e-3), 1000)
+        est = fit_visibility(curve, desk_geom)
+        assert math.isnan(est.value) and math.isnan(est.stderr)
 
 
 class TestBellFromFrames:
@@ -215,14 +226,15 @@ class TestBellFromFrames:
             bell_from_frames(bare, 1, bell.UPPER_ANGLES)
 
     def test_cell_table_source_matches_frameset(self, frames_tiny, tmp_path):
-        """A table read from an SPKL file, with the rows and y2 left to their
-        defaults, gives the FrameSet's report."""
+        """A block table read from an SPKL file, with the rows and y2 left to
+        their defaults, gives the FrameSet's report; a table of another block
+        length or shuffle flag is refused."""
         path = tmp_path / "tiny.spkl"
         spkl.write_spkl(path, frames_tiny)
         geom = frames_tiny.geometry
         last_row = frames_tiny.pixels.shape[1] - 1
-        table = correlate.CellTable(
-            path, correlate.bell_cells(geom, bell.UPPER_ANGLES, 2, range(2), last_row, 2))
+        table = correlate.collect_cells(
+            path, correlate.bell_terms(geom, bell.UPPER_ANGLES, 2, range(2), last_row, 2))
         got = bell_from_frames(table, 2, bell.UPPER_ANGLES, geom,
                                n_realizations=2, n_boot=40)
         want = bell_from_frames(frames_tiny, 2, bell.UPPER_ANGLES,
@@ -230,6 +242,12 @@ class TestBellFromFrames:
         assert got.statistic == want.statistic
         assert got.stderr == want.stderr
         assert got.achieved == want.achieved
+        for kwargs in (dict(block_len=32), dict(shuffle=True)):
+            with pytest.raises(ValueError, match="the table holds blocks of 64 frames"):
+                bell_from_frames(table, 2, bell.UPPER_ANGLES, geom, n_realizations=2,
+                                 n_boot=40, **kwargs)
+        with pytest.raises(ValueError, match="not in the table"):
+            bell_from_frames(table, 2, bell.UPPER_ANGLES, geom, n_realizations=3, n_boot=40)
 
     def test_y2_must_differ_from_rows(self, frames_tiny):
         with pytest.raises(ValueError, match="y2"):
@@ -280,11 +298,20 @@ class TestBellRealizations:
         gauges, and the same refusal one past their count."""
         geom = Geometry(**geometry)
         usable = _loop_usable_gauges(geom, angles)
+        phase_map = geom.phase_map()
+        max_snap = 0.75 * float(np.median(np.abs(np.diff(phase_map))))
         for n in (1, 2, 6, 11, 100, len(usable)):
             picks = np.linspace(0, len(usable) - 1, n).round().astype(int)
-            got = correlate._bell_realizations(geom, angles, n)
-            assert got.shape == (n, 8)
+            got, targets, errors = correlate._bell_realizations(geom, angles, n)
+            assert got.shape == targets.shape == errors.shape == (n, 8)
             assert got.tolist() == [usable[i] for i in picks]
+            assert np.array_equal(phase_map[got] - targets, errors)
+            assert np.all(np.abs(errors) <= max_snap)
+            # each partner targets its setting's phase + or - pi
+            assert np.allclose(np.abs(targets[:, 1::2] - phase_map[got[:, ::2]]), math.pi)
+            # the settings' targets differ by the detector phases
+            phases = np.array(bell.detector_phases(angles))
+            assert np.allclose(targets[:, ::2] - targets[:, :1], phases - phases[0])
         with pytest.raises(SamplingGuardError) as info:
             correlate._bell_realizations(geom, angles, len(usable) + 1)
         assert str(info.value) == (
@@ -365,9 +392,9 @@ class TestSinglePassAndMatrixBootstrap:
         calls = []
         original = correlate.collect_cells
 
-        def counting(source, cells):
-            calls.append(len(cells))
-            return original(source, cells)
+        def counting(source, terms, *args):
+            calls.append(len(terms))
+            return original(source, terms, *args)
 
         monkeypatch.setattr(correlate, "collect_cells", counting)
         assert cli.main(["correlate", "--frames", str(path), "--m", "1..3", "--bell",
@@ -436,20 +463,53 @@ class TestSinglePassAndMatrixBootstrap:
                 assert list(probs[i, r].ravel()) == want_probs
 
 
-class TestGather:
-    """``collect_cells`` against a plain gather, on 1 to 3 worker threads in
-    chunks of 37 frames: the 600 frames of ``frames_tiny`` are 16 full
-    chunks and one of 8."""
+def _reference_blocks(pixels, terms, block_len, shuffle=False):
+    """Every term's block columns [x1 | num | x2] from plain per-frame series
+    of ``pixels``: sorted products by ``np.prod(np.sort(...))``, the next
+    frame's x2 values by ``np.roll``, and ``np.add.reduceat`` over each
+    whole series."""
+    pix = np.asarray(pixels, dtype=np.float64)
+    later = np.roll(pix, -1, axis=0) if shuffle else pix
+    starts = np.arange(0, len(pix), block_len)
+    columns = []
+    for groups, x2 in terms:
+        prods = [np.prod(np.sort(np.stack([pix[:, r, c] for c, r in g], axis=1), axis=1),
+                         axis=1) for g in groups]
+        columns += [pix[:, r, c] for g in groups for c, r in g]
+        columns += [p * later[:, r, c] for p in prods for c, r in x2]
+        columns += [later[:, r, c] for c, r in x2]
+    return np.column_stack([np.add.reduceat(series, starts) for series in columns])
 
-    CELLS = [(c, r) for c in (0, 5, 64, 127) for r in (0, 3, 7)] + [(64, 3)]
+
+def _table_blocks(table, terms):
+    """The table's columns of ``terms``, in the reference's order."""
+    columns = []
+    for term in terms:
+        x1, num, x2 = table.columns(term)
+        columns += x1 + num + x2
+    return table.blocks[:, columns]
+
+
+class TestGather:
+    """``collect_cells`` against plain per-frame series, on 1 to 3 worker
+    threads with reads of 37 frames: the 600 frames of ``frames_tiny`` are
+    16 full reads and one of 8.  Blocks of 64 and 130 frames are longer than
+    a read, and all but blocks of 1 leave a partial last block."""
+
+    X2 = tuple((c, 7) for c in range(0, 128, 9))
+    TERMS = [
+        # a Bell-like term of four groups of three
+        (tuple(tuple((c, r) for r in (0, 2, 5)) for c in (5, 40, 64, 100)), X2),
+        # a group of two sharing the x2 cells
+        ((((63, 0), (63, 1)),), X2),
+        # x2 cells out of the table's order, and cells on both sides
+        ((((64, 3),), ((99, 7), (9, 0))), ((99, 7), (45, 7), (9, 7), (64, 3))),
+    ]
+    BLOCK_LENS = (1, 7, 37, 64, 130)
 
     @pytest.fixture(autouse=True)
-    def chunk_37(self, monkeypatch):
+    def reads_37(self, monkeypatch):
         monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128 + 5)
-
-    def _reference(self, pixels):
-        flat = [r * 128 + c for c, r in self.CELLS]
-        return pixels.reshape(len(pixels), -1)[:, flat]
 
     @pytest.mark.parametrize("from_file", [True, False])
     def test_table_matches_reference(self, frames_tiny, tmp_path, workers,
@@ -458,18 +518,41 @@ class TestGather:
         if from_file:
             source = tmp_path / "tiny.spkl"
             spkl.write_spkl(source, frames_tiny)
-        assert len(correlate._chunk_starts((600, 8, 128))) == 17
-        table = correlate.collect_cells(source, self.CELLS)
-        assert table.dtype == np.float32 and table.flags.f_contiguous
-        assert np.array_equal(table, self._reference(frames_tiny.pixels))
-        assert correlate.CellTable(source, self.CELLS).workers == workers
+        for block_len in self.BLOCK_LENS:
+            for shuffle in (False, True):
+                table = correlate.collect_cells(source, self.TERMS, block_len, shuffle)
+                want = _reference_blocks(frames_tiny.pixels, self.TERMS, block_len, shuffle)
+                assert np.array_equal(_table_blocks(table, self.TERMS), want)
+                chunk = max(1, 37 // block_len) * block_len
+                assert table.workers == min(workers, -(-600 // chunk))
         threads_joined()
+
+    def test_table_holds_only_block_sums(self, frames_20k):
+        """The table holds n_blocks x K float64 values (one column per
+        distinct cell series, one per numerator) and no per-frame array; the
+        pass's peak allocation stays far below one per-frame series of each
+        of its cells."""
+        tracemalloc.start()
+        try:
+            table = correlate.collect_cells(frames_20k, self.TERMS, 64, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 17 x1 cells of this frame, 16 x2 cells of the next
+        n_cells = len({c for g, x2 in self.TERMS for grp in g for c in grp}) + \
+            len({c for _, x2 in self.TERMS for c in x2})
+        assert len(table.cells) == n_cells
+        n_num = sum(len(g) * len(x2) for g, x2 in self.TERMS)
+        assert table.blocks.shape == (-(-20000 // 64), n_cells + n_num)
+        assert table.blocks.dtype == np.float64
+        assert [v for v in vars(table).values() if isinstance(v, np.ndarray)] == [table.blocks]
+        assert peak < 20000 * n_cells * 8 / 2
 
     def test_more_workers_than_cores_under_frequent_switches(self, frames_tiny, tmp_path,
                                                               monkeypatch, threads_joined):
-        """Eight workers per CPU over the 17 chunks, with the interpreter
-        switching threads every microsecond: the reference table, in bounded
-        time."""
+        """Eight workers per CPU over the 86 chunks of 7-frame blocks, with
+        the interpreter switching threads every microsecond: the reference
+        table, in bounded time."""
         path = tmp_path / "tiny.spkl"
         spkl.write_spkl(path, frames_tiny)
         workers = 8 * len(os.sched_getaffinity(0))
@@ -478,11 +561,13 @@ class TestGather:
         sys.setswitchinterval(1e-6)
         try:
             started = time.perf_counter()
-            table = correlate.collect_cells(path, self.CELLS)
+            table = correlate.collect_cells(path, self.TERMS, 7, True)
             elapsed = time.perf_counter() - started
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(table, self._reference(frames_tiny.pixels))
+        assert np.array_equal(_table_blocks(table, self.TERMS),
+                              _reference_blocks(frames_tiny.pixels, self.TERMS, 7, True))
+        assert table.workers == workers
         assert elapsed < 60.0
         threads_joined()
 
@@ -491,35 +576,33 @@ class TestGather:
         spkl.write_spkl(path, frames_tiny)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the gather started a process")
+            raise AssertionError("the pass started a process")
         monkeypatch.setattr(os, "fork", refuse)
         monkeypatch.setattr(subprocess, "Popen", refuse)
-        correlate.collect_cells(path, self.CELLS)
+        correlate.collect_cells(path, self.TERMS, 7, True)
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("convert, dtype", [
-        (lambda f: f, np.float32),
-        (lambda f: photonize(f, 3.0, seed=1), np.float64),
-        # values a float32 table could not hold
-        (lambda f: FrameSet(f.pixels.astype(np.float64) * (1.0 + 2.0**-40), None,
-                             0, 0.0, 1, 1),
-         np.float64),
+    @pytest.mark.parametrize("convert", [
+        lambda f: f,
+        lambda f: photonize(f, 3.0, seed=1),
+        # values float32 could not hold
+        lambda f: FrameSet(f.pixels.astype(np.float64) * (1.0 + 2.0**-40), None, 0, 0.0, 1, 1),
     ], ids=["float32", "int32", "float64"])
-    def test_table_dtype_holds_every_value(self, frames_tiny, convert, dtype):
+    def test_table_dtype_holds_every_value(self, frames_tiny, convert):
         source = convert(frames_tiny)
-        table = correlate.collect_cells(source, self.CELLS)
-        assert table.dtype == dtype
-        assert np.array_equal(table, self._reference(source.pixels))
+        for shuffle in (False, True):
+            table = correlate.collect_cells(source, self.TERMS, 37, shuffle)
+            assert table.blocks.dtype == np.float64
+            assert np.array_equal(_table_blocks(table, self.TERMS),
+                                  _reference_blocks(source.pixels, self.TERMS, 37, shuffle))
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_float32_table_gives_float64_results(self, frames_tiny, shuffle):
-        """Widening is exact and the sums run in float64, so a float32 table
+        """Widening is exact and the sums run in float64, so a float32 stack
         gives the estimates of the same values held in float64."""
         wide = FrameSet(frames_tiny.pixels.astype(np.float64), frames_tiny.geometry,
                         0, 0.0, 1, 1)
         kwargs = dict(n_boot=40, shuffle=shuffle)
-        for source in (frames_tiny, wide):
-            assert correlate.collect_cells(source, [(0, 0)]).dtype == source.pixels.dtype
         got, want = (estimate_gm1(s, 3, 64, range(3), FULL_SCAN, 7, **kwargs)
                      for s in (frames_tiny, wide))
         assert np.array_equal(got.values, want.values)
@@ -527,6 +610,41 @@ class TestGather:
         got, want = (bell_from_frames(s, 3, bell.UPPER_ANGLES, n_realizations=2, **kwargs)
                      for s in (frames_tiny, wide))
         assert (got.statistic, got.stderr) == (want.statistic, want.stderr)
+
+
+class TestBadFrames:
+    """A pixel the pass reads that is not finite and nonnegative is refused,
+    naming its frame, column and row."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.5])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_refused(self, frames_tiny, tmp_path, monkeypatch, workers, threads_joined,
+                     value, from_file):
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128)
+        pixels = frames_tiny.pixels.copy()
+        pixels[410, 7, 5] = value
+        source = FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1)
+        if from_file:
+            spkl.write_spkl(tmp_path / "bad.spkl", source)
+            source = tmp_path / "bad.spkl"
+        terms = correlate.gm1_terms(2, 63, [0, 1], FULL_SCAN, 7)
+        for shuffle in (False, True):
+            with pytest.raises(NumericGuardError,
+                               match=f"^frame 410, column 5, row 7 holds {value}: "
+                                     "intensities must be finite and nonnegative$"):
+                correlate.collect_cells(source, terms, 64, shuffle)
+        threads_joined()
+        # a pixel no estimate reads does not matter
+        assert correlate.collect_cells(source, correlate.gm1_terms(
+            2, 63, [0, 1], range(6, 128), 7)).blocks.shape == (10, 2 + 2 * 122)
+
+    def test_wrapped_frame_named(self, frames_tiny):
+        """With shuffle the last chunk reads frame 0 again."""
+        pixels = frames_tiny.pixels.copy()
+        pixels[0, 7, 9] = np.nan
+        source = FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1)
+        with pytest.raises(NumericGuardError, match="^frame 0, column 9, row 7 holds nan"):
+            estimate_gm1(source, 1, 63, [0], FULL_SCAN, 7, shuffle=True)
 
 
 def _assert_fsum_columns(a: np.ndarray) -> None:
@@ -607,57 +725,61 @@ class TestColumnSums:
 
 
 class TestEstimateWorkers:
-    """The estimates' products and block sums on 1 to 3 worker threads, with
-    group products in slices of 37 frames: the 600 frames of
-    ``frames_tiny`` are 16 full slices and one of 8."""
-
-    GROUPS = [[(c, r) for r in (0, 2, 5)] for c in (5, 40, 64, 100)]
-    X1_CELLS = [cell for group in GROUPS for cell in group]
-    X2_CELLS = [(c, 7) for c in range(0, 128, 9)]
+    """The block columns the estimates read, and the estimates, on 1 to 3
+    worker threads in chunks of 37 frames: the 600 frames of
+    ``frames_tiny`` are 16 full chunks and one of 8."""
 
     @pytest.fixture(autouse=True)
-    def slices_37(self, monkeypatch):
-        monkeypatch.setattr(correlate, "PRODUCT_FRAMES", 37)
+    def chunks_37(self, monkeypatch):
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128)
+
+    @staticmethod
+    def _terms(geom):
+        return (correlate.gm1_terms(3, 64, range(3), FULL_SCAN, 7)
+                + correlate.gm1_terms(1, 64, [0], FULL_SCAN, 7)
+                + correlate.bell_terms(geom, bell.UPPER_ANGLES, 3, range(3), 7, 2))
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_blocks_match_serial_sums(self, frames_tiny, workers, threads_joined, shuffle):
-        x2_cells = self.X2_CELLS
-        table = correlate.CellTable(frames_tiny, self.X1_CELLS + x2_cells)
-        x1, num, x2 = correlate._blocks(table, self.GROUPS, x2_cells, 64, shuffle)
-        assert table.estimate_workers == workers
+        """One table planned for two curves and two Bell realizations: every
+        estimate's columns are the serial sums of its per-frame series."""
+        terms = self._terms(frames_tiny.geometry)
+        table = correlate.collect_cells(frames_tiny, terms, 37, shuffle)
+        assert table.workers == workers
         threads_joined()
-
-        def sums(series):
-            return correlate._block_sums(np.asarray(series, dtype=np.float64), 64)
-        prods = [correlate._row_products([table.series(c) for c in group])
-                 for group in self.GROUPS]
-        assert np.array_equal(num, np.column_stack(
-            [sums(p * table.series(c, shuffle)) for p in prods for c in x2_cells]))
-        assert np.array_equal(x1, np.column_stack(
-            [sums(table.series(c)) for c in self.X1_CELLS]))
-        assert np.array_equal(x2, np.column_stack(
-            [sums(table.series(c, shuffle)) for c in x2_cells]))
+        for term in terms:
+            assert np.array_equal(_table_blocks(table, [term]),
+                                  _reference_blocks(frames_tiny.pixels, [term], 37, shuffle))
 
     def test_more_workers_than_cores_under_frequent_switches(self, frames_tiny, monkeypatch,
                                                               threads_joined):
-        """Eight workers per CPU filling their columns of one matrix, with the
-        interpreter switching threads every microsecond: the one-worker
-        sums, in bounded time."""
-        table = correlate.CellTable(frames_tiny, self.X1_CELLS + self.X2_CELLS)
+        """Eight workers per CPU filling one table, with the interpreter
+        switching threads every microsecond: the one-worker estimates, in
+        bounded time."""
+        geom = frames_tiny.geometry
+        terms = self._terms(geom)
+
+        def estimates(table):
+            curve = estimate_gm1(table, 3, 64, range(3), FULL_SCAN, 7, block_len=16,
+                                 n_boot=20, shuffle=True)
+            report = bell_from_frames(table, 3, bell.UPPER_ANGLES, geom, y2=7, block_len=16,
+                                      n_realizations=2, n_boot=20, shuffle=True)
+            return curve.values.tobytes(), curve.stderr.tobytes(), json.dumps(report.to_dict())
+
         monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: 1)
-        want = correlate._blocks(table, self.GROUPS, self.X2_CELLS, 16, True)
+        want = estimates(correlate.collect_cells(frames_tiny, terms, 16, True))
         workers = 8 * len(os.sched_getaffinity(0))
         monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: workers)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             started = time.perf_counter()
-            got = correlate._blocks(table, self.GROUPS, self.X2_CELLS, 16, True)
+            table = correlate.collect_cells(frames_tiny, terms, 16, True)
             elapsed = time.perf_counter() - started
         finally:
             sys.setswitchinterval(interval)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert table.estimate_workers == workers
+        assert estimates(table) == want
+        assert table.workers == workers
         assert elapsed < 60.0
         threads_joined()
 
@@ -671,9 +793,7 @@ class TestEstimateWorkers:
         if from_file:
             path = tmp_path / "tiny.spkl"
             spkl.write_spkl(path, frames_tiny)
-            source = correlate.CellTable(
-                path, correlate.gm1_cells(3, 64, range(3), FULL_SCAN, 7)
-                + correlate.bell_cells(geom, bell.UPPER_ANGLES, 3, range(3), 7, 2))
+            source = correlate.collect_cells(path, self._terms(geom), 64, shuffle)
         kwargs = dict(n_boot=40, shuffle=shuffle)
 
         def estimates():
@@ -685,6 +805,8 @@ class TestEstimateWorkers:
         got = estimates()
         threads_joined()
         monkeypatch.setattr(speckle, "_worker_count", lambda n_chunks: 1)
+        if from_file:
+            source = correlate.collect_cells(path, self._terms(geom), 64, shuffle)
         want = estimates()
         assert np.array_equal(got[0].values, want[0].values)
         assert np.array_equal(got[0].stderr, want[0].stderr)

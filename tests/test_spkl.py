@@ -61,6 +61,19 @@ def test_read_frames_matches_full_read(frames_tiny, tmp_path):
         spkl.read_frames(path, 590, 11)
 
 
+def test_read_frames_into_buffer(frames_tiny, tmp_path):
+    """A range read into ``out`` fills and returns that buffer; a buffer of
+    another shape, dtype or layout is refused."""
+    path = tmp_path / "frames.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    buf = np.empty((37, 8, 128), dtype=np.float32)
+    assert spkl.read_frames(path, 563, 37, out=buf) is buf
+    assert np.array_equal(buf, frames_tiny.pixels[563:])
+    for bad in (buf[:36], buf.astype(np.float64), np.empty((128, 8, 37), np.float32).T):
+        with pytest.raises(ValueError, match="contiguous float32 array of shape"):
+            spkl.read_frames(path, 0, 37, out=bad)
+
+
 def test_missing_file_is_oserror(tmp_path):
     with pytest.raises(OSError):
         spkl.read_spkl(tmp_path / "nope.spkl")
