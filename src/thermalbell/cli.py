@@ -46,12 +46,21 @@ def _publish(outputs: dict, sidecar_of: str | Path, command: str, cfg, **meta) -
                                     **meta, "written_at_unix": time.time()}, outputs)
 
 
-def _emit(command: str, cfg, text: str) -> None:
-    """A command's one text output: to --out with its sidecar, or to stdout."""
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB."""
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def _emit(command: str, cfg, text: str, stage_s: dict[str, float]) -> None:
+    """A command's one text output: to --out with its sidecar, whose
+    diagnostics carry the command's ``stage_s`` and peak RSS, or to stdout."""
     if cfg.out is None:
         sys.stdout.write(text)
     else:
-        _publish({cfg.out: text}, cfg.out, command, cfg)
+        _publish({cfg.out: text}, cfg.out, command, cfg,
+                 diagnostics={"stage_s": stage_s, "peak_rss_mb": _peak_rss_mb()})
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -87,6 +96,7 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
 
     ms = parse_m_range(cfg.m_range)
     model = tls(cfg.nbar, cfg.field_amp)
+    started = time.perf_counter()
 
     if cfg.curve == "visibility":
         rows = []
@@ -96,7 +106,8 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
                          repr(float(frac))])
         _emit("analytic", cfg, _csv_text(
             ["m", "order_m_plus_1", "visibility_exact_fraction",
-             "visibility_dimensionless"], rows))
+             "visibility_dimensionless"], rows),
+            {"table": time.perf_counter() - started})
         return EXIT_OK
 
     if cfg.curve != "correlation":
@@ -123,7 +134,7 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
                 max_dev = max(max_dev, dev)
                 row += [repr(oracle.normalized), repr(dev)]
             rows.append(row)
-    _emit("analytic", cfg, _csv_text(header, rows))
+    _emit("analytic", cfg, _csv_text(header, rows), {"table": time.perf_counter() - started})
     if cfg.oracle:
         print(f"max oracle relative deviation: {max_dev:.3e}")
     return EXIT_OK
@@ -161,6 +172,7 @@ def cmd_bell(cfg: BellConfig) -> int:
     bounds = [bell.Bound.UPPER, bell.Bound.LOWER] if cfg.bound == "both" \
         else [bell.Bound(cfg.bound)]
 
+    started = time.perf_counter()
     reports = []
     for bound in bounds:
         angles = _angle_set(cfg.angles, bound)
@@ -187,11 +199,14 @@ def cmd_bell(cfg: BellConfig) -> int:
         "visibility_used": visibility,
         "model": cfg.model,
     }
+    stage_s = {"statistics": time.perf_counter() - started}
     if cfg.scan_step is not None:
+        started = time.perf_counter()
         extrema = bell.angle_scan(model_tag, visibility, cfg.scan_step)
+        stage_s["scan"] = time.perf_counter() - started
         payload["angle_scan"] = [
             {"arguments": list(a.arguments), "statistic": s} for a, s in extrema]
-    _emit("bell", cfg, _json_text(payload))
+    _emit("bell", cfg, _json_text(payload), stage_s)
     return EXIT_OK
 
 
@@ -204,6 +219,7 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
     from .sources import tls
 
     ms = parse_m_range(cfg.m_range)
+    started = time.perf_counter()
     cross_rows = []
     max_c_dev = 0.0
     for nbar in cfg.nbar:
@@ -220,6 +236,9 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
                     "c_abs": abs(c), "c_expected": expected, "deviation": dev,
                 })
 
+    stage_s = {"cross_correlation": time.perf_counter() - started}
+
+    started = time.perf_counter()
     gm1_rows = []
     max_gm1_dev = 0.0
     for nbar in cfg.nbar:
@@ -242,7 +261,8 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
         "gm1_check": gm1_rows,
         "max_gm1_rel_dev": max_gm1_dev,
     }
-    _emit("quantum", cfg, _json_text(payload))
+    stage_s["gm1_check"] = time.perf_counter() - started
+    _emit("quantum", cfg, _json_text(payload), stage_s)
     return EXIT_OK
 
 
@@ -250,7 +270,6 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
 
 def cmd_simulate(cfg: SimulateConfig) -> int:
     import contextlib
-    import resource
 
     import numpy as np
 
@@ -312,7 +331,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
                  "blas_pinned": blas_before is not None,
                  "blas_threads_before": blas_before,
                  "generate_write_s": generate_write_s,
-                 "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+                 "peak_rss_mb": _peak_rss_mb(),
              })
     print(f"wrote {cfg.n_frames} frames to {cfg.out}: "
           f"mean intensity {mean_intensity:.6g}, speckle contrast {contrast:.4f}, "
@@ -336,8 +355,6 @@ def _parse_span(text: str, limit: int) -> range:
 
 
 def cmd_correlate(cfg: CorrelateConfig) -> int:
-    import resource
-
     import numpy as np
 
     from . import analytic, correlate, speckle, spkl
@@ -450,7 +467,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         "n_cells": len(collected.cells),
         "collect_workers": collected.workers,
         "table_mb": collected.blocks.nbytes / 1e6,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+        "peak_rss_mb": _peak_rss_mb(),
         "block_len": cfg.block_len,
         "n_blocks": collected.blocks.shape[0],
         "n_boot": cfg.n_boot,

@@ -50,13 +50,14 @@ do not depend on the thread count either.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,17 +131,21 @@ Cell = tuple[int, int]        # (column, row)
 Term = tuple[tuple[tuple[Cell, ...], ...], tuple[Cell, ...]]
 
 
-def _frames(source: FrameSet | str | Path) -> tuple[tuple[int, int, int], np.dtype,
-                                                    Callable[[int, int, np.ndarray], np.ndarray]]:
+@contextlib.contextmanager
+def _frames(source: FrameSet | str | Path) -> Iterator[
+        tuple[tuple[int, int, int], np.dtype, Callable[[int, int, np.ndarray], np.ndarray]]]:
     """Shape [N, height, width] of a frame stack, the dtype of its pixels,
     and a reader of ``count`` frames from ``start``, which a file reads
-    into ``buf`` [>= count, height, width]."""
+    into ``buf`` [>= count, height, width].  A file is open until the block
+    ends."""
     if isinstance(source, FrameSet):
         pixels = source.pixels
-        return pixels.shape, pixels.dtype, lambda start, count, buf: pixels[start:start + count]
-    header = spkl.read_header(source)
-    return ((header.n_frames, header.height, header.width), np.dtype("<f4"),
-            lambda start, count, buf: spkl.read_frames(source, start, count, out=buf[:count]))
+        yield pixels.shape, pixels.dtype, lambda start, count, buf: pixels[start:start + count]
+        return
+    with spkl.SpklReader(source) as reader:
+        header = reader.header
+        yield ((header.n_frames, header.height, header.width), np.dtype("<f4"),
+               lambda start, count, buf: reader.read(start, count, out=buf[:count]))
 
 
 class BlockTable:
@@ -202,9 +207,18 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     rows of the table.  Summed along the frames, a chunk of whole blocks
     gives the whole series' block sums bit for bit, so the table does not
     depend on the worker count.  The workers are joined before this
-    returns or raises.
+    returns or raises.  An SPKL file is opened and its header checked once
+    per pass (``spkl.SpklReader``); the workers read their ranges from that
+    one descriptor, which is closed when the pass ends, also on error.
     """
-    shape, dtype, read = _frames(source)
+    with _frames(source) as (shape, dtype, read):
+        return _collect(shape, dtype, read, terms, block_len, shuffle)
+
+
+def _collect(shape: tuple[int, int, int], dtype: np.dtype,
+             read: Callable[[int, int, np.ndarray], np.ndarray], terms: Sequence[Term],
+             block_len: int, shuffle: bool) -> BlockTable:
+    """``collect_cells`` from a stack of ``shape`` read by ``read``."""
     n_frames, height, width = shape
     table = BlockTable(shape, terms, block_len, shuffle)
     cols, rows = np.array([cell for cell, _ in table.cells], dtype=int).reshape(-1, 2).T

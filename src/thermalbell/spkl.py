@@ -16,7 +16,9 @@ deterministic under a fixed config and seed; timestamps live only in the
 sidecar.
 
 ``AtomicFile`` is the one writer of the package: stacks, sidecars and the
-commands' text outputs all land whole or not at all.
+commands' text outputs all land whole or not at all.  ``SpklReader`` is the
+one reader of stacks: it checks the header and reads frames through the
+same descriptor.
 """
 
 from __future__ import annotations
@@ -55,25 +57,82 @@ class SpklHeader:
         return self.height * self.width * 4
 
 
+class SpklReader:
+    """An SPKL file open for range reads through one descriptor.
+
+    The header is checked once, at open: the payload size must be the one
+    it implies.  ``read`` takes frames with positional reads, so threads may
+    read ranges at once, and every range comes from the file that was
+    opened, even if another one replaces it at its path.  Close the reader,
+    or use it as a context manager.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._fd = os.open(path, os.O_RDONLY)
+        try:
+            self.header = self._check_header()
+        except BaseException:
+            os.close(self._fd)
+            raise
+
+    def _check_header(self) -> SpklHeader:
+        raw = os.pread(self._fd, _HEADER.size, 0)
+        if len(raw) < _HEADER.size:
+            raise SpklFormatError(f"{self.path}: file shorter than the SPKL header")
+        magic, version, n_frames, height, width, tau_ratio, seed = _HEADER.unpack(raw)
+        if magic != MAGIC:
+            raise SpklFormatError(f"{self.path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise SpklFormatError(f"{self.path}: unsupported SPKL version {version}")
+        header = SpklHeader(n_frames, height, width, tau_ratio, seed)
+        expected = n_frames * header.frame_bytes
+        size = os.fstat(self._fd).st_size
+        if size - _HEADER.size != expected:
+            raise SpklFormatError(
+                f"{self.path}: payload is {size - _HEADER.size} bytes, header implies {expected}")
+        return header
+
+    def read(self, start: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Frames ``start`` .. ``start + count - 1`` [count, height, width],
+        read into ``out`` (a contiguous float32 array of that shape) when
+        given."""
+        header = self.header
+        if start < 0 or count < 0 or start + count > header.n_frames:
+            raise ValueError(f"frames {start}..{start + count - 1} outside the stack's "
+                             f"{header.n_frames}")
+        shape = (count, header.height, header.width)
+        if out is None:
+            frames = np.empty(shape, dtype="<f4")
+        elif out.shape != shape or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous float32 array of shape {shape}")
+        else:
+            frames = out
+        view = frames.reshape(-1).view(np.uint8)
+        offset = _HEADER.size + start * header.frame_bytes
+        done = 0
+        while done < len(view):
+            got = os.preadv(self._fd, [view[done:]], offset + done)
+            if got == 0:
+                raise SpklFormatError(f"{self.path}: truncated frame payload")
+            done += got
+        return frames
+
+    def close(self) -> None:
+        os.close(self._fd)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
 def read_header(path: str | Path) -> SpklHeader:
     """The header of an SPKL file, after checking that the payload size is
     the one the header implies."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        size = os.fstat(fh.fileno()).st_size
-    if len(raw) < _HEADER.size:
-        raise SpklFormatError(f"{path}: file shorter than the SPKL header")
-    magic, version, n_frames, height, width, tau_ratio, seed = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise SpklFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise SpklFormatError(f"{path}: unsupported SPKL version {version}")
-    header = SpklHeader(n_frames, height, width, tau_ratio, seed)
-    expected = n_frames * header.frame_bytes
-    if size - _HEADER.size != expected:
-        raise SpklFormatError(
-            f"{path}: payload is {size - _HEADER.size} bytes, header implies {expected}")
-    return header
+    with SpklReader(path) as reader:
+        return reader.header
 
 
 class AtomicFile:
@@ -162,33 +221,15 @@ def write_spkl(path: str | Path, frames: FrameSet) -> None:
 
 
 def read_spkl(path: str | Path) -> tuple[SpklHeader, np.ndarray]:
-    header = read_header(path)
-    data = np.fromfile(path, dtype="<f4", offset=_HEADER.size)
-    return header, data.reshape(header.n_frames, header.height, header.width)
+    with SpklReader(path) as reader:
+        return reader.header, reader.read(0, reader.header.n_frames)
 
 
 def read_frames(path: str | Path, start: int, count: int,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """Frames ``start`` .. ``start + count - 1`` [count, height, width] of an
-    SPKL file, read into ``out`` (a contiguous float32 array of that shape)
-    when given.  Each call reads through its own file handle, so threads may
-    read ranges of the same file at once."""
-    header = read_header(path)
-    if start < 0 or count < 0 or start + count > header.n_frames:
-        raise ValueError(f"frames {start}..{start + count - 1} outside the stack's "
-                         f"{header.n_frames}")
-    shape = (count, header.height, header.width)
-    if out is None:
-        frames = np.empty(shape, dtype="<f4")
-    elif out.shape != shape or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a contiguous float32 array of shape {shape}")
-    else:
-        frames = out
-    with open(path, "rb") as fh:
-        fh.seek(_HEADER.size + start * header.frame_bytes)
-        if fh.readinto(frames) != frames.nbytes:
-            raise SpklFormatError(f"{path}: truncated frame payload")
-    return frames
+    """``SpklReader.read`` of one range, through a descriptor of its own."""
+    with SpklReader(path) as reader:
+        return reader.read(start, count, out)
 
 
 def sidecar_path(path: str | Path) -> Path:

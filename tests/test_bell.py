@@ -155,6 +155,33 @@ class TestMinViolatingM:
         assert report.statistic > 0
 
 
+def _reference_scan(model_tag, visibility, grid_step):
+    """``angle_scan`` as one full cosine per grid point: per t1, the cosine
+    of every t2 + t3 - t1, then the bracket and the statistic."""
+    n = int(round(2.0 * math.pi / grid_step))
+    grid = np.arange(n) * grid_step
+    cos = np.cos(grid)
+    pair = grid[:, None] + grid[None, :]
+    bracket, cos_t4 = np.empty_like(pair), np.empty_like(pair)
+    flats = np.empty((n, 2), dtype=np.intp)
+    stats = np.empty((n, 2))
+    for i in range(n):
+        np.cos(np.subtract(pair, grid[i], out=cos_t4), out=cos_t4)
+        np.subtract(cos[i], cos[:, None], out=bracket)
+        bracket += cos[None, :]
+        bracket += cos_t4
+        stat = bell.statistic_value(model_tag, visibility, bracket)
+        flats[i] = np.argmax(stat), np.argmin(stat)
+        stats[i] = stat.flat[flats[i]]
+    out = []
+    for col, i in enumerate((np.argmax(stats[:, 0]), np.argmin(stats[:, 1]))):
+        j, k = np.unravel_index(flats[i, col], pair.shape)
+        angles = AngleSet(float(grid[i]), float(grid[j]), float(grid[k]),
+                          float((pair[j, k] - grid[i]) % (2.0 * math.pi)))
+        out.append((angles, float(stats[i, col])))
+    return out
+
+
 class TestAngleScan:
     def test_extrema_match_canonical(self):
         (amax, smax), (amin, smin) = bell.angle_scan(
@@ -195,6 +222,45 @@ class TestAngleScan:
         """A step rounding to one point per argument scans the zero tuple."""
         (amax, _), (amin, _) = bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.5, 2 * math.pi)
         assert amax.arguments == amin.arguments == (0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("model_tag", list(BellModel))
+    @pytest.mark.parametrize("step", [math.pi / 12, math.pi / 7, 0.05, 0.07, 2 * math.pi,
+                                      math.pi, 2 * math.pi / 3, 2 * math.pi / 5],
+                             ids=["pi/12", "pi/7", "0.05", "0.07", "n1", "n2", "n3", "n5"])
+    def test_matches_full_cosine_reference(self, model_tag, step):
+        """The same extrema, arguments and statistics, to the bit, as a scan
+        taking every cosine in full; at V = 0 every point ties."""
+        for visibility in (0.0, 0.5, 5 / 7, 1.0):
+            assert bell.angle_scan(model_tag, visibility, step) == \
+                _reference_scan(model_tag, visibility, step)
+
+    def test_distinct_sum_cosines_are_the_full_cosines(self):
+        """The property the scan rests on: at n = 314, for every t1, the
+        cosines of the distinct t2 + t3 - t1 gathered by index equal the
+        cosines of all n^2 of them, bit for bit."""
+        grid = np.arange(314) * 0.02
+        pair = grid[:, None] + grid[None, :]
+        sums = np.unique(pair)
+        where = np.searchsorted(sums, pair)
+        assert len(sums) == 1145
+        assert np.array_equal(sums[where], pair)
+        for g in grid:
+            assert np.array_equal(np.cos(sums - g)[where], np.cos(pair - g))
+
+    @pytest.mark.parametrize("model_tag", list(BellModel))
+    def test_statistic_in_place(self, model_tag, rng):
+        """``statistic_value`` writes into ``out``, ``bracket`` itself too,
+        the values it returns without; a float bracket gives a float."""
+        bracket = rng.uniform(-bell.BRACKET_MAX, bell.BRACKET_MAX, (7, 5))
+        want = bell.statistic_value(model_tag, 0.7, bracket)
+        out = np.empty_like(bracket)
+        assert bell.statistic_value(model_tag, 0.7, bracket, out=out) is out
+        assert np.array_equal(out, want)
+        assert bell.statistic_value(model_tag, 0.7, bracket, out=bracket) is bracket
+        assert np.array_equal(bracket, want)
+        value = bell.statistic_value(model_tag, 0.7, 1.25)
+        assert type(value) is float
+        assert value == bell.statistic_value(model_tag, 0.7, np.array([1.25]))[0]
 
 
 class TestDetectorPhases:

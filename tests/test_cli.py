@@ -492,14 +492,14 @@ class TestCorrelateCommand:
         from thermalbell import correlate, spkl
         # 3000 frames in chunks of 100
         monkeypatch.setattr(correlate, "CHUNK_PIXELS", 100 * 8 * 128)
-        real = spkl.read_frames
+        real = spkl.SpklReader.read
         calls = itertools.count(1)
 
         def third_fails(*args, **kwargs):
             if next(calls) == 3:
                 raise OSError("read failed")
             return real(*args, **kwargs)
-        monkeypatch.setattr(spkl, "read_frames", third_fails)
+        monkeypatch.setattr(spkl.SpklReader, "read", third_fails)
         with pytest.raises(OSError, match="read failed"):
             correlate.collect_cells(stack, [((((0, 0),),), ((64, 7),))])
         threads_joined()
@@ -744,3 +744,26 @@ class TestConfigHandling:
         assert meta["command"] == "analytic"
         assert meta["config"]["m_range"] == "1..2"
         assert "written_at_unix" in meta
+
+    @pytest.mark.parametrize("args, stages", [
+        (["analytic", "--m", "1..2"], {"table"}),
+        (["analytic", "--m", "1..2", "--curve", "correlation", "--delta-points", "4",
+          "--oracle"], {"table"}),
+        (["bell", "--four-term", "--m", "5"], {"statistics"}),
+        (["bell", "--four-term", "--m", "5", "--scan-step", "0.1"], {"statistics", "scan"}),
+        (["quantum", "--m", "1", "--nbar", "0.2", "--delta1", "0.0"],
+         {"cross_correlation", "gm1_check"}),
+    ], ids=["analytic", "analytic-oracle", "bell", "bell-scan", "quantum"])
+    def test_sidecar_diagnostics(self, tmp_path, capsys, args, stages):
+        """The text commands' sidecars carry their stage times and peak RSS;
+        the output itself is what the command prints without --out."""
+        out = tmp_path / "out.txt"
+        assert run([*args, "--out", str(out)]) == 0
+        diag = json.loads((tmp_path / "out.txt.meta.json").read_text())["diagnostics"]
+        assert set(diag) == {"stage_s", "peak_rss_mb"}
+        assert set(diag["stage_s"]) == stages
+        assert all(s >= 0 for s in diag["stage_s"].values())
+        assert diag["peak_rss_mb"] > 10
+        capsys.readouterr()
+        assert run(args) == 0
+        assert out.read_text() in capsys.readouterr().out

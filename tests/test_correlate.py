@@ -571,6 +571,49 @@ class TestGather:
         assert elapsed < 60.0
         threads_joined()
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_pass_opens_the_stack_once(self, frames_tiny, tmp_path, monkeypatch, workers,
+                                       threads_joined):
+        """A pass over a file opens it and checks its header once, for its
+        18 reads of up to 35 frames (19 with shuffle: the last chunk wraps
+        to frame 0), and closes it when the pass ends: after
+        a pass that succeeds, one that refuses a pixel and one whose third
+        read fails, as many descriptors are open as before."""
+        good, bad = tmp_path / "tiny.spkl", tmp_path / "bad.spkl"
+        spkl.write_spkl(good, frames_tiny)
+        pixels = frames_tiny.pixels.copy()
+        pixels[410, 7, 9] = np.nan
+        spkl.write_spkl(bad, FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1))
+        opened, reads = [], []
+        real_init, real_read = spkl.SpklReader.__init__, spkl.SpklReader.read
+
+        def counting_init(self, path):
+            opened.append(path)
+            real_init(self, path)
+
+        def counting_read(self, *args, **kwargs):
+            reads.append(args)
+            if fail_third and len(reads) == 3:
+                raise OSError("read failed")
+            return real_read(self, *args, **kwargs)
+        monkeypatch.setattr(spkl.SpklReader, "__init__", counting_init)
+        monkeypatch.setattr(spkl.SpklReader, "read", counting_read)
+        fail_third = False
+        descriptors = len(os.listdir("/proc/self/fd"))
+        for shuffle, n_reads in ((False, 18), (True, 19)):
+            reads.clear()
+            correlate.collect_cells(good, self.TERMS, 7, shuffle)
+            assert len(reads) == n_reads
+        with pytest.raises(NumericGuardError, match="^frame 410, column 9, row 7 holds nan"):
+            correlate.collect_cells(bad, self.TERMS, 7)
+        fail_third = True
+        reads.clear()
+        with pytest.raises(OSError, match="read failed"):
+            correlate.collect_cells(good, self.TERMS, 7)
+        assert opened == [good, good, bad, good]
+        threads_joined()
+        assert len(os.listdir("/proc/self/fd")) == descriptors
+
     def test_starts_no_process(self, frames_tiny, tmp_path, monkeypatch):
         path = tmp_path / "tiny.spkl"
         spkl.write_spkl(path, frames_tiny)

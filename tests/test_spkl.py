@@ -99,17 +99,52 @@ def test_truncated_payload_rejected(frames_tiny, tmp_path):
         spkl.read_frames(path, 0, 10)
 
 
-def test_payload_truncated_after_header_check(frames_tiny, tmp_path, monkeypatch):
-    """A stack cut short after its header was checked fails the range
-    read, not the caller."""
+def test_payload_truncated_after_header_check(frames_tiny, tmp_path):
+    """A stack cut short after its reader checked the header fails the
+    range read, not the caller."""
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
-    header = spkl.read_header(path)
+    with spkl.SpklReader(path) as reader:
+        path.write_bytes(path.read_bytes()[:-17])
+        assert reader.read(0, 10).shape == (10, 8, 128)
+        with pytest.raises(spkl.SpklFormatError, match="truncated frame payload"):
+            reader.read(590, 10)
+
+
+def test_reader_keeps_the_file_it_opened(frames_tiny, tmp_path):
+    """A stack replaced at its path while a reader is open does not mix
+    into that reader's ranges."""
+    path = tmp_path / "frames.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    other = tmp_path / "other.spkl"
+    spkl.write_spkl(other, frames_tiny.scaled(2.0))
+    with spkl.SpklReader(path) as reader:
+        first = reader.read(0, 300)
+        os.replace(other, path)
+        second = reader.read(300, 300)
+    assert np.array_equal(np.concatenate([first, second]), frames_tiny.pixels)
+    assert np.array_equal(spkl.read_frames(path, 0, 600), frames_tiny.pixels * 2)
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_reader_closes_its_descriptor(frames_tiny, tmp_path):
+    """Opening, reading, a refused header and a failed read leave no
+    descriptor open."""
+    path = tmp_path / "frames.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    before = _open_descriptors()
+    spkl.read_frames(path, 0, 10)
+    assert spkl.read_header(path).n_frames == 600
+    with pytest.raises(ValueError, match="outside"):
+        spkl.read_frames(path, 590, 11)
     path.write_bytes(path.read_bytes()[:-17])
-    monkeypatch.setattr(spkl, "read_header", lambda p: header)
-    assert spkl.read_frames(path, 0, 10).shape == (10, 8, 128)
-    with pytest.raises(spkl.SpklFormatError, match="truncated frame payload"):
-        spkl.read_frames(path, 590, 10)
+    with pytest.raises(spkl.SpklFormatError, match="payload"):
+        spkl.SpklReader(path)
+    assert _open_descriptors() == before
 
 
 def test_writer_enforces_declared_count(tmp_path):
