@@ -7,7 +7,7 @@ reproduce the m/(m+2) visibility law and its Bell violation for m >= 5
 (m >= 6 under experiment-like imperfections).
 
 Submodules are imported lazily so the light closed-form paths do not pay for
-scipy and the simulation stack.
+the simulation stack.  The package needs only numpy.
 """
 
 from __future__ import annotations

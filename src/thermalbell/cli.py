@@ -20,6 +20,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -219,9 +220,21 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
     from .sources import tls
 
     ms = parse_m_range(cfg.m_range)
+    # the gm1 check's last state holds the most bands, max(ms) + 1 detections
+    # at the largest cutoff: refuse it before anything is allocated
+    detections = max(ms) + 1
+    gm1_dims = [cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, detections)
+                for nbar in cfg.nbar]
+    needed = fock.state_nbytes(max(gm1_dims), detections)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if needed > physical:
+        raise NumericGuardError(
+            f"the Fock state at cutoff {max(gm1_dims)} after {detections} detections "
+            f"needs {needed} bytes, more than the {physical} bytes of physical memory; "
+            f"lower --dim or the largest m")
+
     started = time.perf_counter()
     cross_rows = []
-    max_c_dev = 0.0
     for nbar in cfg.nbar:
         for d1 in cfg.delta1:
             for m in ms:
@@ -230,7 +243,6 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
                                         field_amp=cfg.field_amp)
                 expected = analytic.visibility_tls(m)
                 dev = abs(abs(c) - expected)
-                max_c_dev = max(max_c_dev, dev)
                 cross_rows.append({
                     "m": m, "nbar": nbar, "delta1": d1, "dim": dim,
                     "c_abs": abs(c), "c_expected": expected, "deviation": dev,
@@ -240,9 +252,7 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
 
     started = time.perf_counter()
     gm1_rows = []
-    max_gm1_dev = 0.0
-    for nbar in cfg.nbar:
-        dim = cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, max(ms) + 1)
+    for nbar, dim in zip(cfg.nbar, gm1_dims):
         state = fock.thermal_state(nbar, dim)
         model = tls(nbar, cfg.field_amp)
         for m in ms:
@@ -250,17 +260,20 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
                 got = fock.expect_gm1(state, m, d, 0.0, cfg.field_amp)
                 want = analytic.gm1_tls_set(m, d, 0.0, model).values[analytic.PAIR_DD]
                 rel = abs(got - want) / want
-                max_gm1_dev = max(max_gm1_dev, rel)
                 gm1_rows.append({"m": m, "nbar": nbar, "delta": float(d),
                                  "fock": got, "closed_form": want,
                                  "rel_dev": rel})
 
     payload = {
         "cross_correlation": cross_rows,
-        "max_c_deviation": max_c_dev,
+        # np.max keeps a nan, which max() can drop
+        "max_c_deviation": float(np.max([row["deviation"] for row in cross_rows])),
         "gm1_check": gm1_rows,
-        "max_gm1_rel_dev": max_gm1_dev,
+        "max_gm1_rel_dev": float(np.max([row["rel_dev"] for row in gm1_rows])),
     }
+    for key in ("max_c_deviation", "max_gm1_rel_dev"):
+        if not math.isfinite(payload[key]):
+            raise ArithmeticError(f"the Fock-space check came out {key} = {payload[key]}")
     stage_s["gm1_check"] = time.perf_counter() - started
     _emit("quantum", cfg, _json_text(payload), stage_s)
     return EXIT_OK

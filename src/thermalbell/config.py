@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass, field
@@ -59,7 +60,15 @@ def _coerce(name: str, value, annotation):
     if annotation is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"field '{name}': expected a number, got {value!r}")
-        return float(value)
+        # JSON and float() both accept nan and inf, and JSON integers have no
+        # size limit; no field means any of them
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"field '{name}': expected a finite number, got {value!r}")
+        return number
     if annotation is str:
         if not isinstance(value, str):
             raise ConfigError(f"field '{name}': expected a string, got {value!r}")
@@ -121,6 +130,11 @@ class AnalyticConfig:
     oracle: bool = False
     out: str | None = None
 
+    def __post_init__(self):
+        # an empty curve would report a perfect oracle check
+        if self.delta_points < 1:
+            raise ConfigError(f"delta_points must be >= 1, got {self.delta_points}")
+
 
 @dataclass
 class BellConfig:
@@ -142,6 +156,14 @@ class QuantumConfig:
     field_amp: float = 1.0
     gm1_deltas: int = 5
     out: str | None = None
+
+    def __post_init__(self):
+        # an empty check would report a perfect agreement
+        if self.gm1_deltas < 1:
+            raise ConfigError(f"gm1_deltas must be >= 1, got {self.gm1_deltas}")
+        for name in ("nbar", "delta1"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must list at least one value")
 
 
 @dataclass

@@ -176,6 +176,62 @@ class TestQuantumCommand:
             assert "suggested --dim" not in err
             assert not (tmp_path / "q.json").exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["quantum", "--m", "1..2", "--nbar", "nan"], "nbar"),
+        (["quantum", "--m", "1..2", "--nbar", "0.2,inf"], "nbar"),
+        (["quantum", "--m", "1..2", "--delta1", "inf"], "delta1"),
+        (["quantum", "--m", "1..2", "--field-amp", "nan"], "field_amp"),
+        (["bell", "--four-term", "--m", "5", "--angles", "nan,1,1,1"], "angles"),
+        (["analytic", "--m", "1..2", "--curve", "correlation", "--nbar=-inf"], "nbar"),
+    ])
+    def test_non_finite_input_refused(self, tmp_path, capsys, args, field):
+        assert run([*args, "--out", str(tmp_path / "out.txt")]) == 2
+        assert f"field '{field}': expected a finite number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_config_value_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"nbar": [0.2], "delta1": [NaN]}')
+        assert run(["quantum", "--config", str(cfg)]) == 2
+        assert "field 'delta1': expected a finite number" in capsys.readouterr().err
+        cfg.write_text('{"nbar": [1' + "0" * 400 + ']}')
+        assert run(["quantum", "--config", str(cfg)]) == 2
+        assert "field 'nbar': expected a finite number" in capsys.readouterr().err
+
+    def test_non_positive_nbar_refused(self, tmp_path, capsys):
+        assert run(["quantum", "--m", "1", "--nbar", "-1", "--out",
+                    str(tmp_path / "q.json")]) == 2
+        assert "mean_photons must be finite and > 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["quantum", "--m", "1..2", "--gm1-deltas", "0"],
+        ["quantum", "--m", "1..2", "--nbar", ""],
+        ["analytic", "--m", "1..3", "--curve", "correlation", "--oracle",
+         "--delta-points", "0"],
+    ])
+    def test_vacuous_check_refused(self, tmp_path, capsys, args):
+        """A check over no points would report a perfect agreement."""
+        assert run([*args, "--out", str(tmp_path / "out.txt")]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nan_result_refused(self, tmp_path, capsys, monkeypatch):
+        """A nan coefficient exits 3 instead of a summary that reads 0.0."""
+        from thermalbell import fock
+        monkeypatch.setattr(fock, "cm_coefficient", lambda *args, **kwargs: complex("nan"))
+        assert run(["quantum", "--m", "1..2", "--out", str(tmp_path / "q.json")]) == 3
+        assert "max_c_deviation = nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cutoff_beyond_physical_memory_refused(self, tmp_path, capsys):
+        """The bands' size is known before anything is allocated."""
+        from thermalbell import fock
+        assert run(["quantum", "--m", "1", "--nbar", "0.2", "--dim", "100000",
+                    "--out", str(tmp_path / "q.json")]) == 3
+        err = capsys.readouterr().err
+        assert "--dim" in err and f"needs {fock.state_nbytes(100000, 2)} bytes" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_golden_exact_workload_bytes(self, tmp_path):
         """Pinned bytes of the quantum report the benchmark's exact workload
@@ -184,7 +240,7 @@ class TestQuantumCommand:
         assert run(["quantum", "--m", "1..4", "--nbar", "0.05,0.2,0.5",
                     "--delta1", "0.0,1.3", "--out", str(out)]) == 0
         assert _sha256(out) == \
-            "384d0d5ac9ff66177b860e83b89f42a2f7368303cfc12eab2c0399553e3d39bc"
+            "4827500df255222dacbef4aa8dacd6cfaa2ad5ed64c80031ac4af32c8eaa7e7d"
 
 
 class TestSimulateCommand:
