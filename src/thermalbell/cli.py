@@ -87,6 +87,32 @@ def _angle_set(angles: list[float] | None, bound: str):
     return bell.AngleSet(*angles)
 
 
+def _check_scale(model, ms: list[int]) -> None:
+    """Refuse a field amplitude and mean photon number whose correlation
+    scale (E0^2 <n>)^(m+1) leaves double precision at the largest m >= 1.
+
+    The closed form forms E0^(2(m+1)) and <n>^(m+1) apart, and the permanent
+    adds up products as large as (4(m+1))^(m+1) times the scale, so each of
+    the three powers must stay that far inside the normal range.  The test
+    runs on logarithms, which cannot overflow; the powers grow with m, so
+    the largest m decides.
+    """
+    orders = [m for m in ms if m >= 1]
+    if not orders:
+        return
+    m = max(orders)
+    limit = 1022 - (m + 1) * math.log2(4 * (m + 1))
+    log_amp = 2 * (m + 1) * math.log2(model.field_amp)
+    log_nbar = (m + 1) * math.log2(model.mean_photons) if model.mean_photons > 0 else -math.inf
+    if not all(abs(x) <= limit for x in (log_amp, log_nbar, log_amp + log_nbar)):
+        raise NumericGuardError(
+            f"--field-amp {model.field_amp:g} and --nbar {model.mean_photons:g} at m = {m}: "
+            f"the correlation scale (E0^2 nbar)^(m+1), or its factor E0^(2(m+1)) or "
+            f"nbar^(m+1), lies outside 2^-{limit:.0f}..2^{limit:.0f}, the double range "
+            f"less the headroom of the closed form and the permanent; bring E0^2 nbar "
+            f"nearer 1 or lower m")
+
+
 # ---------------------------------------------------------------- analytic
 
 def cmd_analytic(cfg: AnalyticConfig) -> int:
@@ -113,6 +139,8 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
 
     if cfg.curve != "correlation":
         raise ConfigError(f"curve must be 'visibility' or 'correlation', got {cfg.curve!r}")
+    # orders above MAX_EXACT_AMPLITUDE_M come out normalized, free of the scale
+    _check_scale(model, [m for m in ms if m <= analytic.MAX_EXACT_AMPLITUDE_M])
 
     header = ["m", "delta_rad", "g_plus", "g_minus",
               "g_plus_normalized", "g_minus_normalized", "visibility_dimensionless"]
@@ -225,6 +253,9 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
     detections = max(ms) + 1
     gm1_dims = [cfg.dim if cfg.dim is not None else fock.suggest_dim(nbar, detections)
                 for nbar in cfg.nbar]
+    models = [tls(nbar, cfg.field_amp) for nbar in cfg.nbar]
+    for model in models:
+        _check_scale(model, ms)
     needed = fock.state_nbytes(max(gm1_dims), detections)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if needed > physical:
@@ -252,9 +283,9 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
 
     started = time.perf_counter()
     gm1_rows = []
-    for nbar, dim in zip(cfg.nbar, gm1_dims):
+    for model, dim in zip(models, gm1_dims):
+        nbar = model.mean_photons
         state = fock.thermal_state(nbar, dim)
-        model = tls(nbar, cfg.field_amp)
         for m in ms:
             for d in np.linspace(0.0, math.pi, cfg.gm1_deltas):
                 got = fock.expect_gm1(state, m, d, 0.0, cfg.field_amp)

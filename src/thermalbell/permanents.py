@@ -6,7 +6,9 @@ detector positions, with repeated positions entered as repeated rows/columns.
 This route shares no code with the closed forms in :mod:`thermalbell.analytic`
 and is used to cross-check them.  The permanent is evaluated by Glynn's
 formula, which stays accurate to about 1e-14 on these rank-2 matrices up to
-the largest supported size, 16.
+the largest supported size, 16.  Its 2^(n-1) signed row sums are built in
+blocks of at most 2^BLOCK_BITS, so a call holds one block of sums (at most
+2^BLOCK_BITS * n complex numbers, 1 MB at n = 16) plus 16 bytes per term.
 """
 
 from __future__ import annotations
@@ -19,9 +21,13 @@ import numpy as np
 from .errors import PermanentSizeError
 from .sources import SourceKind, SourceModel
 
-# Glynn's formula costs O(2^(n-1) * n); at size 16 that is about 13 ms and
-# 9 MB of temporaries.  Anything larger is refused.
+# Glynn's formula costs O(2^(n-1) * n) time; at size 16 that is about 11 ms
+# on a 2-vCPU VM, with 1 MB of sums (one block) and 0.5 MB of terms, 1.75 MB
+# traced in all.  Anything larger is refused.
 MAX_PERMANENT_SIZE = 16
+
+# Row sums are built in blocks of at most 2^BLOCK_BITS sign vectors.
+BLOCK_BITS = 12
 
 
 class PermanentCorrelation(NamedTuple):
@@ -50,10 +56,12 @@ def permanent(matrix: np.ndarray) -> complex:
 
     perm(A) = 2^(1-n) * sum_d prod(d) * prod(d @ A) over the 2^(n-1) sign
     vectors d in {+1, -1}^n with d[0] = +1 (Glynn 2010, Eur. J. Combin. 31:1887).
-    All row sums d @ A are built in one buffer, one row of A at a time, without
-    BLAS: each sum is the same chain of additions whatever the machine and its
-    thread count.  The terms are added with ``math.fsum``.  Complexity
-    O(2^(n-1) * n), guarded at n <= 16.
+    Each row sum d @ A is the chain A[0] + d[1] A[1] + ... + d[n-1] A[n-1],
+    added left to right without BLAS: the same bits whatever the machine and
+    its thread count.  The first rows' sums are the prefixes of blocks of at
+    most 2^BLOCK_BITS sums, which the remaining rows complete in one reused
+    buffer.  The terms are added with ``math.fsum``, correctly rounded in any
+    order.  Complexity O(2^(n-1) * n), guarded at n <= 16.
     """
     a = np.asarray(matrix)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -65,19 +73,35 @@ def permanent(matrix: np.ndarray) -> complex:
         raise PermanentSizeError(
             f"permanent of size {n} exceeds the supported maximum {MAX_PERMANENT_SIZE}")
 
-    # Each row j > 0 of A splits every sum so far into sum + A[j] and
-    # sum - A[j]; the products prod(d) split alike.
     a = a.astype(complex)
-    sums = np.empty((1 << (n - 1), n), dtype=complex)
-    signs = np.empty(1 << (n - 1))
-    sums[0], signs[0] = a[0], 1.0
-    for j in range(1, n):
-        k = 1 << (j - 1)
-        np.subtract(sums[:k], a[j], out=sums[k:2 * k])
-        sums[:k] += a[j]
+    split = max(n - 1 - BLOCK_BITS, 0)      # rows 1..split make the prefixes
+    prefixes, prefix_signs = np.empty((1 << split, n), dtype=complex), np.empty(1 << split)
+    _row_sums(a[0], 1.0, a[1:split + 1], prefixes, prefix_signs)
+    block = 1 << (n - 1 - split)
+    sums, signs = np.empty((block, n), dtype=complex), np.empty(block)
+    terms = np.empty(len(prefixes) * block, dtype=complex)
+    for i, (prefix, sign) in enumerate(zip(prefixes, prefix_signs)):
+        _row_sums(prefix, sign, a[split + 1:], sums, signs)
+        np.multiply(signs, np.prod(sums, axis=1), out=terms[i * block:(i + 1) * block])
+    # a memoryview yields plain floats, which fsum takes faster than numpy scalars
+    return complex(math.fsum(memoryview(terms.real)),
+                   math.fsum(memoryview(terms.imag))) / (1 << (n - 1))
+
+
+def _row_sums(first: np.ndarray, sign: float, rows: np.ndarray,
+              sums: np.ndarray, signs: np.ndarray) -> None:
+    """Write the 2^len(rows) sums first +- rows[0] +- rows[1] ... into
+    ``sums`` and their signs sign * prod(d) into ``signs``.
+
+    Each row splits every sum so far into sum + row and sum - row; the
+    signs split alike.
+    """
+    sums[0], signs[0] = first, sign
+    for j, row in enumerate(rows):
+        k = 1 << j
+        np.subtract(sums[:k], row, out=sums[k:2 * k])
+        sums[:k] += row
         np.negative(signs[:k], out=signs[k:2 * k])
-    terms = signs * np.prod(sums, axis=1)
-    return complex(math.fsum(terms.real), math.fsum(terms.imag)) / (1 << (n - 1))
 
 
 def gm1_from_permanent(m: int, delta1: float, delta2: float,

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,6 +89,44 @@ class TestAnalyticCommand:
     def test_stdout_when_no_out(self, capsys):
         assert run(["analytic", "--m", "2", "--curve", "visibility"]) == 0
         assert "1/2" in capsys.readouterr().out
+
+
+class TestScaleGuard:
+    """A field amplitude and mean photon number whose correlation scale
+    (E0^2 nbar)^(m+1) leaves double precision are refused before any work:
+    exit 3, no file, no warning."""
+
+    @pytest.mark.parametrize("args", [
+        # E0^(2(m+1)) overflows in the closed form
+        ["analytic", "--m", "1..2", "--curve", "correlation", "--oracle",
+         "--delta-points", "4", "--field-amp", "1e200"],
+        # the Fock engine's detections overflow
+        ["quantum", "--m", "1", "--field-amp", "1e200"],
+        # the oracle's product of the diagonal underflows to 0
+        ["analytic", "--m", "1..2", "--curve", "correlation", "--oracle",
+         "--delta-points", "4", "--nbar", "1e-320"],
+        # the scale is 1, but its factor E0^(2(m+1)) overflows
+        ["analytic", "--m", "1..2", "--curve", "correlation",
+         "--delta-points", "4", "--field-amp", "1e100", "--nbar", "1e-200"],
+        # the scale fits, the permanent's products do not
+        ["analytic", "--m", "8", "--curve", "correlation", "--oracle",
+         "--delta-points", "4", "--field-amp", "1e17"],
+    ])
+    def test_refused(self, tmp_path, capsys, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*args, "--out", str(tmp_path / "out.txt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric guard: --field-amp ")
+        assert "--nbar" in err and " at m = " in err and "(E0^2 nbar)^(m+1)" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_normalized_orders_need_no_scale(self, capsys):
+        """Above MAX_EXACT_AMPLITUDE_M the closed form comes out normalized,
+        so a scale beyond double precision is no reason to refuse."""
+        assert run(["analytic", "--m", "30", "--curve", "correlation",
+                    "--delta-points", "2", "--field-amp", "1e20"]) == 0
+        assert "30,-3.141592653589793," in capsys.readouterr().out
 
 
 class TestBellCommand:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,25 @@ def permanent_by_definition(a: np.ndarray) -> complex:
     for perm in itertools.permutations(range(n)):
         total += np.prod([a[i, perm[i]] for i in range(n)])
     return total
+
+
+def _reference_permanent(matrix: np.ndarray) -> complex:
+    """Glynn's formula with all 2^(n-1) row sums in one buffer, one row of A
+    at a time: the form ``permanent`` had before it worked in blocks."""
+    a = np.asarray(matrix).astype(complex)
+    n = a.shape[0]
+    if n == 0:
+        return 1.0 + 0.0j
+    sums = np.empty((1 << (n - 1), n), dtype=complex)
+    signs = np.empty(1 << (n - 1))
+    sums[0], signs[0] = a[0], 1.0
+    for j in range(1, n):
+        k = 1 << (j - 1)
+        np.subtract(sums[:k], a[j], out=sums[k:2 * k])
+        sums[:k] += a[j]
+        np.negative(signs[:k], out=signs[k:2 * k])
+    terms = signs * np.prod(sums, axis=1)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)) / (1 << (n - 1))
 
 
 class TestPermanent:
@@ -52,6 +72,32 @@ class TestPermanent:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             permanents.permanent(np.ones((2, 3)))
+
+    def test_sizes_cover_one_and_several_blocks(self):
+        assert permanents.BLOCK_BITS + 2 <= permanents.MAX_PERMANENT_SIZE
+
+    @pytest.mark.parametrize("n", range(permanents.MAX_PERMANENT_SIZE + 1))
+    def test_blocks_give_the_one_buffer_bits(self, n, rng):
+        """Sizes up to BLOCK_BITS + 1 take one block, larger ones
+        2^(n - 1 - BLOCK_BITS): every row sum is the same chain of additions
+        and fsum is correctly rounded, so the value is bitwise the same."""
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        assert permanents.permanent(a) == _reference_permanent(a)
+        if n:
+            J = permanents.coherence_matrix(rng.uniform(-math.pi, math.pi, n), MODEL)
+            assert permanents.permanent(J) == _reference_permanent(J)
+
+    def test_size_16_memory_is_one_block(self, rng):
+        """One block of sums (1 MB) plus the terms (0.5 MB): 1.75 MB traced
+        on numpy 2.4, against 9.31 MB for all sums in one buffer."""
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        tracemalloc.start()
+        try:
+            permanents.permanent(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
 
 class TestCoherenceMatrix:

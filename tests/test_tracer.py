@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from thermalbell import analytic, bell, cli, correlate, fock, permanents, speckle, spkl
+from thermalbell.sources import tls
 
 OWNERS = (analytic, bell, cli, correlate, fock, permanents, speckle, spkl, spkl.SpklWriter)
 FOCK_NAMES = ("thermal_state", "project_m", "cross_corr", "expect_gm1", "cm_coefficient")
@@ -47,3 +48,15 @@ def test_cm_coefficient_calls_traced_stages(spans):
     assert [r["name"] for r in tracer.spans] == [
         "fock.cm_coefficient", "fock.thermal_state", "fock.project_m", "fock.cross_corr"]
     assert spans.layer_metrics(tracer.spans)["fock.cm_coefficient.attempts_per_call"] == 1.0
+
+
+def test_permanent_traced_once_per_call(spans):
+    """A size-16 permanent is worked in several blocks, none of them a call
+    to ``permanent`` itself: the tracer sees one span."""
+    tracer = spans.Tracer()
+    with spans.instrumented(tracer):
+        permanents.gm1_from_permanent(15, 0.4, 0.0, tls(1.0, 1.0))
+    assert [r["name"] for r in tracer.spans] == [
+        "permanents.gm1_from_permanent", "permanents.permanent"]
+    assert tracer.spans[1]["n"] == 16
+    assert spans.layer_metrics(tracer.spans)["permanents.permanent.calls"] == 1
