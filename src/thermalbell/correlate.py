@@ -19,9 +19,12 @@ when the bound is exceeded by at least two standard errors.
 
 One pass from the stack to block sums.  Every estimate here reads frames
 only through sums over bootstrap blocks: of its x1 cells, of its x2 cells
-and of its numerators, the sorted product of a group of x1 cells times an
-x2 cell.  ``gm1_terms`` and ``bell_terms`` check the arguments of one
-estimate and name those series as terms; ``collect_cells`` makes the block
+and of its numerators, the product of a group of x1 cells times an x2 cell.
+``gm1_terms`` and ``bell_terms`` check the arguments of one estimate and
+name those series as terms, each group's cells on ascending rows
+(``_check_rows``); a group's product, of frames and of frame means alike,
+multiplies its cells left to right in that order, so it does not depend on
+the order the rows were given in.  ``collect_cells`` makes the block
 sums of every series a list of terms reads in one pass over the stack and
 keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix, and no
 per-frame series.  The pass reads chunks of whole blocks on one worker
@@ -127,7 +130,8 @@ class FrameBellReport(BellReport):
 
 Cell = tuple[int, int]        # (column, row)
 # The series one estimate reads: groups of x1 cells, and the x2 cells.  Each
-# group's sorted product times each x2 cell's series is a numerator.
+# group's product, taken in the group's order (ascending rows), times each
+# x2 cell's series is a numerator.
 Term = tuple[tuple[tuple[Cell, ...], ...], tuple[Cell, ...]]
 
 
@@ -201,15 +205,19 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     chunk's cells into float64 rows (with ``shuffle``, one frame more: the
     next-frame series start a frame later), from reads of up to
     CHUNK_PIXELS pixels, and refuses a value that is not finite and
-    nonnegative (``NumericGuardError``).  It makes the sorted products of
-    all groups of one size in one network, multiplies them by the x2 rows,
-    and ``np.add.reduceat``s cells and numerators straight into its blocks'
+    nonnegative (``NumericGuardError``).  It makes the products of all
+    groups of one size at once, each in its group's order
+    (``_row_products``), multiplies them by the x2 rows, and
+    ``np.add.reduceat``s cells and numerators straight into its blocks'
     rows of the table.  Summed along the frames, a chunk of whole blocks
     gives the whole series' block sums bit for bit, so the table does not
     depend on the worker count.  The workers are joined before this
-    returns or raises.  An SPKL file is opened and its header checked once
-    per pass (``spkl.SpklReader``); the workers read their ranges from that
-    one descriptor, which is closed when the pass ends, also on error.
+    returns or raises.  A cell that is zero in every frame is refused after
+    the pass (``NumericGuardError``): every cell is a denominator of some
+    ghat, which it would make nan.  An SPKL file is opened and its header
+    checked once per pass (``spkl.SpklReader``); the workers read their
+    ranges from that one descriptor, which is closed when the pass ends,
+    also on error.
     """
     with _frames(source) as (shape, dtype, read):
         return _collect(shape, dtype, read, terms, block_len, shuffle)
@@ -229,7 +237,7 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     read_len = max(1, CHUNK_PIXELS // (height * width))
     chunk = max(1, read_len // block_len) * block_len
     shift = int(shuffle)          # the next-frame rows' column offset
-    # the groups of one size are contiguous rows of the products, one network
+    # the groups of one size are contiguous rows of the products, made at once
     groups = sorted(dict.fromkeys(g for gs, _ in terms for g in gs), key=len)
     group_row = {g: i for i, g in enumerate(groups)}
     sizes = []      # per size: first product row, group count, cell rows [size, count]
@@ -278,7 +286,7 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
         np.add.reduceat(cell[n_now:, shift:shift + n], block_starts, axis=1,
                         out=out[:, n_now:len(flat)].T)
-        # a read's frames at a time, so the network's temporaries stay small
+        # a read's frames at a time, so the products' temporaries stay small
         for f in range(0, n, read_len):
             hi = min(f + read_len, n)
             for lo, count, idx in sizes:
@@ -294,6 +302,13 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     with ThreadPoolExecutor(max_workers=table.workers, thread_name_prefix="collect") as pool:
         for _ in pool.map(work, starts):
             pass
+    # values are nonnegative, so a zero total is a pixel dark in every frame
+    dark = np.flatnonzero(~table.blocks[:, :len(flat)].any(axis=0))
+    if len(dark):
+        c, r = table.cells[dark[0]][0]
+        raise NumericGuardError(
+            f"column {c}, row {r} is zero in every frame: its mean divides every "
+            "correlation it enters")
     return table
 
 
@@ -314,34 +329,36 @@ def _block_table(source: FrameSource, terms: Sequence[Term], block_len: int,
 
 def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Per-frame products of the series in ``columns`` (arrays of one shape),
-    factors multiplied in ascending order.
+    multiplied left to right in the order given: the product of the first
+    k + 1 series is that of the first k times the next, bit for bit.
 
-    Sorting makes the result invariant under permutation of the chosen rows;
-    a compare-exchange network sorts every frame at once, where a per-frame
-    sort call would dominate the estimators.  Frames whose direct product
-    over/underflows despite all-positive factors are recomputed in the log
-    domain.
+    Groups come on ascending rows (``_check_rows``), so a product does not
+    depend on the order the rows were given in.  Frames whose direct
+    product over/underflows despite all-positive factors are recomputed in
+    the log domain, the logs summed in the same order.
     """
     v = [np.asarray(c, dtype=np.float64) for c in columns]
-    for end in range(len(v) - 1, 0, -1):
-        for i in range(end):
-            v[i], v[i + 1] = np.minimum(v[i], v[i + 1]), np.maximum(v[i], v[i + 1])
     p = np.array(v[0], dtype=np.float64)
-    for factor in v[1:]:
-        p *= factor
+    with np.errstate(over="ignore"):        # such frames are recomputed below
+        for factor in v[1:]:
+            p *= factor
     bad = ~np.isfinite(p)
     zero = p == 0
     if np.any(zero):
         bad |= zero & np.logical_and.reduce([factor > 0 for factor in v])
     if np.any(bad):
-        p[bad] = np.exp(np.sum(np.log(np.stack(v, axis=-1)[bad]), axis=-1))
+        logs = np.log(v[0][bad])
+        for factor in v[1:]:
+            logs += np.log(factor[bad])
+        p[bad] = np.exp(logs)
     return p
 
 
 def _ghat(x1: np.ndarray, num: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """ghat from frame means, for any leading shape: the numerators ``num``
-    [..., G, S] over the sorted product of each group's x1 means ``x1``
-    [..., G, m] times the x2 means ``x2`` [..., S].  Returns [..., G, S]."""
+    [..., G, S] over the product of each group's x1 means ``x1`` [..., G, m],
+    taken in the group's order, times the x2 means ``x2`` [..., S].  Returns
+    [..., G, S]."""
     x1_prod = _row_products([x1[..., i] for i in range(x1.shape[-1])])
     return num / (x1_prod[..., None] * x2[..., None, :])
 
@@ -364,8 +381,9 @@ def _check_sampling(n_frames: int, block_len: int, n_boot: int) -> None:
 def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
     """The x1 rows in ascending order, once checked to be m distinct rows.
 
-    The products do not depend on the order of the rows, and a fixed column
-    order keeps the bootstrap sums bit-identical too.
+    This is the order every group's product multiplies its cells in, so the
+    products do not depend on the order the rows were given in, and the
+    fixed column order keeps the bootstrap sums bit-identical too.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")

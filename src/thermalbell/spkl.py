@@ -225,13 +225,6 @@ def read_spkl(path: str | Path) -> tuple[SpklHeader, np.ndarray]:
         return reader.header, reader.read(0, reader.header.n_frames)
 
 
-def read_frames(path: str | Path, start: int, count: int,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """``SpklReader.read`` of one range, through a descriptor of its own."""
-    with SpklReader(path) as reader:
-        return reader.read(start, count, out)
-
-
 def sidecar_path(path: str | Path) -> Path:
     return Path(str(path) + ".meta.json")
 

@@ -652,6 +652,23 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
+    def test_dark_stack_refused(self, tmp_path, capsys):
+        """A stack of zero intensity (``--nbar 0``) would give nan
+        correlations: exit 3, naming a pixel, and nothing is written."""
+        stack = tmp_path / "z.spkl"
+        assert run(["simulate", "--frames", "2000", "--nbar", "0", "--pixel-pitch", "8e-6",
+                    "--grid-width", "128", "--grid-height", "8", "--out", str(stack)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["correlate", "--frames", str(stack), "--m", "1..2", "--bell",
+                        "--bell-m", "2", "--realizations", "2",
+                        "--out", str(tmp_path / "zc")]) == 3
+        assert capsys.readouterr().err == ("numeric guard: column 0, row 7 is zero in every "
+                                           "frame: its mean divides every correlation it "
+                                           "enters\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["z.spkl", "z.spkl.meta.json"]
+
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"
         assert run(["correlate", "--frames", str(stack), "--m", "1..2", "--bell",

@@ -319,15 +319,23 @@ class TestBellRealizations:
             f"{len(usable) + 1} requested")
 
 
+def _chain(factors):
+    """The product of ``factors`` multiplied left to right, one by one."""
+    product = factors[0]
+    for factor in factors[1:]:
+        product = product * factor
+    return product
+
+
 def _loop_bootstrap_stderr(frames, m, x1, rows, scan, y2, n_boot, block_len, seed):
     """estimate_gm1's bootstrap resampled block by block, one replicate at a
     time: the reference for the matrix bootstrap."""
     pix = frames.pixels.astype(np.float64)
-    x1_vals = pix[:, rows, x1]
+    x1_vals = pix[:, sorted(rows), x1]
     x2_vals = pix[:, y2, list(scan)]
     starts = np.arange(0, pix.shape[0], block_len)
     lengths = np.diff(np.append(starts, pix.shape[0])).astype(float)
-    products = np.prod(np.sort(x1_vals, axis=1), axis=1)
+    products = _chain(list(x1_vals.T))
     num_blocks = np.add.reduceat(products[:, None] * x2_vals, starts, axis=0)
     x1_blocks = np.add.reduceat(x1_vals, starts, axis=0)
     x2_blocks = np.add.reduceat(x2_vals, starts, axis=0)
@@ -339,7 +347,7 @@ def _loop_bootstrap_stderr(frames, m, x1, rows, scan, y2, n_boot, block_len, see
         n_star = lengths[idx].sum()
         x1_m = x1_blocks[idx].sum(axis=0) / n_star
         boot[r] = (num_blocks[idx].sum(axis=0) / n_star) / (
-            np.prod(np.sort(x1_m)) * (x2_blocks[idx].sum(axis=0) / n_star))
+            _chain(x1_m) * (x2_blocks[idx].sum(axis=0) / n_star))
     return boot.std(axis=0, ddof=1)
 
 
@@ -352,7 +360,7 @@ def _ch74_reference(mean, m):
            for i, sk in enumerate(s_keys) for j, tk in enumerate(t_keys)}
 
     def ghat(sk, tk):
-        return num[(sk, tk)] / (np.prod(np.sort(rows[sk])) * tvals[tk])
+        return num[(sk, tk)] / (_chain(rows[sk]) * tvals[tk])
 
     partner = {"s1": "p1", "s1p": "p1p", "s2": "p2", "s2p": "p2p"}
     quads = {}
@@ -436,20 +444,35 @@ class TestSinglePassAndMatrixBootstrap:
         assert np.max(np.abs(got / np.array(want) - 1)) < 1e-12
 
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
-    def test_row_products_match_sorted_product(self, rng, m):
-        """The compare-exchange network gives np.sort's factor order bit for
-        bit, including frames with zeros and frames whose direct product
-        underflows (recomputed in the log domain)."""
+    def test_row_products_chain_in_given_order(self, rng, m):
+        """Factors multiply left to right in the order given, bit for bit,
+        including frames with zeros; a frame whose direct product underflows
+        or overflows is recomputed from its logs, summed in the same order."""
         values = rng.uniform(0.0, 4.0, (2000, m))
         values[::7, 0] = 0.0
         values[5] = 1e-200
         values[5, -1] = 1e250
-        want = np.prod(np.sort(values, axis=1), axis=1)
+        values[6, :2] = 1e200
+        values[6, -1] = 1e-250
+        columns = list(values.T)
+        with np.errstate(over="ignore"):
+            want = np.array(_chain(columns))
         bad = ~np.isfinite(want) | ((want == 0) & np.all(values > 0, axis=1))
-        want[bad] = np.exp(np.sum(np.log(np.sort(values[bad], axis=1)), axis=1))
-        got = correlate._row_products(list(values.T))
-        assert np.array_equal(got, want)
-        assert np.array_equal(correlate._row_products(list(values.T[::-1])), want)
+        # from m = 3 on, frame 5 underflows and frame 6 overflows
+        assert np.flatnonzero(bad).tolist() == ([] if m < 3 else [5, 6])
+        logs = np.log(columns[0][bad])
+        for column in columns[1:]:
+            logs = logs + np.log(column[bad])
+        want[bad] = np.exp(logs)
+        assert np.array_equal(correlate._row_products(columns), want)
+
+    def test_row_products_extend_by_one_factor(self, rng):
+        """The product of m columns of distinct values is that of the first
+        m - 1 times the m-th, bit for bit."""
+        columns = list(rng.uniform(0.5, 2.0, (6, 5000)))
+        for m in range(2, 7):
+            assert np.array_equal(correlate._row_products(columns[:m]),
+                                  correlate._row_products(columns[:m - 1]) * columns[m - 1])
 
     def test_ch74_kernel_matches_term_by_term(self, rng):
         m = 3
@@ -465,16 +488,15 @@ class TestSinglePassAndMatrixBootstrap:
 
 def _reference_blocks(pixels, terms, block_len, shuffle=False):
     """Every term's block columns [x1 | num | x2] from plain per-frame series
-    of ``pixels``: sorted products by ``np.prod(np.sort(...))``, the next
-    frame's x2 values by ``np.roll``, and ``np.add.reduceat`` over each
+    of ``pixels``: each group's product multiplied in the group's order, the
+    next frame's x2 values by ``np.roll``, and ``np.add.reduceat`` over each
     whole series."""
     pix = np.asarray(pixels, dtype=np.float64)
     later = np.roll(pix, -1, axis=0) if shuffle else pix
     starts = np.arange(0, len(pix), block_len)
     columns = []
     for groups, x2 in terms:
-        prods = [np.prod(np.sort(np.stack([pix[:, r, c] for c, r in g], axis=1), axis=1),
-                         axis=1) for g in groups]
+        prods = [_chain([pix[:, r, c] for c, r in g]) for g in groups]
         columns += [pix[:, r, c] for g in groups for c, r in g]
         columns += [p * later[:, r, c] for p in prods for c, r in x2]
         columns += [later[:, r, c] for c, r in x2]
@@ -680,6 +702,22 @@ class TestBadFrames:
         # a pixel no estimate reads does not matter
         assert correlate.collect_cells(source, correlate.gm1_terms(
             2, 63, [0, 1], range(6, 128), 7)).blocks.shape == (10, 2 + 2 * 122)
+
+    def test_dark_pixel_refused(self, frames_tiny, monkeypatch, workers, threads_joined):
+        """A pixel an estimate reads that is zero in every frame is refused,
+        naming its column and row: its zero mean would make ghat nan."""
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128)
+        pixels = frames_tiny.pixels.copy()
+        pixels[:, 7, 18] = 0.0
+        source = FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1)
+        for shuffle in (False, True):
+            with pytest.raises(NumericGuardError,
+                               match="^column 18, row 7 is zero in every frame: "):
+                estimate_gm1(source, 2, 63, [0, 1], FULL_SCAN, 7, shuffle=shuffle)
+        threads_joined()
+        # a dark pixel no estimate reads does not matter
+        curve = estimate_gm1(source, 2, 63, [0, 1], range(19, 128), 7)
+        assert np.all(np.isfinite(curve.values)) and np.all(np.isfinite(curve.stderr))
 
     def test_wrapped_frame_named(self, frames_tiny):
         """With shuffle the last chunk reads frame 0 again."""

@@ -48,17 +48,20 @@ def test_header_layout_is_stable(frames_tiny, tmp_path):
 
 
 def test_read_frames_matches_full_read(frames_tiny, tmp_path):
-    """Ranges of 37 frames, the last one short, give the full read."""
+    """Ranges of 37 frames, the last one short, give the full read; a range
+    outside the stack is refused."""
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
     _, pixels = spkl.read_spkl(path)
-    chunks = [spkl.read_frames(path, start, min(37, len(pixels) - start))
-              for start in range(0, len(pixels), 37)]
-    assert chunks[-1].shape == (600 % 37, 8, 128)
-    assert np.array_equal(np.concatenate(chunks), pixels)
-    assert spkl.read_frames(path, 600, 0).shape == (0, 8, 128)
-    with pytest.raises(ValueError, match="outside"):
-        spkl.read_frames(path, 590, 11)
+    with spkl.SpklReader(path) as reader:
+        chunks = [reader.read(start, min(37, len(pixels) - start))
+                  for start in range(0, len(pixels), 37)]
+        assert chunks[-1].shape == (600 % 37, 8, 128)
+        assert np.array_equal(np.concatenate(chunks), pixels)
+        assert reader.read(600, 0).shape == (0, 8, 128)
+        for start, count in ((590, 11), (-1, 5), (0, -1)):
+            with pytest.raises(ValueError, match="outside"):
+                reader.read(start, count)
 
 
 def test_read_frames_into_buffer(frames_tiny, tmp_path):
@@ -67,11 +70,12 @@ def test_read_frames_into_buffer(frames_tiny, tmp_path):
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
     buf = np.empty((37, 8, 128), dtype=np.float32)
-    assert spkl.read_frames(path, 563, 37, out=buf) is buf
-    assert np.array_equal(buf, frames_tiny.pixels[563:])
-    for bad in (buf[:36], buf.astype(np.float64), np.empty((128, 8, 37), np.float32).T):
-        with pytest.raises(ValueError, match="contiguous float32 array of shape"):
-            spkl.read_frames(path, 0, 37, out=bad)
+    with spkl.SpklReader(path) as reader:
+        assert reader.read(563, 37, out=buf) is buf
+        assert np.array_equal(buf, frames_tiny.pixels[563:])
+        for bad in (buf[:36], buf.astype(np.float64), np.empty((128, 8, 37), np.float32).T):
+            with pytest.raises(ValueError, match="contiguous float32 array of shape"):
+                reader.read(0, 37, out=bad)
 
 
 def test_missing_file_is_oserror(tmp_path):
@@ -96,7 +100,7 @@ def test_truncated_payload_rejected(frames_tiny, tmp_path):
     with pytest.raises(spkl.SpklFormatError):
         spkl.read_spkl(path)
     with pytest.raises(spkl.SpklFormatError, match="payload"):
-        spkl.read_frames(path, 0, 10)
+        spkl.SpklReader(path)
 
 
 def test_payload_truncated_after_header_check(frames_tiny, tmp_path):
@@ -123,7 +127,8 @@ def test_reader_keeps_the_file_it_opened(frames_tiny, tmp_path):
         os.replace(other, path)
         second = reader.read(300, 300)
     assert np.array_equal(np.concatenate([first, second]), frames_tiny.pixels)
-    assert np.array_equal(spkl.read_frames(path, 0, 600), frames_tiny.pixels * 2)
+    with spkl.SpklReader(path) as reader:
+        assert np.array_equal(reader.read(0, 600), frames_tiny.pixels * 2)
 
 
 def _open_descriptors() -> int:
@@ -137,10 +142,11 @@ def test_reader_closes_its_descriptor(frames_tiny, tmp_path):
     path = tmp_path / "frames.spkl"
     spkl.write_spkl(path, frames_tiny)
     before = _open_descriptors()
-    spkl.read_frames(path, 0, 10)
+    with spkl.SpklReader(path) as reader:
+        reader.read(0, 10)
+        with pytest.raises(ValueError, match="outside"):
+            reader.read(590, 11)
     assert spkl.read_header(path).n_frames == 600
-    with pytest.raises(ValueError, match="outside"):
-        spkl.read_frames(path, 590, 11)
     path.write_bytes(path.read_bytes()[:-17])
     with pytest.raises(spkl.SpklFormatError, match="payload"):
         spkl.SpklReader(path)
