@@ -88,27 +88,6 @@ def g1(model: SourceModel, delta: float = 0.0) -> float:
     return 2.0 * e2 * model.mean_photons
 
 
-def g2_spe(delta1: float, delta2: float, vis: float, field_amp: float = 1.0) -> float:
-    """Second-order correlation of two single-photon emitters.
-
-    2*E0^4*(1 + vis*cos(delta1 - delta2)); vis = 1 is the ideal case, lower
-    values model experimental imperfections.
-    """
-    vis = _check_visibility(vis)
-    return 2.0 * field_amp**4 * (1.0 + vis * math.cos(delta1 - delta2))
-
-
-def g2_tls(delta1: float, delta2: float, vis: float, model: SourceModel) -> float:
-    """Second-order correlation of two thermal sources.
-
-    6*E0^4*<n>^2*(1 + vis*cos(delta1 - delta2)); vis = 1/3 is the physical
-    thermal value.
-    """
-    vis = _check_visibility(vis)
-    scale = 6.0 * model.field_amp**4 * model.mean_photons**2
-    return scale * (1.0 + vis * math.cos(delta1 - delta2))
-
-
 def max_g2_visibility(model: SourceModel) -> float:
     """Largest second-order fringe visibility the source pair can reach.
 
@@ -193,7 +172,8 @@ def _six_entry_set(delta1: float, delta2: float, vis: float, scale: float) -> di
 def g2_spe_set(delta1: float, delta2: float, vis: float = 1.0,
                field_amp: float = 1.0) -> CorrelationSet:
     """All six second-order correlations of two SPE over the four-detector
-    arrangement (two settings plus their pi-shifted partners)."""
+    arrangement (two settings plus their pi-shifted partners); ``d1d2`` is
+    2*E0^4*(1 + vis*cos(delta1 - delta2)), vis = 1 being the ideal case."""
     vis = _check_visibility(vis)
     scale = 2.0 * field_amp**4
     return CorrelationSet(order=2, values=_six_entry_set(delta1, delta2, vis, scale),
@@ -202,8 +182,9 @@ def g2_spe_set(delta1: float, delta2: float, vis: float = 1.0,
 
 def g2_tls_set(delta1: float, delta2: float, model: SourceModel,
                vis: float | None = None) -> CorrelationSet:
-    """All six second-order correlations of two thermal sources; vis defaults
-    to the physical thermal value 1/3."""
+    """All six second-order correlations of two thermal sources; ``d1d2`` is
+    6*E0^4*<n>^2*(1 + vis*cos(delta1 - delta2)), vis defaulting to the
+    physical thermal value 1/3."""
     vis = 1.0 / 3.0 if vis is None else _check_visibility(vis)
     scale = 6.0 * model.field_amp**4 * model.mean_photons**2
     return CorrelationSet(order=2, values=_six_entry_set(delta1, delta2, vis, scale),

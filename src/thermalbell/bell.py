@@ -118,21 +118,6 @@ def ch74(joints: np.ndarray, xp: float | np.ndarray,
             - xp - y)
 
 
-def ch74_middle(x: float, xp: float, y: float, yp: float,
-                joints: tuple[float, float, float, float]) -> float:
-    """``ch74`` of one probability set with X = Y = 1.  Only xp and y of the
-    marginals enter; all six inputs are still validated as probabilities."""
-    for name, p in (("x", x), ("xp", xp), ("y", y), ("yp", yp)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"marginal {name} must lie in [0, 1], got {p}")
-    if len(joints) != 4:
-        raise ValueError("exactly four joint probabilities required")
-    for p in joints:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"joint probability must lie in [0, 1], got {p}")
-    return float(ch74(np.asarray(joints, dtype=np.float64), xp, y))
-
-
 def statistic_value(model_tag: BellModel, visibility: float,
                     bracket: float | np.ndarray,
                     out: np.ndarray | None = None) -> float | np.ndarray:

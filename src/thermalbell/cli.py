@@ -187,14 +187,7 @@ def cmd_bell(cfg: BellConfig) -> int:
 
     if (cfg.vis is None) == (cfg.m is None):
         raise ConfigError("provide exactly one of --vis or --m")
-    if cfg.m is not None:
-        if cfg.m < 1:
-            raise ConfigError(f"m must be >= 1, got {cfg.m}")
-        visibility = analytic.visibility_tls(cfg.m)
-    else:
-        visibility = cfg.vis
-        if not 0.0 <= visibility <= 1.0:
-            raise ConfigError(f"visibility must lie in [0, 1], got {visibility}")
+    visibility = analytic.visibility_tls(cfg.m) if cfg.m is not None else cfg.vis
 
     if cfg.bound not in ("upper", "lower", "both"):
         raise ConfigError(f"bound must be upper, lower or both, got {cfg.bound!r}")
@@ -214,16 +207,10 @@ def cmd_bell(cfg: BellConfig) -> int:
 
     payload = {
         "reports": reports,
-        "thresholds": {
-            "six_term_upper": bell.threshold_visibility(
-                bell.BellModel.SIX_TERM_TLS, bell.Bound.UPPER),
-            "six_term_lower": bell.threshold_visibility(
-                bell.BellModel.SIX_TERM_TLS, bell.Bound.LOWER),
-            "four_term_upper": bell.threshold_visibility(
-                bell.BellModel.FOUR_TERM_TLS, bell.Bound.UPPER),
-            "four_term_lower": bell.threshold_visibility(
-                bell.BellModel.FOUR_TERM_TLS, bell.Bound.LOWER),
-        },
+        "thresholds": {f"{name}_{bound.value}": bell.threshold_visibility(tag, bound)
+                       for name, tag in (("six_term", bell.BellModel.SIX_TERM_TLS),
+                                         ("four_term", bell.BellModel.FOUR_TERM_TLS))
+                       for bound in bell.Bound},
         "min_violating_m": bell.min_violating_m(),
         "visibility_used": visibility,
         "model": cfg.model,
@@ -418,6 +405,10 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
             f"no geometry available for {cfg.frames}; sidecar "
             f"{spkl.sidecar_path(cfg.frames)} is missing")
     geom = speckle.Geometry.from_dict(meta["geometry"])
+    if (geom.width, geom.height) != (header.width, header.height):
+        raise ConfigError(f"sidecar {spkl.sidecar_path(cfg.frames)} describes a {geom.width} "
+                          f"x {geom.height} grid, but {cfg.frames} holds {header.width} x "
+                          f"{header.height} frames")
     # fail before the pass over the stack, not after it
     correlate._check_sampling(header.n_frames, cfg.block_len, cfg.n_boot)
 

@@ -193,6 +193,8 @@ class SimulateConfig:
                 f"n_frames must lie in [1, {2**32 - 1}], got {self.n_frames}")
         if not 0 <= self.seed <= 2**64 - 1:
             raise ConfigError(f"seed must lie in [0, {2**64 - 1}], got {self.seed}")
+        if self.chunk < 1:
+            raise ConfigError(f"chunk must be >= 1, got {self.chunk}")
 
 
 @dataclass

@@ -444,7 +444,8 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
     Replicate r draws ``rng.integers(0, nb, nb)``; each group of BOOT_GROUP
     draws becomes a count matrix W, and ``statistic`` receives the group's
     means ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the means and
-    the stacked replicate values.
+    the stacked replicate values, nan or inf where a mean the statistic
+    divides by is zero, which the caller refuses (``_refuse_non_finite``).
     """
     nb = blocks.shape[0]
     mean = _column_sums(blocks) / float(n_frames)
@@ -461,8 +462,24 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
         # would otherwise depend on the thread count
         with blas.one_thread():
             means = (weights @ blocks) / (weights @ lengths)[:, None]
-        out.append(statistic(means))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out.append(statistic(means))
     return mean, np.concatenate(out)
+
+
+def _refuse_non_finite(boot: np.ndarray, m: int, quantity: str,
+                       columns: np.ndarray | None = None) -> None:
+    """Refuse bootstrap replicates ``boot`` [n_boot, S] of ``quantity`` that
+    are not all finite: they would give a nan error bar.  ``columns`` names
+    the x2 column of each of the S values."""
+    bad = ~np.isfinite(boot)
+    if bad.any():
+        j = np.flatnonzero(bad.any(axis=0))[0]
+        where = "" if columns is None else f", x2 column {columns[j]}"
+        raise NumericGuardError(
+            f"m = {m}{where}: {bad[:, j].sum()} of {len(boot)} bootstrap replicates of "
+            f"{quantity} are not finite: a pixel mean it divides by is zero in the blocks "
+            "they drew")
 
 
 def gm1_terms(m: int, x1: int, y1_rows: Sequence[int], x2_scan: Sequence[int],
@@ -509,7 +526,9 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
 
     mean, boot = _resample(blocks, table.n_frames, block_len, n_boot,
                            (boot_seed, 0xB00727), ghat)
-    return CorrelationCurve(m=m, x2_positions=np.array(term[1], dtype=int)[:, 0],
+    x2_positions = np.array(term[1], dtype=int)[:, 0]
+    _refuse_non_finite(boot, m, "ghat", x2_positions)
+    return CorrelationCurve(m=m, x2_positions=x2_positions,
                             values=ghat(mean), stderr=boot.std(axis=0, ddof=1),
                             n_frames_used=table.n_frames)
 
@@ -520,7 +539,8 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
     The model A * (1 + V cos(delta - phi)) is linear in
     (A, A V cos phi, A V sin phi); the phase map delta(x2) comes from the
     geometry with the fringe period fixed, so no iterative fitting is needed.
-    Requires the scan to span at least one full fringe period.
+    Requires the scan to span at least one full fringe period, and every
+    stderr finite and > 0.
     """
     delta = geom.phase_map()[curve.x2_positions]
     if delta.max() - delta.min() < 2.0 * math.pi - 1e-9:
@@ -529,11 +549,12 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
             "periods; at least one full period required")
     y = np.asarray(curve.values, dtype=float)
     se = np.asarray(curve.stderr, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(se) & (se > 0)))
+    if len(bad):
+        raise NumericGuardError(f"m = {curve.m}: x2 column {curve.x2_positions[bad[0]]} has "
+                                f"stderr {se[bad[0]]}, but each point is weighted by 1/stderr^2")
     design = np.stack([np.ones_like(delta), np.cos(delta), np.sin(delta)], axis=1)
-    if np.all(np.isfinite(se)) and np.all(se > 0):
-        w = 1.0 / se**2
-    else:
-        w = np.ones_like(y)
+    w = 1.0 / se**2
     sw = np.sqrt(w)
     coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
     c0, c1, c2 = coef
@@ -698,6 +719,7 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
 
     mean, boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len,
                            n_boot, (boot_seed, 0xBE11), replicate)
+    _refuse_non_finite(boot[:, None], m, "the Bell statistic")
     per_realization, probs = _ch74_four_term(mean.reshape(n_realizations, -1), m)
     statistic = float(np.mean(per_realization))
     stderr = float(boot.std(ddof=1))

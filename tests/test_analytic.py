@@ -31,30 +31,32 @@ class TestFirstOrder:
 
 class TestSecondOrder:
     def test_spe_constructive(self):
-        assert analytic.g2_spe(0.7, 0.7, 1.0) == pytest.approx(4.0)
+        assert analytic.g2_spe_set(0.7, 0.7, 1.0).values[PAIR_DD] == pytest.approx(4.0)
 
     def test_spe_destructive(self):
-        assert analytic.g2_spe(0.0, math.pi, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert analytic.g2_spe_set(0.0, math.pi, 1.0).values[PAIR_DD] == \
+            pytest.approx(0.0, abs=1e-15)
 
     def test_spe_flat_at_zero_visibility(self):
-        assert analytic.g2_spe(0.3, 1.9, 0.0) == pytest.approx(2.0)
+        assert analytic.g2_spe_set(0.3, 1.9, 0.0).values[PAIR_DD] == pytest.approx(2.0)
 
     def test_tls_thermal_peak(self):
-        assert analytic.g2_tls(0.0, 0.0, 1 / 3, MODEL) == pytest.approx(8.0)
+        assert analytic.g2_tls_set(0.0, 0.0, MODEL).values[PAIR_DD] == pytest.approx(8.0)
 
     def test_tls_quarter_fringe(self):
-        assert analytic.g2_tls(math.pi / 2, 0.0, 1 / 3, MODEL) == pytest.approx(6.0)
+        assert analytic.g2_tls_set(math.pi / 2, 0.0, MODEL).values[PAIR_DD] == \
+            pytest.approx(6.0)
 
     def test_tls_bunching_when_normalized(self):
-        g2 = analytic.g2_tls(0.2, 0.2, 1 / 3, MODEL)
+        g2 = analytic.g2_tls_set(0.2, 0.2, MODEL).values[PAIR_DD]
         assert g2 / analytic.g1(MODEL) ** 2 == pytest.approx(2.0)
 
     @pytest.mark.parametrize("vis", [-0.1, 1.1, 2.0])
     def test_rejects_bad_visibility(self, vis):
         with pytest.raises(ValueError):
-            analytic.g2_spe(0.0, 0.0, vis)
+            analytic.g2_spe_set(0.0, 0.0, vis)
         with pytest.raises(ValueError):
-            analytic.g2_tls(0.0, 0.0, vis, MODEL)
+            analytic.g2_tls_set(0.0, 0.0, MODEL, vis)
 
 
 class TestVisibilityLaw:
@@ -88,7 +90,7 @@ class TestHigherOrderSet:
     def test_matches_g2_tls_at_every_phase(self):
         for d in np.linspace(-2 * math.pi, 2 * math.pi, 37):
             cset = analytic.gm1_tls_set(1, d, 0.4, MODEL)
-            want = analytic.g2_tls(d, 0.4, 1 / 3, MODEL)
+            want = analytic.g2_tls_set(d, 0.4, MODEL).values[PAIR_DD]
             assert cset.values[PAIR_DD] == pytest.approx(want, rel=1e-12)
 
     def test_m6_normalized_fringe(self):

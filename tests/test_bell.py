@@ -13,36 +13,29 @@ SQRT2 = math.sqrt(2.0)
 
 class TestCh74Middle:
     def test_all_zero(self):
-        assert bell.ch74_middle(0, 0, 0, 0, (0, 0, 0, 0)) == 0.0
+        assert bell.ch74(np.zeros(4), 0.0, 0.0) == 0.0
 
     def test_independent_events(self):
-        value = bell.ch74_middle(0.5, 0.5, 0.5, 0.5, (0.25, 0.25, 0.25, 0.25))
-        assert value == pytest.approx(-0.5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            bell.ch74_middle(1.2, 0.5, 0.5, 0.5, (0.25, 0.25, 0.25, 0.25))
-        with pytest.raises(ValueError):
-            bell.ch74_middle(0.5, 0.5, 0.5, 0.5, (0.25, -0.1, 0.25, 0.25))
+        assert bell.ch74(np.full(4, 0.25), 0.5, 0.5) == pytest.approx(-0.5)
 
     def test_matches_statistic_at_ideal_spe(self):
         # joints (1 +- cos t_i)/4 with marginals 1/2 reproduce the closed form
         angles = bell.UPPER_ANGLES
-        joints = tuple((1 + s * math.cos(t)) / 4 for s, t in
-                       zip((1, 1, 1, 1), angles.arguments))
-        value = bell.ch74_middle(0.5, 0.5, 0.5, 0.5,
-                                 (joints[0], joints[1], joints[2], joints[3]))
+        joints = np.array([(1 + math.cos(t)) / 4 for t in angles.arguments])
         want = bell.bell_statistic(BellModel.FOUR_TERM_TLS, 1.0, angles).statistic
-        assert value == pytest.approx(want, abs=1e-12)
+        assert bell.ch74(joints, 0.5, 0.5) == pytest.approx(want, abs=1e-12)
 
     def test_array_kernel_matches_scalar_form(self):
+        """Joints [..., 4] ordered (xy, xy', x'y, x'y'), against the middle
+        expression j1 - j2 + j3 + j4 - P1(x') - P1(y) written out."""
         rng = np.random.default_rng(5)
         joints = rng.random((50, 4))
-        marg = rng.random((50, 4))
-        got = bell.ch74(joints, marg[:, 1], marg[:, 2])
+        xp, y = rng.random((2, 50))
+        got = bell.ch74(joints, xp, y)
         assert got.shape == (50,)
         for k in range(50):
-            assert got[k] == bell.ch74_middle(*marg[k], tuple(joints[k]))
+            j1, j2, j3, j4 = (float(j) for j in joints[k])
+            assert got[k] == j1 - j2 + j3 + j4 - float(xp[k]) - float(y[k])
 
 
 class TestDefaultAngles:

@@ -185,8 +185,12 @@ class TestBellCommand:
         assert run(["bell", "--four-term"]) == 2
         assert run(["bell", "--four-term", "--m", "3", "--vis", "0.5"]) == 2
 
-    def test_bad_visibility_rejected(self):
-        assert run(["bell", "--four-term", "--vis", "1.5"]) == 2
+    def test_bad_visibility_rejected(self, capsys):
+        """The visibility and m checks of ``analytic`` refuse these."""
+        for args, message in [(["--vis", "1.5"], "visibility must lie in [0, 1], got 1.5"),
+                              (["--m", "0"], "m must be >= 1, got 0")]:
+            assert run(["bell", "--four-term", *args]) == 2
+            assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_three_angles_rejected(self, capsys):
         assert run(["bell", "--four-term", "--m", "5", "--angles", "1,2,3"]) == 2
@@ -414,6 +418,16 @@ class TestSimulateCommand:
         assert run(["simulate", "--frames", "10", *bad, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_refused(self, tmp_path, capsys, chunk):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chunk": chunk}))
+        out = tmp_path / "x.spkl"
+        assert run(["simulate", "--config", str(cfg), "--frames", "10", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: chunk must be >= 1, got {chunk}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestCorrelateCommand:
@@ -668,6 +682,47 @@ class TestCorrelateCommand:
                                            "frame: its mean divides every correlation it "
                                            "enters\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["z.spkl", "z.spkl.meta.json"]
+
+    def test_degenerate_bootstrap_refused(self, tmp_path, capsys):
+        """A pixel that is zero in every frame but the last makes the
+        bootstrap replicates that do not draw the last block divide 0/0:
+        exit 3, naming m and the x2 column, no warning, nothing written."""
+        stack = tmp_path / "frames.spkl"
+        assert run(["simulate", "--frames", "3000", "--tau-ratio", "0.06", "--seed", "5",
+                    "--pixel-pitch", "8e-6", "--grid-width", "128", "--grid-height", "8",
+                    "--out", str(stack)]) == 0
+        capsys.readouterr()
+        with open(stack, "r+b") as fh:
+            for frame in range(2999):
+                fh.seek(36 + 4 * (frame * 1024 + 7 * 128 + 18))
+                fh.write(np.float32(0.0).tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["correlate", "--frames", str(stack), "--m", "1..2",
+                        "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric guard: m = 1, x2 column 18: ")
+        assert "bootstrap replicates of ghat are not finite" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
+    @pytest.mark.parametrize("width, height", [(120, 4), (120, 8), (128, 4)])
+    def test_sidecar_grid_must_match_stack(self, stack, tmp_path, collect_calls, capsys,
+                                           width, height):
+        """A sidecar whose grid is not the stack's is refused before the
+        pass over the stack, naming both shapes."""
+        sidecar = tmp_path / "frames.spkl.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["geometry"].update(width=width, height=height, pixel_pitch=8.6e-6)
+        sidecar.write_text(json.dumps(meta))
+        assert run(["correlate", "--frames", str(stack), "--m", "1..2",
+                    "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: sidecar {sidecar} describes a {width} x "
+                              f"{height} grid, but {stack} holds 128 x 8 frames")
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
 
     def test_sidecar_diagnostics(self, stack, tmp_path):
         stem = tmp_path / "d"

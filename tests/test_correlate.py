@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -159,12 +160,18 @@ class TestVisibilityFit:
         assert est.value == pytest.approx(0.61, abs=1e-12)
         assert est.fit_residual <= 1e-12
 
-    def test_unweighted_fallback_when_stderr_degenerate(self, desk_geom):
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    def test_degenerate_stderr_refused(self, desk_geom, bad):
+        """Each point is weighted by 1/stderr^2, so a stderr that is not
+        finite and > 0 is refused, naming its column; no unweighted fit
+        stands in for the weighted one."""
         delta = desk_geom.phase_map()
         values = 1.0 * (1 + 0.3 * np.cos(delta))
-        curve = CorrelationCurve(1, np.arange(128), values, np.zeros(128), 1000)
-        est = fit_visibility(curve, desk_geom)
-        assert est.value == pytest.approx(0.3, abs=1e-12)
+        stderr = np.full(128, 1e-3)
+        stderr[18] = bad
+        curve = CorrelationCurve(1, np.arange(128), values, stderr, 1000)
+        with pytest.raises(NumericGuardError, match=f"^m = 1: x2 column 18 has stderr {bad}, but "):
+            fit_visibility(curve, desk_geom)
 
     def test_period_coverage_guard(self, frames_tiny, desk_geom):
         curve = estimate_gm1(frames_tiny, 1, 63, [0], range(40, 80), 7)
@@ -726,6 +733,42 @@ class TestBadFrames:
         source = FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1)
         with pytest.raises(NumericGuardError, match="^frame 0, column 9, row 7 holds nan"):
             estimate_gm1(source, 1, 63, [0], FULL_SCAN, 7, shuffle=True)
+
+
+class TestDegenerateBootstrap:
+    """A pixel that is nonzero only in the last bootstrap block makes every
+    replicate that does not draw that block divide 0/0.  The estimate is
+    refused, naming m and, for a curve, the x2 column, and no warning is
+    printed."""
+
+    @staticmethod
+    def _dark_but_last_frame(frames, column, row):
+        pixels = frames.pixels.copy()
+        pixels[:-1, row, column] = 0.0
+        return FrameSet(pixels, frames.geometry, 0, 0.0, 1, 1)
+
+    def test_curve_refused(self, frames_tiny):
+        source = self._dark_but_last_frame(frames_tiny, 18, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError,
+                               match=r"^m = 2, x2 column 18: \d+ of 200 bootstrap "
+                                     "replicates of ghat are not finite"):
+                estimate_gm1(source, 2, 63, [0, 1], FULL_SCAN, 7)
+        # the same pixel outside the scan does not matter
+        curve = estimate_gm1(source, 2, 63, [0, 1], range(19, 128), 7)
+        assert np.all(np.isfinite(curve.stderr))
+
+    def test_bell_statistic_refused(self, frames_tiny):
+        [(_, x2)] = correlate.bell_terms(frames_tiny.geometry, bell.UPPER_ANGLES, 1, [0],
+                                         7, 1)
+        source = self._dark_but_last_frame(frames_tiny, x2[0][0], 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError,
+                               match=r"^m = 1: \d+ of 200 bootstrap replicates of the "
+                                     "Bell statistic are not finite"):
+                bell_from_frames(source, 1, bell.UPPER_ANGLES)
 
 
 def _assert_fsum_columns(a: np.ndarray) -> None:

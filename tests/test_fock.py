@@ -113,7 +113,8 @@ class TestSpeState:
         state = fock.spe_state(3)
         for d in np.linspace(-math.pi, math.pi, 11):
             got = fock.expect_gm1(state, 1, d, 0.0)
-            assert got == pytest.approx(analytic.g2_spe(d, 0.0, 1.0), abs=1e-10)
+            want = analytic.g2_spe_set(d, 0.0).values[analytic.PAIR_DD]
+            assert got == pytest.approx(want, abs=1e-10)
 
 
 class TestProjection:
@@ -184,7 +185,7 @@ class TestExpectGm1:
         model = tls(0.3)
         for d in np.linspace(0, math.pi, 7):
             got = fock.expect_gm1(state, 1, d, 0.0)
-            want = analytic.g2_tls(d, 0.0, 1 / 3, model)
+            want = analytic.g2_tls_set(d, 0.0, model).values[analytic.PAIR_DD]
             assert got == pytest.approx(want, rel=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3, 4])
