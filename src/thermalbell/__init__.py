@@ -8,7 +8,11 @@ reproduce the m/(m+2) visibility law and its Bell violation for m >= 5
 
 The API is the modules (``from thermalbell import correlate``); ``import
 thermalbell`` loads none of them and no numpy, so the light closed-form
-paths do not pay for the simulation stack.  The package needs only numpy.
+paths do not pay for the simulation stack.  ``analytic`` is pure Python,
+``bell`` and ``spkl`` load numpy only where they touch arrays, and so the
+commands ``bell`` without ``--scan-step`` and ``analytic --curve
+visibility`` run without numpy, with or without ``--out``.  The package
+needs only numpy.
 """
 
 __version__ = "0.1.0"

@@ -9,6 +9,10 @@ four-cosine bracket to +-2*sqrt(2).
 ``ch74`` states the middle expression once, for scalars and arrays; the
 frame estimator in ``correlate`` evaluates it too.  ``statistic_value`` is
 its closed form for a fringe of visibility V and a given cosine bracket.
+
+The scalar paths are plain ``math``: numpy is imported only by
+``angle_scan`` and by ``statistic_value`` writing into an array, so the
+closed-form ``bell`` command never loads it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ import enum
 import itertools
 import math
 from dataclasses import asdict, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .analytic import _check_visibility, visibility_tls
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Strict-inequality guard: a bound counts as violated only when exceeded by
 # more than this, so violation claims never ride on rounding.
@@ -129,7 +135,12 @@ def statistic_value(model_tag: BellModel, visibility: float,
     their order are the same either way.
     """
     # in place on an array, rebinding on a scalar
-    value = visibility * bracket if out is None else np.multiply(visibility, bracket, out=out)
+    if out is None:
+        value = visibility * bracket
+    else:
+        import numpy as np
+
+        value = np.multiply(visibility, bracket, out=out)
     if BellModel(model_tag) is BellModel.FOUR_TERM_TLS:
         value /= 4.0
         value -= 0.5
@@ -201,6 +212,8 @@ def angle_scan(model_tag: BellModel, visibility: float,
     if not 1 <= n <= MAX_SCAN_POINTS:
         raise ValueError(f"grid_step {grid_step} gives {n} points per argument; "
                          f"between 1 and {MAX_SCAN_POINTS} are supported")
+    import numpy as np
+
     grid = np.arange(n) * grid_step
     cos = np.cos(grid)
     pair = grid[:, None] + grid[None, :]

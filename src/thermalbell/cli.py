@@ -77,14 +77,22 @@ def _json_text(payload: dict) -> str:
 
 
 def _angle_set(angles: list[float] | None, bound: str):
-    """The configured cosine arguments, or the extremal ones for ``bound``."""
+    """The configured cosine arguments, or the extremal ones for ``bound``.
+
+    Explicit arguments must be differences of four detector phases; a tuple
+    no detectors realize could report a bracket beyond 2*sqrt(2)."""
     from . import bell
 
     if angles is None:
         return bell.default_angles(bound)
     if len(angles) != 4:
         raise ConfigError("angles must list the four cosine arguments")
-    return bell.AngleSet(*angles)
+    angle_set = bell.AngleSet(*angles)
+    try:
+        bell.detector_phases(angle_set)
+    except ValueError as exc:
+        raise ConfigError(f"--angles: {exc}") from exc
+    return angle_set
 
 
 def _check_scale(model, ms: list[int]) -> None:
@@ -116,9 +124,7 @@ def _check_scale(model, ms: list[int]) -> None:
 # ---------------------------------------------------------------- analytic
 
 def cmd_analytic(cfg: AnalyticConfig) -> int:
-    import numpy as np
-
-    from . import analytic, permanents
+    from . import analytic
     from .sources import tls
 
     ms = parse_m_range(cfg.m_range)
@@ -139,6 +145,10 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
 
     if cfg.curve != "correlation":
         raise ConfigError(f"curve must be 'visibility' or 'correlation', got {cfg.curve!r}")
+    import numpy as np
+
+    from . import permanents
+
     # orders above MAX_EXACT_AMPLITUDE_M come out normalized, free of the scale
     _check_scale(model, [m for m in ms if m <= analytic.MAX_EXACT_AMPLITUDE_M])
 
@@ -396,17 +406,22 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         raise ConfigError("correlate requires --out as an output stem")
 
     header = spkl.read_header(cfg.frames)
+    sidecar = spkl.sidecar_path(cfg.frames)
     try:
         meta = spkl.read_sidecar(cfg.frames)
     except FileNotFoundError:
-        meta = {}
-    if "geometry" not in meta:
-        raise ConfigError(
-            f"no geometry available for {cfg.frames}; sidecar "
-            f"{spkl.sidecar_path(cfg.frames)} is missing")
-    geom = speckle.Geometry.from_dict(meta["geometry"])
+        raise ConfigError(f"no geometry available for {cfg.frames}; sidecar "
+                          f"{sidecar} is missing") from None
+    except ValueError as exc:
+        raise ConfigError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or "geometry" not in meta:
+        raise ConfigError(f"sidecar {sidecar} records no geometry for {cfg.frames}")
+    try:
+        geom = speckle.Geometry.from_dict(meta["geometry"])
+    except ValueError as exc:
+        raise ConfigError(f"sidecar {sidecar}: {exc}") from exc
     if (geom.width, geom.height) != (header.width, header.height):
-        raise ConfigError(f"sidecar {spkl.sidecar_path(cfg.frames)} describes a {geom.width} "
+        raise ConfigError(f"sidecar {sidecar} describes a {geom.width} "
                           f"x {geom.height} grid, but {cfg.frames} holds {header.width} x "
                           f"{header.height} frames")
     # fail before the pass over the stack, not after it

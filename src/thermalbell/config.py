@@ -8,6 +8,7 @@ reproduced bit-identically from its config alone.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import math
@@ -112,11 +113,14 @@ def parse_m_range(text: str) -> list[int]:
             if hi_i < lo_i:
                 raise ValueError
             return list(range(lo_i, hi_i + 1))
-        if "," in text:
-            return [int(tok) for tok in text.split(",")]
-        return [int(text)]
+        ms = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse m range {text!r} (use '1..8', '3' or '1,2,5')") from exc
+    # a repeated m would be computed and written twice
+    repeated = sorted(m for m, count in collections.Counter(ms).items() if count > 1)
+    if repeated:
+        raise ConfigError(f"m range {text!r} repeats m = {', '.join(map(str, repeated))}")
+    return ms
 
 
 @dataclass

@@ -35,7 +35,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -105,6 +105,25 @@ class Geometry:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Geometry":
+        """The geometry ``to_dict`` gave: every field present, finite floats
+        and integers as such, no other key.  Nothing is filled from the
+        defaults, which need not be what made the frames."""
+        if not isinstance(data, dict):
+            raise ValueError(f"geometry must be an object of fields, got {data!r}")
+        hints = get_type_hints(cls)
+        missing = sorted(hints.keys() - data.keys())
+        unknown = sorted(data.keys() - hints.keys())
+        if missing:
+            raise ValueError(f"geometry fields {missing} are missing")
+        if unknown:
+            raise ValueError(f"unknown geometry fields {unknown}")
+        for name, kind in hints.items():
+            value = data[name]
+            allowed = (int, float) if kind is float else int
+            if isinstance(value, bool) or not isinstance(value, allowed) \
+                    or (isinstance(value, float) and not math.isfinite(value)):
+                noun = "a finite number" if kind is float else "an integer"
+                raise ValueError(f"geometry field '{name}': expected {noun}, got {value!r}")
         return cls(**data)
 
 

@@ -18,7 +18,8 @@ sidecar.
 ``AtomicFile`` is the one writer of the package: stacks, sidecars and the
 commands' text outputs all land whole or not at all.  ``SpklReader`` is the
 one reader of stacks: it checks the header and reads frames through the
-same descriptor.
+same descriptor.  Only the frame reads and writes import numpy, so writing
+a command's texts and sidecar does not load it.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .speckle import FrameSet
 
 MAGIC = b"SPKL"
@@ -97,6 +98,8 @@ class SpklReader:
         """Frames ``start`` .. ``start + count - 1`` [count, height, width],
         read into ``out`` (a contiguous float32 array of that shape) when
         given."""
+        import numpy as np
+
         header = self.header
         if start < 0 or count < 0 or start + count > header.n_frames:
             raise ValueError(f"frames {start}..{start + count - 1} outside the stack's "
@@ -200,6 +203,8 @@ class SpklWriter(AtomicFile):
             raise
 
     def write(self, frames: np.ndarray) -> None:
+        import numpy as np
+
         frames = np.asarray(frames)
         if frames.ndim != 3 or frames.shape[1:] != (self.header.height, self.header.width):
             raise ValueError(f"chunk shape {frames.shape} does not match header "

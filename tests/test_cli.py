@@ -86,6 +86,14 @@ class TestAnalyticCommand:
     def test_empty_m_range_is_usage_error(self, tmp_path):
         assert run(["analytic", "--m", "", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("m_range, repeated", [("1,1", "1"), ("3,1,3,2,1", "1, 3")])
+    def test_repeated_m_refused(self, tmp_path, capsys, m_range, repeated):
+        """A repeated m would write its row twice."""
+        assert run(["analytic", "--m", m_range, "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: m range {m_range!r} repeats m = {repeated}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_stdout_when_no_out(self, capsys):
         assert run(["analytic", "--m", "2", "--curve", "visibility"]) == 0
         assert "1/2" in capsys.readouterr().out
@@ -160,8 +168,8 @@ class TestBellCommand:
          "8d6017ed763325209c242b9677c4bf6503b34aede2598dca59ed1cd74811bd97"),
         (["--model", "six-term-tls", "--m", "6", "--scan-step", "0.07"],
          "4b135a58e477a6e51198d080f051fb582306235a6cacd021d86a1c3c3f71a187"),
-        (["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,2.0"],
-         "f6317afa8a8782ac0d78d9318913891f460f2686da20fe7333b5e408ec9c3cef"),
+        (["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,1.3"],
+         "121e1abf4e375ed93abaa0cbb8102af5a1899165032ae78a412a283473c4ccc1"),
         (["--four-term", "--m", "5", "--scan-step", "0.02"],
          "dde18ab9c3e8e0db92caa600b4f1123f524a1cb5b3e7d9e0ca9f879d83c33ace"),
     ])
@@ -195,6 +203,19 @@ class TestBellCommand:
     def test_three_angles_rejected(self, capsys):
         assert run(["bell", "--four-term", "--m", "5", "--angles", "1,2,3"]) == 2
         assert "four cosine arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        # the bracket would read 4.0, above 2*sqrt(2), and claim a violation
+        ["--four-term", "--vis", "1", "--angles", "0,3.141592653589793,0,0",
+         "--bound", "upper"],
+        ["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,2.0"],
+    ])
+    def test_unrealizable_angles_refused(self, tmp_path, capsys, args):
+        """Arguments that no four detector phases give are refused."""
+        assert run(["bell", *args, "--out", str(tmp_path / "bell.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --angles: no consistent detector realization")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestQuantumCommand:
@@ -767,6 +788,61 @@ class TestCorrelateCommand:
         (tmp_path / "frames.spkl.meta.json").unlink()
         assert run(["correlate", "--frames", str(stack), "--m", "1",
                     "--out", str(tmp_path / "x")]) == 2
+
+    def test_unrealizable_angles_refused(self, stack, tmp_path, collect_calls, capsys):
+        assert run(["correlate", "--frames", str(stack), "--m", "1", "--bell",
+                    "--angles", "0.3,1.2,0.4,2.0", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: --angles: no consistent detector realization")
+        assert collect_calls == []
+
+    def test_repeated_m_refused(self, stack, tmp_path, collect_calls, capsys):
+        assert run(["correlate", "--frames", str(stack), "--m", "2,2",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "config error: m range '2,2' repeats m = 2\n"
+        assert collect_calls == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["geometry"].update(pixel_pitch="x"),
+         "geometry field 'pixel_pitch': expected a finite number, got 'x'"),
+        (lambda m: m["geometry"].update(wavelength=math.nan),
+         "geometry field 'wavelength': expected a finite number, got nan"),
+        (lambda m: m["geometry"].update(width=128.0),
+         "geometry field 'width': expected an integer, got 128.0"),
+        (lambda m: m["geometry"].update(tilt=0.1), "unknown geometry fields ['tilt']"),
+        (lambda m: m["geometry"].pop("wavelength"),
+         "geometry fields ['wavelength'] are missing"),
+        (lambda m: m.update(geometry=[1, 2]),
+         "geometry must be an object of fields, got [1, 2]"),
+    ], ids=["text-pitch", "nan-wavelength", "float-width", "unknown-field",
+            "no-wavelength", "list"])
+    def test_malformed_sidecar_geometry_refused(self, stack, tmp_path, collect_calls,
+                                                capsys, edit, message):
+        """A geometry the sidecar does not record whole and well typed is
+        refused before the pass over the stack, naming the sidecar and the
+        field; nothing is filled from the defaults."""
+        sidecar = tmp_path / "frames.spkl.meta.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
+        assert run(["correlate", "--frames", str(stack), "--m", "1",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"config error: sidecar {sidecar}: {message}\n"
+        assert collect_calls == []
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"geometry": {', "is not valid JSON: Expecting property name"),
+        ("[]", "records no geometry"),
+        ("{}", "records no geometry"),
+    ], ids=["truncated", "list", "no-geometry"])
+    def test_unreadable_sidecar_refused(self, stack, tmp_path, collect_calls, capsys,
+                                        text, message):
+        sidecar = tmp_path / "frames.spkl.meta.json"
+        sidecar.write_text(text)
+        assert run(["correlate", "--frames", str(stack), "--m", "1",
+                    "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: sidecar {sidecar} {message}")
+        assert collect_calls == []
 
 
 class TestGoldenCorrelate:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -96,3 +98,57 @@ def test_runs_without_scipy(tmp_path):
     done = _run_fresh(code)
     assert done.returncode == 0, done.stderr
     assert json.loads((tmp_path / "q.json").read_text())["max_c_deviation"] <= 1e-8
+
+
+# The closed-form commands: their work is arithmetic, so they run without
+# numpy, writing to stdout or to --out alike.
+NUMPY_FREE = [
+    ["bell", "--four-term", "--m", "5", "--bound", "upper"],
+    ["analytic", "--m", "1..8"],
+]
+
+
+def test_closed_form_commands_run_without_numpy(tmp_path):
+    """With every numpy import made to fail, ``bell`` without a scan and
+    ``analytic --curve visibility`` give the bytes of a normal run, and
+    the scan, which needs arrays, fails."""
+    from thermalbell import cli
+
+    runs = [(argv, out) for i, argv in enumerate(NUMPY_FREE)
+            for out in (None, f"out{i}.txt")]
+    code = (
+        "import contextlib, io, os, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from thermalbell import cli\n"
+        f"os.chdir({str(tmp_path / 'poisoned')!r})\n"
+        f"for i, (argv, out) in enumerate({runs!r}):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        assert cli.main(argv + (['--out', out] if out else [])) == 0, argv\n"
+        "    if out is None:\n"
+        "        with open(f'stdout{i}.txt', 'w') as fh:\n"
+        "            fh.write(buf.getvalue())\n"
+        "try:\n"
+        "    cli.main(['bell', '--four-term', '--m', '5', '--scan-step', '0.5'])\n"
+        "except ImportError:\n"
+        "    print('scan needs numpy')\n"
+    )
+    for name in ("poisoned", "normal"):
+        (tmp_path / name).mkdir()
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "scan needs numpy\n"
+
+    normal = tmp_path / "normal"
+    for i, (argv, out) in enumerate(runs):
+        if out is None:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert cli.main(argv) == 0
+            (normal / f"stdout{i}.txt").write_text(buf.getvalue())
+        else:
+            assert cli.main([*argv, "--out", str(normal / out)]) == 0
+    names = sorted(p.name for p in normal.iterdir() if not p.name.endswith(".meta.json"))
+    assert len(names) == len(runs)
+    for name in names:
+        assert (tmp_path / "poisoned" / name).read_bytes() == (normal / name).read_bytes(), name
