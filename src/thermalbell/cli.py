@@ -517,6 +517,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         "n_cells": len(collected.cells),
         "collect_workers": collected.workers,
         "table_mb": collected.blocks.nbytes / 1e6,
+        "buffers_mb": collected.buffer_bytes / 1e6,
         "peak_rss_mb": _peak_rss_mb(),
         "block_len": cfg.block_len,
         "n_blocks": collected.blocks.shape[0],
@@ -536,12 +537,21 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output path (stem for correlate)")
 
 
+def _tokens(text: str) -> list[str]:
+    """The comma-separated values of a list flag; no text is no values, and
+    an empty value between commas is refused (exit 2)."""
+    tokens = text.split(",") if text.strip() else []
+    if any(not tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"empty value in {text!r}")
+    return tokens
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    return [float(tok) for tok in _tokens(text)]
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    return [int(tok) for tok in _tokens(text)]
 
 
 def build_parser() -> argparse.ArgumentParser:

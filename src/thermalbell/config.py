@@ -166,8 +166,13 @@ class QuantumConfig:
         if self.gm1_deltas < 1:
             raise ConfigError(f"gm1_deltas must be >= 1, got {self.gm1_deltas}")
         for name in ("nbar", "delta1"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must list at least one value")
+            # a repeated value would be computed and written once per repeat
+            repeated = [v for v, count in collections.Counter(values).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"{name} repeats {', '.join(map(str, repeated))}")
 
 
 @dataclass

@@ -27,12 +27,14 @@ multiplies its cells left to right in that order, so it does not depend on
 the order the rows were given in.  ``collect_cells`` makes the block
 sums of every series a list of terms reads in one pass over the stack and
 keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix, and no
-per-frame series.  The pass reads chunks of whole blocks on one worker
-thread per CPU; each worker widens its chunk's cells to float64 (exact),
-refuses values that are not finite and nonnegative, makes the products and
-``np.add.reduceat``s them into the matrix rows of its blocks.  Summed along
-the frames, a chunk of whole blocks gives the whole series' block sums bit
-for bit, so the table does not depend on the worker count.  A caller that
+per-frame series.  The pass reads chunks of whole blocks, in reads of up
+to READ_PIXELS pixels, on one worker thread per CPU, into buffers it makes
+before the workers start and frees before it returns; each worker widens
+its chunk's cells to float64 (exact), refuses values that are not finite
+and nonnegative, makes the products and ``np.add.reduceat``s them into the
+matrix rows of its blocks.  Summed along the frames, a chunk of whole
+blocks gives the whole series' block sums bit for bit, so the table does
+not depend on the worker count.  A caller that
 plans the union of several estimates (``thermalbell correlate`` does, for
 every m and every Bell realization) reads the stack once and hands the
 same table to each.
@@ -56,7 +58,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,9 +80,12 @@ DEFAULT_BLOCK_LEN = 64
 DEFAULT_N_BOOT = 200
 # Replicates per count matrix W, which holds BOOT_GROUP * n_blocks floats.
 BOOT_GROUP = 32
-# Pixels per read of the pass: 4 MB of float32 frames, 1024 frames of a
-# 128 x 8 grid.  A chunk is as many whole blocks as fit, and at least one.
+# Pixels per chunk of the pass: 1024 frames of a 128 x 8 grid.  A chunk is
+# as many whole blocks as fit, and at least one.
 CHUNK_PIXELS = 1 << 20
+# Pixels per read of a chunk: 1 MB of float32 frames, 256 frames of a
+# 128 x 8 grid, and at least one frame.
+READ_PIXELS = 1 << 18
 # Columns per slice of the exact column sums: 16 columns of 3125 blocks are
 # 400 kB.
 SUM_COLUMNS = 16
@@ -160,7 +164,9 @@ class BlockTable:
     frames, the last block holding the rest: first one column per distinct
     cell series, then per term its numerators, group-major.  With
     ``shuffle`` the x2 cells' series (numerators included) are those of the
-    next frame, cyclically.  ``workers`` is the pass's thread count.
+    next frame, cyclically.  ``workers`` is the pass's thread count and
+    ``buffer_bytes`` the size of the buffers it made for them, freed before
+    it returned.
     """
 
     def __init__(self, shape: tuple[int, int, int], terms: Sequence[Term],
@@ -181,7 +187,7 @@ class BlockTable:
                 self._num_col[(groups, x2)] = k
                 k += len(groups) * len(x2)
         self.blocks = np.empty((-(-self.n_frames // block_len), k))
-        self.workers = 0
+        self.workers = self.buffer_bytes = 0
 
     def columns(self, term: Term) -> tuple[list[int], list[int], list[int]]:
         """Columns of ``term``: its x1 cells (group-major), its numerators
@@ -200,14 +206,21 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
 
     A chunk is as many whole blocks as CHUNK_PIXELS pixels of frames hold,
     and at least one.  Worker threads, one per CPU this process may run on
-    (``speckle._worker_count``), take the chunks in turn, each into buffers
-    it allocates on its first chunk and keeps.  A worker gathers its
-    chunk's cells into float64 rows (with ``shuffle``, one frame more: the
-    next-frame series start a frame later), from reads of up to
-    CHUNK_PIXELS pixels, and refuses a value that is not finite and
+    (``speckle._worker_count``), take the chunks in turn.  The buffers a
+    chunk needs are made before the workers start, one set per worker,
+    and freed before this returns; a worker takes a set for each chunk and
+    puts it back, so the pass holds the same memory from start to end
+    (``BlockTable.buffer_bytes``: 10.2 MB on 2 workers for ``thermalbell
+    correlate --m 1..6 --bell --realizations 6`` on a 128 x 8 grid; that
+    command peaks at 83 MB RSS at 200k frames, against 90 MB when each
+    worker made its own buffers and read 4 MB at a time).  A worker
+    gathers its chunk's cells into float64 rows (with ``shuffle``, one
+    frame more: the next-frame series start a frame later), from reads of
+    up to READ_PIXELS pixels, and refuses a value that is not finite and
     nonnegative (``NumericGuardError``).  It makes the products of all
     groups of one size at once, each in its group's order
-    (``_row_products``), multiplies them by the x2 rows, and
+    (``_row_products``), taking their factors one at a time into a buffer
+    of its set (``_Rows``), multiplies them by the x2 rows, and
     ``np.add.reduceat``s cells and numerators straight into its blocks'
     rows of the table.  Summed along the frames, a chunk of whole blocks
     gives the whole series' block sums bit for bit, so the table does not
@@ -234,9 +247,9 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         raise ValueError(f"pixel index out of range: columns [0, {width}), rows [0, {height})")
     flat = rows * width + cols
     n_now = sum(not next_frame for _, next_frame in table.cells)
-    read_len = max(1, CHUNK_PIXELS // (height * width))
-    chunk = max(1, read_len // block_len) * block_len
     shift = int(shuffle)          # the next-frame rows' column offset
+    chunk = max(1, CHUNK_PIXELS // (height * width) // block_len) * block_len
+    read_len = min(max(1, READ_PIXELS // (height * width)), chunk + shift)
     # the groups of one size are contiguous rows of the products, made at once
     groups = sorted(dict.fromkeys(g for gs, _ in terms for g in gs), key=len)
     group_row = {g: i for i, g in enumerate(groups)}
@@ -253,18 +266,29 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
             sel = slice(sel[0], sel[0] + len(x2))
         numerators += [(group_row[g], sel, first + i * len(x2), len(x2)) for i, g in enumerate(gs)]
     starts = range(0, n_frames, chunk)
-    buffers = threading.local()
+    table.workers = max(1, speckle._worker_count(len(starts)))
+    # the buffer sets not in use, one per worker, made here: reads, gathered
+    # cells, float64 cells, products, a factor of the products of one size
+    # and numerators.  A worker takes one for a chunk and puts it back;
+    # list.pop and list.append are atomic.
+    free = [(np.empty((read_len, height, width), dtype),
+             np.empty((read_len, len(flat)), dtype),
+             np.empty((len(flat), chunk + shift)),
+             np.empty((len(groups), chunk)),
+             np.empty((max((count for _, count, _ in sizes), default=0), chunk + shift)),
+             np.empty((max((count for *_, count in numerators), default=0), chunk)))
+            for _ in range(table.workers)]
+    table.buffer_bytes = sum(a.nbytes for buffers in free for a in buffers)
 
     def work(a: int) -> None:
+        buffers = free.pop()
         try:
-            buf, gathered, cell, prod, num = buffers.arrays
-        except AttributeError:      # a worker's first chunk: buffers it keeps
-            buffers.arrays = buf, gathered, cell, prod, num = (
-                np.empty((read_len, height, width), dtype),
-                np.empty((read_len, len(flat)), dtype),
-                np.empty((len(flat), chunk + shift)),
-                np.empty((len(groups), chunk)),
-                np.empty((max((count for *_, count in numerators), default=0), chunk)))
+            fill(a, *buffers)
+        finally:
+            free.append(buffers)
+
+    def fill(a: int, buf: np.ndarray, gathered: np.ndarray, cell: np.ndarray,
+             prod: np.ndarray, factor: np.ndarray, num: np.ndarray) -> None:
         n = min(chunk, n_frames - a)
         # frames a .. a + n + shift - 1; frame n_frames is frame 0
         lo = a
@@ -286,22 +310,19 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
         np.add.reduceat(cell[n_now:, shift:shift + n], block_starts, axis=1,
                         out=out[:, n_now:len(flat)].T)
-        # a read's frames at a time, so the products' temporaries stay small
-        for f in range(0, n, read_len):
-            hi = min(f + read_len, n)
-            for lo, count, idx in sizes:
-                prod[lo:lo + count, f:hi] = _row_products([cell[i, f:hi] for i in idx])
+        for lo, count, idx in sizes:
+            prod[lo:lo + count, :n] = _row_products(_Rows(cell, idx, n, factor[:count]))
         for g, sel, col, count in numerators:
             np.multiply(prod[g, :n], cell[sel, shift:shift + n], out=num[:count, :n])
             np.add.reduceat(num[:count, :n], block_starts, axis=1,
                             out=out[:, col:col + count].T)
 
-    table.workers = max(1, speckle._worker_count(len(starts)))
     # leaving the block cancels the chunks not yet started and joins the
     # workers, also when a chunk raises
     with ThreadPoolExecutor(max_workers=table.workers, thread_name_prefix="collect") as pool:
         for _ in pool.map(work, starts):
             pass
+    del free                        # the buffer sets, before the checks below
     # values are nonnegative, so a zero total is a pixel dark in every frame
     dark = np.flatnonzero(~table.blocks[:, :len(flat)].any(axis=0))
     if len(dark):
@@ -335,23 +356,44 @@ def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
     Groups come on ascending rows (``_check_rows``), so a product does not
     depend on the order the rows were given in.  Frames whose direct
     product over/underflows despite all-positive factors are recomputed in
-    the log domain, the logs summed in the same order.
+    the log domain, the logs summed in the same order.  Each use of
+    ``columns`` reads its items one at a time, so a sequence may hand them
+    all out in one buffer (``_Rows``).
     """
-    v = [np.asarray(c, dtype=np.float64) for c in columns]
-    p = np.array(v[0], dtype=np.float64)
+    def v(k: int) -> np.ndarray:
+        return np.asarray(columns[k], dtype=np.float64)
+    p = np.array(v(0))
     with np.errstate(over="ignore"):        # such frames are recomputed below
-        for factor in v[1:]:
-            p *= factor
+        for k in range(1, len(columns)):
+            p *= v(k)
     bad = ~np.isfinite(p)
     zero = p == 0
     if np.any(zero):
-        bad |= zero & np.logical_and.reduce([factor > 0 for factor in v])
+        bad |= zero & np.logical_and.reduce([v(k) > 0 for k in range(len(columns))])
     if np.any(bad):
-        logs = np.log(v[0][bad])
-        for factor in v[1:]:
-            logs += np.log(factor[bad])
+        logs = np.log(v(0)[bad])
+        for k in range(1, len(columns)):
+            logs += np.log(v(k)[bad])
         p[bad] = np.exp(logs)
     return p
+
+
+class _Rows:
+    """The columns ``_row_products`` multiplies for groups of one size: item
+    k is the first ``n`` values of the rows ``rows[k]`` of ``cells``, taken
+    into ``out`` when asked for, so every item is the same buffer.  The
+    whole rows are taken: ``np.take`` would copy a source that is not
+    C-contiguous, as the first ``n`` columns of ``cells`` may not be."""
+
+    def __init__(self, cells: np.ndarray, rows: np.ndarray, n: int, out: np.ndarray):
+        self.cells, self.rows, self.n, self.out = cells, rows, n, out
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        taken = np.take(self.cells, self.rows[k], axis=0, out=self.out, mode="clip")
+        return taken[:, :self.n]
 
 
 def _ghat(x1: np.ndarray, num: np.ndarray, x2: np.ndarray) -> np.ndarray:

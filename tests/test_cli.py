@@ -280,6 +280,24 @@ class TestQuantumCommand:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args, fields, message", [
+        (["--nbar", "0.2,0.2", "--delta1", "0,0"], {"nbar": [0.2, 0.2], "delta1": [0, 0]},
+         "nbar repeats 0.2"),
+        (["--nbar", "0.05,0.2,0.5,0.05"], {"nbar": [0.05, 0.2, 0.5, 0.05]},
+         "nbar repeats 0.05"),
+        (["--delta1", "0,1.3,0.0"], {"delta1": [0, 1.3, 0.0]}, "delta1 repeats 0.0"),
+    ])
+    def test_repeated_point_refused(self, tmp_path, capsys, args, fields, message):
+        """A repeated --nbar or --delta1 value would compute and write the
+        rows of its point once per repeat; from flags or a config file."""
+        assert run(["quantum", "--m", "1", *args, "--out", str(tmp_path / "q.json")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        assert run(["quantum", "--m", "1", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_nan_result_refused(self, tmp_path, capsys, monkeypatch):
         """A nan coefficient exits 3 instead of a summary that reads 0.0."""
         from thermalbell import fock
@@ -761,6 +779,13 @@ class TestCorrelateCommand:
         # the block sums of every cell and of the numerators: 128 for each
         # curve, 16 for each Bell realization
         assert diag["table_mb"] == 47 * (diag["n_cells"] + 2 * 128 + 2 * 16) * 8 / 1e6
+        # per worker: a read of 256 frames and its gathered cells (float32),
+        # and over a 1024-frame chunk the cells, the products of 10 groups
+        # (one per curve, 4 per Bell realization), a factor of the 9 groups
+        # of 2 and a curve's 128 numerators (float64)
+        per_worker = 256 * (8 * 128 + diag["n_cells"]) * 4 + \
+            1024 * (diag["n_cells"] + 10 + 9 + 128) * 8
+        assert diag["buffers_mb"] == diag["collect_workers"] * per_worker / 1e6
         assert diag["peak_rss_mb"] > diag["table_mb"]
         assert "estimate_workers" not in diag
         # per realization, every column's target phase and snap error
@@ -974,6 +999,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"field '{list(fields)[-1]}'" in err
+
+    @pytest.mark.parametrize("args", [
+        ["bell", "--four-term", "--vis", "0.9", "--angles", "0.3,,1.2,0.4,1.3"],
+        ["quantum", "--m", "1", "--nbar", "0.2,,0.3"],
+        ["quantum", "--m", "1", "--delta1", "0,1.3,"],
+        ["correlate", "--frames", "missing.spkl", "--m", "2", "--y1-rows", "0,,1"],
+        ["correlate", "--frames", "missing.spkl", "--bell", "--angles",
+         ",0.785,0.785,0.785,2.356"],
+    ], ids=["bell-angles", "nbar", "delta1", "y1-rows", "correlate-angles"])
+    def test_empty_list_value_refused(self, tmp_path, capsys, args):
+        """An empty value in a comma-separated flag is a typo, not a value
+        to drop: the command exits 2 naming the flag and its text, before
+        any work."""
+        flag, text = args[-2:]
+        with pytest.raises(SystemExit) as exit_:
+            run([*args, "--out", str(tmp_path / "out")])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f": error: argument {flag}: empty value in {text!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as err:

@@ -521,9 +521,11 @@ def _table_blocks(table, terms):
 
 class TestGather:
     """``collect_cells`` against plain per-frame series, on 1 to 3 worker
-    threads with reads of 37 frames: the 600 frames of ``frames_tiny`` are
-    16 full reads and one of 8.  Blocks of 64 and 130 frames are longer than
-    a read, and all but blocks of 1 leave a partial last block."""
+    threads, in chunks of as many whole blocks as 37 frames hold (and at
+    least one) read 11 frames at a time: a read is shorter than every chunk
+    and divides none of them (35, 37, 64 and 130 frames).  Blocks of 64 and
+    130 frames are longer than 37, and all but blocks of 1 leave a partial
+    last block of the 600 frames of ``frames_tiny``."""
 
     X2 = tuple((c, 7) for c in range(0, 128, 9))
     TERMS = [
@@ -537,8 +539,9 @@ class TestGather:
     BLOCK_LENS = (1, 7, 37, 64, 130)
 
     @pytest.fixture(autouse=True)
-    def reads_37(self, monkeypatch):
+    def chunks_37_reads_11(self, monkeypatch):
         monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128 + 5)
+        monkeypatch.setattr(correlate, "READ_PIXELS", 11 * 8 * 128 + 3)
 
     @pytest.mark.parametrize("from_file", [True, False])
     def test_table_matches_reference(self, frames_tiny, tmp_path, workers,
@@ -604,8 +607,10 @@ class TestGather:
     def test_pass_opens_the_stack_once(self, frames_tiny, tmp_path, monkeypatch, workers,
                                        threads_joined):
         """A pass over a file opens it and checks its header once, for its
-        18 reads of up to 35 frames (19 with shuffle: the last chunk wraps
-        to frame 0), and closes it when the pass ends: after
+        69 reads of up to 11 frames (each 35-frame chunk of 7-frame blocks
+        in 4 reads, the last 5 frames in one; 70 with shuffle: each chunk
+        reads a frame more, and the last one wraps to frame 0), and closes
+        it when the pass ends: after
         a pass that succeeds, one that refuses a pixel and one whose third
         read fails, as many descriptors are open as before."""
         good, bad = tmp_path / "tiny.spkl", tmp_path / "bad.spkl"
@@ -629,10 +634,11 @@ class TestGather:
         monkeypatch.setattr(spkl.SpklReader, "read", counting_read)
         fail_third = False
         descriptors = len(os.listdir("/proc/self/fd"))
-        for shuffle, n_reads in ((False, 18), (True, 19)):
+        for shuffle, n_reads in ((False, 69), (True, 70)):
             reads.clear()
             correlate.collect_cells(good, self.TERMS, 7, shuffle)
             assert len(reads) == n_reads
+            assert max(count for _, count in reads) == 11
         with pytest.raises(NumericGuardError, match="^frame 410, column 9, row 7 holds nan"):
             correlate.collect_cells(bad, self.TERMS, 7)
         fail_third = True
@@ -682,6 +688,44 @@ class TestGather:
         got, want = (bell_from_frames(s, 3, bell.UPPER_ANGLES, n_realizations=2, **kwargs)
                      for s in (frames_tiny, wide))
         assert (got.statistic, got.stderr) == (want.statistic, want.stderr)
+
+
+class TestWorkingSet:
+    """The pass's memory at the real chunk and read sizes."""
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_pass_holds_its_buffer_sets(self, frames_20k, workers, threads_joined, shuffle):
+        """Over the 20 chunks of ``frames_20k`` the pass's traced peak above
+        its table is the buffer sets it makes, one per worker, and per
+        worker the temporaries of one step: a ufunc's iterator buffers (up
+        to 3 operands of ``np.getbufsize()`` float64 values) and a chunk's
+        products of the 4 groups of 3 with their three masks (more than the
+        4 x2 rows a term gathers).  Nothing grows with the frame count or
+        the chunk count, and the sets are freed before the pass returns."""
+        tracemalloc.start()
+        try:
+            table = correlate.collect_cells(frames_20k, TestGather.TERMS, 64, shuffle)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        threads_joined()
+        held, peak = held - table.blocks.nbytes, peak - table.blocks.nbytes
+        frame = 8 * 128
+        read = correlate.READ_PIXELS // frame       # 256 frames
+        chunk = correlate.CHUNK_PIXELS // frame     # 16 blocks of 64 frames
+        n_cells = len(table.cells)
+        # float32 reads and gathered cells; float64 cells and a factor of
+        # the 4 groups of 3 (with shuffle a frame more), the products of 7
+        # groups and the 15 numerators of one group
+        buffer_set = read * (frame + n_cells) * 4 + \
+            ((n_cells + 4) * (chunk + shuffle) + (7 + 15) * chunk) * 8
+        temporaries = 3 * np.getbufsize() * 8 + 4 * chunk * (8 + 3)
+        assert peak <= workers * (buffer_set + temporaries)
+        assert table.workers == workers
+        assert table.buffer_bytes == workers * buffer_set
+        # the sets are freed before the pass returns; the table's cell and
+        # column lists stay
+        assert held < 64 * 1024
 
 
 class TestBadFrames:
