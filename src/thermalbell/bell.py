@@ -32,6 +32,10 @@ if TYPE_CHECKING:
 # more than this, so violation claims never ride on rounding.
 GUARD_BAND = 1e-12
 
+# How closely a detector-phase realization must close t1 - t2 - t3 + t4 = 0
+# (up to signs and 2pi) and reproduce each argument's cosine.
+PHASE_TOL = 1e-9
+
 LOWER_BOUND = -1.0
 UPPER_BOUND = 0.0
 
@@ -239,7 +243,7 @@ def angle_scan(model_tag: BellModel, visibility: float,
     return out
 
 
-def detector_phases(angles: AngleSet, tol: float = 1e-9) -> tuple[float, float, float, float]:
+def detector_phases(angles: AngleSet) -> tuple[float, float, float, float]:
     """One detector-phase realization (d1, d1', d2, d2') of an argument tuple.
 
     Signed arguments must satisfy t1 - t2 - t3 + t4 = 0; since only cosines
@@ -254,14 +258,14 @@ def detector_phases(angles: AngleSet, tol: float = 1e-9) -> tuple[float, float, 
                 for s4 in (1.0, -1.0):
                     residual = s1 * t1 - s2 * t2 - s3 * t3 + s4 * t4
                     k = round(residual / (2.0 * math.pi))
-                    if abs(residual - 2.0 * math.pi * k) > tol:
+                    if abs(residual - 2.0 * math.pi * k) > PHASE_TOL:
                         continue
                     d1 = 0.0
                     d2 = -s1 * t1
                     d2p = -s2 * t2
                     d1p = s3 * t3 + d2
                     realized = (d1 - d2, d1 - d2p, d1p - d2, d1p - d2p)
-                    if all(abs(math.cos(r) - math.cos(t)) <= 1e-9
+                    if all(abs(math.cos(r) - math.cos(t)) <= PHASE_TOL
                            for r, t in zip(realized, angles.arguments)):
                         return (d1, d1p, d2, d2p)
     raise ValueError(f"no consistent detector realization for arguments {angles.arguments}")

@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 from .config import (AnalyticConfig, BellConfig, CorrelateConfig,
@@ -143,8 +144,6 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
             {"table": time.perf_counter() - started})
         return EXIT_OK
 
-    if cfg.curve != "correlation":
-        raise ConfigError(f"curve must be 'visibility' or 'correlation', got {cfg.curve!r}")
     import numpy as np
 
     from . import permanents
@@ -191,16 +190,12 @@ _BELL_MODELS = {
 def cmd_bell(cfg: BellConfig) -> int:
     from . import analytic, bell
 
-    if cfg.model not in _BELL_MODELS:
-        raise ConfigError(f"model must be one of {sorted(_BELL_MODELS)}, got {cfg.model!r}")
     model_tag = bell.BellModel(_BELL_MODELS[cfg.model])
 
     if (cfg.vis is None) == (cfg.m is None):
         raise ConfigError("provide exactly one of --vis or --m")
     visibility = analytic.visibility_tls(cfg.m) if cfg.m is not None else cfg.vis
 
-    if cfg.bound not in ("upper", "lower", "both"):
-        raise ConfigError(f"bound must be upper, lower or both, got {cfg.bound!r}")
     bounds = [bell.Bound.UPPER, bell.Bound.LOWER] if cfg.bound == "both" \
         else [bell.Bound(cfg.bound)]
 
@@ -532,9 +527,41 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
 
 # ------------------------------------------------------------------ driver
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--out", help="output path (stem for correlate)")
+_COMMANDS = {
+    "analytic": (AnalyticConfig, cmd_analytic),
+    "bell": (BellConfig, cmd_bell),
+    "quantum": (QuantumConfig, cmd_quantum),
+    "simulate": (SimulateConfig, cmd_simulate),
+    "correlate": (CorrelateConfig, cmd_correlate),
+}
+
+# Each field is set by the flag of its name with dashes, apart from these;
+# SimulateConfig.chunk is set only from a config file.
+_RENAMED = {"m_range": "--m", "n_frames": "--frames", "n_subsources": "--subsources",
+            "width": "--grid-width", "height": "--grid-height", "n_boot": "--boot",
+            "block_len": "--block"}
+
+# switches that set a field to one value: bell's models
+_ALIASES = {"model": (("--four-term", "four-term"), ("--six-term", "six-term-tls"))}
+
+# per command: its help, and the help of its flags
+_HELP = {
+    "analytic": ("closed-form correlation/visibility tables",
+                 {"m_range": "m range, e.g. 1..8",
+                  "oracle": "add permanent-oracle cross-check columns"}),
+    "bell": ("CH74 statistics, thresholds, minimal m",
+             {"angles": "four cosine arguments, comma separated, radians",
+              "scan_step": "also grid-scan arguments at this step"}),
+    "quantum": ("truncated Fock-space cross checks",
+                {"m_range": "m range, e.g. 1..4", "nbar": "mean photon numbers, comma separated",
+                 "delta1": "detection phases, comma separated"}),
+    "simulate": ("generate synthetic camera frames (SPKL)", {}),
+    "correlate": ("estimate correlations/visibility from SPKL frames",
+                  {"frames": "input SPKL file", "m_range": "m range, e.g. 1..6",
+                   "x2_range": "scan columns 'start:stop'",
+                   "shuffle": "shuffled-frame control (destroys correlations)",
+                   "bell": "also evaluate the CH74 statistic from frames"}),
+}
 
 
 def _tokens(text: str) -> list[str]:
@@ -554,6 +581,21 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in _tokens(text)]
 
 
+def _flag(annotation) -> dict:
+    """The argparse keywords of the flag of a field annotated ``annotation``:
+    ``X | None`` as X, a bool as a switch, a Literal's members as choices."""
+    members = [a for a in typing.get_args(annotation) if a is not type(None)]
+    if type(None) in typing.get_args(annotation):
+        return _flag(members[0])
+    if annotation is bool:
+        return {"action": "store_const", "const": True}
+    if typing.get_origin(annotation) is typing.Literal:
+        return {"choices": members, **_flag(type(members[0]))}
+    if typing.get_origin(annotation) is list:
+        return {"type": _float_list if members[0] is float else _int_list}
+    return {"type": None if annotation is str else annotation}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermalbell",
@@ -561,90 +603,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "and CH74 Bell tests: closed forms, exact quantum checks, "
                     "and a synthetic speckle experiment.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form correlation/visibility tables")
-    _add_common(p)
-    p.add_argument("--m", dest="m_range", help="m range, e.g. 1..8")
-    p.add_argument("--curve", choices=["visibility", "correlation"])
-    p.add_argument("--delta-points", type=int, dest="delta_points")
-    p.add_argument("--vis-override", type=float, dest="vis_override")
-    p.add_argument("--nbar", type=float)
-    p.add_argument("--field-amp", type=float, dest="field_amp")
-    p.add_argument("--oracle", action="store_const", const=True,
-                   help="add permanent-oracle cross-check columns")
-
-    p = sub.add_parser("bell", help="CH74 statistics, thresholds, minimal m")
-    _add_common(p)
-    p.add_argument("--four-term", dest="model", action="store_const",
-                   const="four-term")
-    p.add_argument("--six-term", dest="model", action="store_const",
-                   const="six-term-tls")
-    p.add_argument("--model", dest="model", choices=sorted(_BELL_MODELS))
-    p.add_argument("--vis", type=float)
-    p.add_argument("--m", type=int)
-    p.add_argument("--bound", choices=["upper", "lower", "both"])
-    p.add_argument("--angles", type=_float_list,
-                   help="four cosine arguments, comma separated, radians")
-    p.add_argument("--scan-step", type=float, dest="scan_step",
-                   help="also grid-scan arguments at this step")
-
-    p = sub.add_parser("quantum", help="truncated Fock-space cross checks")
-    _add_common(p)
-    p.add_argument("--m", dest="m_range", help="m range, e.g. 1..4")
-    p.add_argument("--nbar", type=_float_list, help="mean photon numbers, comma separated")
-    p.add_argument("--delta1", type=_float_list, help="detection phases, comma separated")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--field-amp", type=float, dest="field_amp")
-    p.add_argument("--gm1-deltas", type=int, dest="gm1_deltas")
-
-    p = sub.add_parser("simulate", help="generate synthetic camera frames (SPKL)")
-    _add_common(p)
-    p.add_argument("--frames", type=int, dest="n_frames")
-    p.add_argument("--tau-ratio", type=float, dest="tau_ratio")
-    p.add_argument("--substeps", type=int)
-    p.add_argument("--subsources", type=int, dest="n_subsources")
-    p.add_argument("--slits", type=int, choices=[1, 2])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--nbar", type=float)
-    p.add_argument("--field-amp", type=float, dest="field_amp")
-    p.add_argument("--wavelength", type=float)
-    p.add_argument("--slit-separation", type=float, dest="slit_separation")
-    p.add_argument("--slit-width", type=float, dest="slit_width")
-    p.add_argument("--propagation", type=float)
-    p.add_argument("--pixel-pitch", type=float, dest="pixel_pitch")
-    p.add_argument("--grid-width", type=int, dest="width")
-    p.add_argument("--grid-height", type=int, dest="height")
-
-    p = sub.add_parser("correlate", help="estimate correlations/visibility from SPKL frames")
-    _add_common(p)
-    p.add_argument("--frames", help="input SPKL file")
-    p.add_argument("--m", dest="m_range", help="m range, e.g. 1..6")
-    p.add_argument("--x1", type=int)
-    p.add_argument("--y1-rows", type=_int_list, dest="y1_rows")
-    p.add_argument("--y2", type=int)
-    p.add_argument("--x2-range", dest="x2_range", help="scan columns 'start:stop'")
-    p.add_argument("--boot", type=int, dest="n_boot")
-    p.add_argument("--block", type=int, dest="block_len")
-    p.add_argument("--boot-seed", type=int, dest="boot_seed")
-    p.add_argument("--shuffle", action="store_const", const=True,
-                   help="shuffled-frame control (destroys correlations)")
-    p.add_argument("--bell", action="store_const", const=True,
-                   help="also evaluate the CH74 statistic from frames")
-    p.add_argument("--bell-m", type=int, dest="bell_m")
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--bound", choices=["upper", "lower"])
-    p.add_argument("--angles", type=_float_list)
-
+    for command, (cls, _) in _COMMANDS.items():
+        about, helps = _HELP[command]
+        p = sub.add_parser(command, help=about)
+        p.add_argument("--config", help="JSON config file; flags override its fields")
+        helps = {"out": "output path (stem for correlate)", **helps}
+        # the fields in their order, but --out second in every command
+        fields = sorted(typing.get_type_hints(cls).items(), key=lambda item: item[0] != "out")
+        for name, annotation in fields:
+            if name == "chunk":
+                continue
+            for flag, value in _ALIASES.get(name, ()):
+                p.add_argument(flag, dest=name, action="store_const", const=value)
+            p.add_argument(_RENAMED.get(name, "--" + name.replace("_", "-")), dest=name,
+                           help=helps.get(name), **_flag(annotation))
     return parser
-
-
-_COMMANDS = {
-    "analytic": (AnalyticConfig, cmd_analytic),
-    "bell": (BellConfig, cmd_bell),
-    "quantum": (QuantumConfig, cmd_quantum),
-    "simulate": (SimulateConfig, cmd_simulate),
-    "correlate": (CorrelateConfig, cmd_correlate),
-}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,21 +1,25 @@
 """Run configuration records for the command-line interface.
 
-Each subcommand owns one dataclass.  A run is fully determined by the config
-(JSON object) plus nothing else: defaults < config file < explicit CLI flags,
-and the merged record is echoed into the output sidecar so any run can be
-reproduced bit-identically from its config alone.
+Each subcommand owns one dataclass, and its fields declare the command's
+flags: ``cli.build_parser`` derives each flag's name, type and choices from
+a field's name and annotation.  A field annotated ``Literal[...]`` takes only
+the values listed, from a flag and from a config file alike.  A run is fully
+determined by the config (JSON object) plus nothing else: defaults < config
+file < explicit CLI flags, and the merged record is echoed into the output
+sidecar so any run can be reproduced bit-identically from its config alone.
 """
 
-from __future__ import annotations
-
+# No ``from __future__ import annotations``: every start reads the fields'
+# annotations to build its flags, and string annotations would be compiled
+# each time.
 import collections
-import dataclasses
 import json
 import math
 import types
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 from .errors import ConfigError
 
@@ -44,6 +48,12 @@ def _coerce(name: str, value, annotation):
         if value is None:
             return None
         return _coerce(name, value, args[0])
+    if origin is Literal:
+        choices = typing.get_args(annotation)
+        # JSON 2.0 is the member 2, as for an int field, but true is not 1
+        if isinstance(value, bool) or value not in choices:
+            raise ConfigError(f"field '{name}': expected one of {list(choices)}, got {value!r}")
+        return type(choices[0])(value)
     if origin in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{name}': expected a list, got {value!r}")
@@ -79,21 +89,18 @@ def _coerce(name: str, value, annotation):
 
 def merge_config(cls, file_data: dict | None, overrides: dict):
     """Defaults < config file < CLI overrides (None means not given)."""
-    hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
+    hints = typing.get_type_hints(cls)      # one per field
     values: dict = {}
     if file_data:
-        unknown = set(file_data) - names
+        unknown = set(file_data) - set(hints)
         if unknown:
             raise ConfigError(
-                f"unknown config field(s) {sorted(unknown)}; valid fields: {sorted(names)}")
+                f"unknown config field(s) {sorted(unknown)}; valid fields: {sorted(hints)}")
         for key, val in file_data.items():
             values[key] = _coerce(key, val, hints[key])
     for key, val in overrides.items():
         if val is None:
             continue
-        if key not in names:
-            raise ConfigError(f"unknown option '{key}'")
         values[key] = _coerce(key, val, hints[key])
     try:
         return cls(**values)
@@ -126,7 +133,7 @@ def parse_m_range(text: str) -> list[int]:
 @dataclass
 class AnalyticConfig:
     m_range: str = "1..8"
-    curve: str = "visibility"          # visibility | correlation
+    curve: Literal["visibility", "correlation"] = "visibility"
     delta_points: int = 64
     vis_override: float | None = None
     nbar: float = 1.0
@@ -142,10 +149,10 @@ class AnalyticConfig:
 
 @dataclass
 class BellConfig:
-    model: str = "four-term"           # four-term | six-term-spe | six-term-tls
+    model: Literal["four-term", "six-term-spe", "six-term-tls"] = "four-term"
     vis: float | None = None
     m: int | None = None
-    bound: str = "both"                # upper | lower | both
+    bound: Literal["upper", "lower", "both"] = "both"
     angles: list[float] | None = None  # four cosine arguments, radians
     scan_step: float | None = None
     out: str | None = None
@@ -181,7 +188,7 @@ class SimulateConfig:
     tau_ratio: float = 0.06
     substeps: int = 8
     n_subsources: int = 64
-    slits: int = 2
+    slits: Literal[1, 2] = 2
     seed: int = 0
     nbar: float = 1.0
     field_amp: float = 1.0
@@ -221,6 +228,6 @@ class CorrelateConfig:
     bell: bool = False
     bell_m: int | None = None          # default: largest m in m_range
     realizations: int = 6
-    bound: str = "upper"
+    bound: Literal["upper", "lower"] = "upper"
     angles: list[float] | None = None
     out: str | None = None

@@ -258,13 +258,13 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         same = list(same)
         sizes.append((group_row[same[0]], len(same),
                       np.array([[table._cell_col[(c, False)] for c in g] for g in same]).T))
-    # per multiply: product row, x2 rows (a slice where contiguous), first column
+    # per term: product rows, x2 rows (a slice where contiguous), first column
     numerators = []
     for (gs, x2), first in table._num_col.items():
         sel = [table._cell_col[(c, shuffle)] for c in x2]
         if sel == list(range(sel[0], sel[0] + len(sel))):
             sel = slice(sel[0], sel[0] + len(x2))
-        numerators += [(group_row[g], sel, first + i * len(x2), len(x2)) for i, g in enumerate(gs)]
+        numerators.append(([group_row[g] for g in gs], sel, first, len(x2)))
     starts = range(0, n_frames, chunk)
     table.workers = max(1, speckle._worker_count(len(starts)))
     # the buffer sets not in use, one per worker, made here: reads, gathered
@@ -312,10 +312,12 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
                         out=out[:, n_now:len(flat)].T)
         for lo, count, idx in sizes:
             prod[lo:lo + count, :n] = _row_products(_Rows(cell, idx, n, factor[:count]))
-        for g, sel, col, count in numerators:
-            np.multiply(prod[g, :n], cell[sel, shift:shift + n], out=num[:count, :n])
-            np.add.reduceat(num[:count, :n], block_starts, axis=1,
-                            out=out[:, col:col + count].T)
+        for gs, sel, first, count in numerators:
+            x2 = cell[sel, shift:shift + n]     # taken once per term, not per group
+            for i, g in enumerate(gs):
+                np.multiply(prod[g, :n], x2, out=num[:count, :n])
+                np.add.reduceat(num[:count, :n], block_starts, axis=1,
+                                out=out[:, first + i * count:first + (i + 1) * count].T)
 
     # leaving the block cancels the chunks not yet started and joins the
     # workers, also when a chunk raises

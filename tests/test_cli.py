@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -951,6 +953,45 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys, args):
 
 
 class TestConfigHandling:
+    @pytest.mark.parametrize("command, fields, message", [
+        ("analytic", {"curve": "fringes"},
+         "field 'curve': expected one of ['visibility', 'correlation'], got 'fringes'"),
+        ("bell", {"model": "four_term_tls", "m": 5},
+         "field 'model': expected one of ['four-term', 'six-term-spe', 'six-term-tls'], "
+         "got 'four_term_tls'"),
+        ("bell", {"bound": "sideways", "m": 5},
+         "field 'bound': expected one of ['upper', 'lower', 'both'], got 'sideways'"),
+        ("correlate", {"bound": "sideways"},
+         "field 'bound': expected one of ['upper', 'lower'], got 'sideways'"),
+        ("correlate", {"bound": "both", "bell": True},
+         "field 'bound': expected one of ['upper', 'lower'], got 'both'"),
+        ("simulate", {"slits": 3}, "field 'slits': expected one of [1, 2], got 3"),
+        ("simulate", {"slits": True}, "field 'slits': expected one of [1, 2], got True"),
+    ], ids=["curve", "model", "bell-bound", "correlate-bound", "correlate-both",
+            "slits-3", "slits-true"])
+    def test_choice_from_config_refused(self, tmp_path, capsys, command, fields, message):
+        """A config file's value outside its field's choices exits 2 naming
+        the field, before any work: ``correlate`` opens no stack, with or
+        without --bell, and ``simulate`` opens no file."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields))
+        args = {"correlate": ["--frames", str(tmp_path / "frames.spkl")],
+                "simulate": SIM_ARGS}.get(command, [])
+        assert run([command, "--config", str(cfg), *args,
+                    "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_integral_slits_from_config_accepted(self, tmp_path):
+        """JSON 2.0 is the slit count 2, as for any integer field."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"slits": 2.0}))
+        args = list(SIM_ARGS)
+        args[1] = "64"
+        assert run(["simulate", "--config", str(cfg), *args,
+                    "--out", str(tmp_path / "x.spkl")]) == 0
+        assert json.loads((tmp_path / "x.spkl.meta.json").read_text())["slits"] == 2
+
     def test_config_file_drives_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m_range": "1..3", "curve": "visibility"}))
@@ -1055,3 +1096,119 @@ class TestConfigHandling:
         capsys.readouterr()
         assert run(args) == 0
         assert out.read_text() in capsys.readouterr().out
+
+
+# Every option of every command, as (option strings, dest, type name,
+# choices, const, default, help): the surface the config fields declare.
+CLI_SURFACE = {
+    "analytic": [
+        (["--config"], "config", None,
+         None, None, None, "JSON config file; flags override its fields"),
+        (["--out"], "out", None, None, None, None, "output path (stem for correlate)"),
+        (["--m"], "m_range", None, None, None, None, "m range, e.g. 1..8"),
+        (["--curve"], "curve", None, ["visibility", "correlation"], None, None, None),
+        (["--delta-points"], "delta_points", "int", None, None, None, None),
+        (["--vis-override"], "vis_override", "float", None, None, None, None),
+        (["--nbar"], "nbar", "float", None, None, None, None),
+        (["--field-amp"], "field_amp", "float", None, None, None, None),
+        (["--oracle"], "oracle", None,
+         None, True, None, "add permanent-oracle cross-check columns"),
+    ],
+    "bell": [
+        (["--config"], "config", None,
+         None, None, None, "JSON config file; flags override its fields"),
+        (["--out"], "out", None, None, None, None, "output path (stem for correlate)"),
+        (["--four-term"], "model", None, None, "four-term", None, None),
+        (["--six-term"], "model", None, None, "six-term-tls", None, None),
+        (["--model"], "model", None,
+         ["four-term", "six-term-spe", "six-term-tls"], None, None, None),
+        (["--vis"], "vis", "float", None, None, None, None),
+        (["--m"], "m", "int", None, None, None, None),
+        (["--bound"], "bound", None, ["upper", "lower", "both"], None, None, None),
+        (["--angles"], "angles", "_float_list",
+         None, None, None, "four cosine arguments, comma separated, radians"),
+        (["--scan-step"], "scan_step", "float",
+         None, None, None, "also grid-scan arguments at this step"),
+    ],
+    "quantum": [
+        (["--config"], "config", None,
+         None, None, None, "JSON config file; flags override its fields"),
+        (["--out"], "out", None, None, None, None, "output path (stem for correlate)"),
+        (["--m"], "m_range", None, None, None, None, "m range, e.g. 1..4"),
+        (["--nbar"], "nbar", "_float_list",
+         None, None, None, "mean photon numbers, comma separated"),
+        (["--delta1"], "delta1", "_float_list",
+         None, None, None, "detection phases, comma separated"),
+        (["--dim"], "dim", "int", None, None, None, None),
+        (["--field-amp"], "field_amp", "float", None, None, None, None),
+        (["--gm1-deltas"], "gm1_deltas", "int", None, None, None, None),
+    ],
+    "simulate": [
+        (["--config"], "config", None,
+         None, None, None, "JSON config file; flags override its fields"),
+        (["--out"], "out", None, None, None, None, "output path (stem for correlate)"),
+        (["--frames"], "n_frames", "int", None, None, None, None),
+        (["--tau-ratio"], "tau_ratio", "float", None, None, None, None),
+        (["--substeps"], "substeps", "int", None, None, None, None),
+        (["--subsources"], "n_subsources", "int", None, None, None, None),
+        (["--slits"], "slits", "int", [1, 2], None, None, None),
+        (["--seed"], "seed", "int", None, None, None, None),
+        (["--nbar"], "nbar", "float", None, None, None, None),
+        (["--field-amp"], "field_amp", "float", None, None, None, None),
+        (["--wavelength"], "wavelength", "float", None, None, None, None),
+        (["--slit-separation"], "slit_separation", "float", None, None, None, None),
+        (["--slit-width"], "slit_width", "float", None, None, None, None),
+        (["--propagation"], "propagation", "float", None, None, None, None),
+        (["--pixel-pitch"], "pixel_pitch", "float", None, None, None, None),
+        (["--grid-width"], "width", "int", None, None, None, None),
+        (["--grid-height"], "height", "int", None, None, None, None),
+    ],
+    "correlate": [
+        (["--config"], "config", None,
+         None, None, None, "JSON config file; flags override its fields"),
+        (["--out"], "out", None, None, None, None, "output path (stem for correlate)"),
+        (["--frames"], "frames", None, None, None, None, "input SPKL file"),
+        (["--m"], "m_range", None, None, None, None, "m range, e.g. 1..6"),
+        (["--x1"], "x1", "int", None, None, None, None),
+        (["--y1-rows"], "y1_rows", "_int_list", None, None, None, None),
+        (["--y2"], "y2", "int", None, None, None, None),
+        (["--x2-range"], "x2_range", None, None, None, None, "scan columns 'start:stop'"),
+        (["--boot"], "n_boot", "int", None, None, None, None),
+        (["--block"], "block_len", "int", None, None, None, None),
+        (["--boot-seed"], "boot_seed", "int", None, None, None, None),
+        (["--shuffle"], "shuffle", None,
+         None, True, None, "shuffled-frame control (destroys correlations)"),
+        (["--bell"], "bell", None,
+         None, True, None, "also evaluate the CH74 statistic from frames"),
+        (["--bell-m"], "bell_m", "int", None, None, None, None),
+        (["--realizations"], "realizations", "int", None, None, None, None),
+        (["--bound"], "bound", None, ["upper", "lower"], None, None, None),
+        (["--angles"], "angles", "_float_list", None, None, None, None),
+    ],
+}
+
+
+class TestParser:
+    def test_surface(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if a.dest == "command"]
+        surface = {
+            command: [(a.option_strings, a.dest, getattr(a.type, "__name__", a.type),
+                       None if a.choices is None else list(a.choices), a.const,
+                       a.default, a.help)
+                      for a in p._actions if a.dest != "help"]
+            for command, p in sub.choices.items()}
+        assert surface == CLI_SURFACE
+
+    def test_readme_commands_parse(self):
+        """Every ``thermalbell`` command in README's ``sh`` blocks parses, so
+        a renamed flag cannot leave the README behind."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines
+                    if line.startswith("thermalbell ")]
+        assert len(commands) >= 6
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv)

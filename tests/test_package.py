@@ -152,3 +152,34 @@ def test_closed_form_commands_run_without_numpy(tmp_path):
     assert len(names) == len(runs)
     for name in names:
         assert (tmp_path / "poisoned" / name).read_bytes() == (normal / name).read_bytes(), name
+
+
+def test_help_runs_without_numpy(monkeypatch):
+    """With every numpy import made to fail, ``--help`` of ``thermalbell``
+    and of each command prints the text of a normal run, and no module of
+    the package but ``cli`` and the ``config`` it reads the flags from (with
+    its ``errors``) is loaded."""
+    from thermalbell import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [["--help"], *([command, "--help"] for command in cli._COMMANDS)]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from thermalbell import cli\n"
+        f"for argv in {argvs!r}:\n"
+        "    try:\n"
+        "        cli.main(argv)\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, argv\n"
+        "loaded = sorted(n for n in sys.modules if n.startswith('thermalbell.'))\n"
+        "assert loaded == ['thermalbell.cli', 'thermalbell.config', 'thermalbell.errors'], loaded\n"
+    )
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+
+    buf = io.StringIO()
+    for argv in argvs:
+        with contextlib.redirect_stdout(buf), pytest.raises(SystemExit):
+            cli.main(argv)
+    assert done.stdout == buf.getvalue()
