@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .sources import (COHERENT_MAX_VISIBILITY, TLS_G2_VISIBILITY, SourceKind,
-                      SourceModel)
+from .sources import COHERENT_MAX_VISIBILITY, SourceKind, SourceModel
 
 # Setting-pair labels.  d1/d2 are the two freely placed detector phases,
 # p1/p2 the pi-shifted partners (p_j = d_j + pi).
@@ -31,11 +30,6 @@ CROSS_PAIRS = (PAIR_DD, PAIR_PP, PAIR_DP, PAIR_PD)
 SAME_SIDE_PAIRS = (PAIR_D1P1, PAIR_D2P2)
 ALL_PAIRS = CROSS_PAIRS + SAME_SIDE_PAIRS
 
-# Largest order for which the amplitude prefactor is built from exact integer
-# factorials.  Beyond this only normalized values (divided by the product of
-# first-order correlations) are produced.
-MAX_EXACT_AMPLITUDE_M = 20
-
 
 @dataclass
 class CorrelationSet:
@@ -47,7 +41,6 @@ class CorrelationSet:
     values: dict[str, float] = field(default_factory=dict)
     visibility: float = 0.0
     amplitude: float = 1.0
-    normalized: bool = False         # True when values are divided by g1 products
 
     def __post_init__(self):
         if self.order < 2:
@@ -100,7 +93,7 @@ def max_g2_visibility(model: SourceModel) -> float:
         return 1.0
     if model.kind is SourceKind.COHERENT:
         return COHERENT_MAX_VISIBILITY
-    return TLS_G2_VISIBILITY
+    return visibility_tls(1)
 
 
 def visibility_tls_exact(m: int) -> Fraction:
@@ -116,12 +109,11 @@ def visibility_tls(m: int) -> float:
 
 
 def normalized_amplitude(m: int) -> float:
-    """Midline of the g1-normalized (m+1)-th order correlation: (m+2)!/(2(m+1))."""
+    """Midline of the g1-normalized (m+1)-th order correlation,
+    (m+2)!/(2(m+1)), rounded once from the exact integers."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if m <= MAX_EXACT_AMPLITUDE_M:
-        return math.factorial(m + 2) / (2 * (m + 1))
-    return math.exp(math.lgamma(m + 3) - math.log(2.0 * (m + 1)))
+    return math.factorial(m + 2) / (2 * (m + 1))
 
 
 def gm1_tls_normalized(m: int, delta1: float, delta2: float,
@@ -137,27 +129,19 @@ def gm1_tls_set(m: int, delta1: float, delta2: float, model: SourceModel,
     cross setting pairs (m detectors at one side, one at the other).
 
     The common amplitude is (m+2)!/(m+1) * 2^m * E0^(2(m+1)) * <n>^(m+1),
-    computed with exact integer factorials for m <= 20.  For larger m the set
-    is returned in normalized form (divided by g1^(m+1)) to avoid losing
-    integer exactness; the ``normalized`` flag records this.
+    its integer prefactor rounded once to a float.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     vis = visibility_tls(m) if vis_override is None else _check_visibility(vis_override)
-
-    normalized = m > MAX_EXACT_AMPLITUDE_M
-    if normalized:
-        amplitude = normalized_amplitude(m)
-    else:
-        amplitude = float(math.factorial(m + 2) // (m + 1) * 2**m) \
-            * model.field_amp ** (2 * (m + 1)) * model.mean_photons ** (m + 1)
+    amplitude = float(math.factorial(m + 2) // (m + 1) * 2**m) \
+        * model.field_amp ** (2 * (m + 1)) * model.mean_photons ** (m + 1)
 
     cos_term = vis * math.cos(delta1 - delta2)
     plus = amplitude * (1.0 + cos_term)
     minus = amplitude * (1.0 - cos_term)
     values = {PAIR_DD: plus, PAIR_PP: plus, PAIR_DP: minus, PAIR_PD: minus}
-    return CorrelationSet(order=m + 1, values=values, visibility=vis,
-                          amplitude=amplitude, normalized=normalized)
+    return CorrelationSet(order=m + 1, values=values, visibility=vis, amplitude=amplitude)
 
 
 def _six_entry_set(delta1: float, delta2: float, vis: float, scale: float) -> dict[str, float]:
@@ -185,7 +169,7 @@ def g2_tls_set(delta1: float, delta2: float, model: SourceModel,
     """All six second-order correlations of two thermal sources; ``d1d2`` is
     6*E0^4*<n>^2*(1 + vis*cos(delta1 - delta2)), vis defaulting to the
     physical thermal value 1/3."""
-    vis = 1.0 / 3.0 if vis is None else _check_visibility(vis)
+    vis = visibility_tls(1) if vis is None else _check_visibility(vis)
     scale = 6.0 * model.field_amp**4 * model.mean_photons**2
     return CorrelationSet(order=2, values=_six_entry_set(delta1, delta2, vis, scale),
                           visibility=vis, amplitude=scale)

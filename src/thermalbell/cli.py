@@ -104,7 +104,8 @@ def _check_scale(model, ms: list[int]) -> None:
     adds up products as large as (4(m+1))^(m+1) times the scale, so each of
     the three powers must stay that far inside the normal range.  The test
     runs on logarithms, which cannot overflow; the powers grow with m, so
-    the largest m decides.
+    the largest m decides.  Past m = 114 the headroom alone leaves the
+    double range, and no scale fits.
     """
     orders = [m for m in ms if m >= 1]
     if not orders:
@@ -113,11 +114,15 @@ def _check_scale(model, ms: list[int]) -> None:
     limit = 1022 - (m + 1) * math.log2(4 * (m + 1))
     log_amp = 2 * (m + 1) * math.log2(model.field_amp)
     log_nbar = (m + 1) * math.log2(model.mean_photons) if model.mean_photons > 0 else -math.inf
+    refused = f"--field-amp {model.field_amp:g} and --nbar {model.mean_photons:g} at m = {m}: "
+    if limit < 0:
+        raise NumericGuardError(
+            refused + "no correlation scale (E0^2 nbar)^(m+1) fits, as the headroom of the "
+            "closed form and the permanent alone exceeds the double range; lower m")
     if not all(abs(x) <= limit for x in (log_amp, log_nbar, log_amp + log_nbar)):
         raise NumericGuardError(
-            f"--field-amp {model.field_amp:g} and --nbar {model.mean_photons:g} at m = {m}: "
-            f"the correlation scale (E0^2 nbar)^(m+1), or its factor E0^(2(m+1)) or "
-            f"nbar^(m+1), lies outside 2^-{limit:.0f}..2^{limit:.0f}, the double range "
+            refused + f"the correlation scale (E0^2 nbar)^(m+1), or its factor E0^(2(m+1)) "
+            f"or nbar^(m+1), lies outside 2^-{limit:.0f}..2^{limit:.0f}, the double range "
             f"less the headroom of the closed form and the permanent; bring E0^2 nbar "
             f"nearer 1 or lower m")
 
@@ -148,8 +153,7 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
 
     from . import permanents
 
-    # orders above MAX_EXACT_AMPLITUDE_M come out normalized, free of the scale
-    _check_scale(model, [m for m in ms if m <= analytic.MAX_EXACT_AMPLITUDE_M])
+    _check_scale(model, ms)
 
     header = ["m", "delta_rad", "g_plus", "g_minus",
               "g_plus_normalized", "g_minus_normalized", "visibility_dimensionless"]
@@ -192,6 +196,9 @@ def cmd_bell(cfg: BellConfig) -> int:
 
     model_tag = bell.BellModel(_BELL_MODELS[cfg.model])
 
+    if cfg.model == "six-term-spe" and cfg.m is not None:
+        raise ConfigError("--m sets the thermal visibility m/(m+2), which --model "
+                          "six-term-spe does not follow; set its visibility with --vis")
     if (cfg.vis is None) == (cfg.m is None):
         raise ConfigError("provide exactly one of --vis or --m")
     visibility = analytic.visibility_tls(cfg.m) if cfg.m is not None else cfg.vis
@@ -393,7 +400,7 @@ def _parse_span(text: str, limit: int) -> range:
 def cmd_correlate(cfg: CorrelateConfig) -> int:
     import numpy as np
 
-    from . import analytic, correlate, speckle, spkl
+    from . import analytic, correlate, spkl
 
     if cfg.frames is None:
         raise ConfigError("correlate requires --frames pointing at an SPKL file")
@@ -401,24 +408,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         raise ConfigError("correlate requires --out as an output stem")
 
     header = spkl.read_header(cfg.frames)
-    sidecar = spkl.sidecar_path(cfg.frames)
-    try:
-        meta = spkl.read_sidecar(cfg.frames)
-    except FileNotFoundError:
-        raise ConfigError(f"no geometry available for {cfg.frames}; sidecar "
-                          f"{sidecar} is missing") from None
-    except ValueError as exc:
-        raise ConfigError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict) or "geometry" not in meta:
-        raise ConfigError(f"sidecar {sidecar} records no geometry for {cfg.frames}")
-    try:
-        geom = speckle.Geometry.from_dict(meta["geometry"])
-    except ValueError as exc:
-        raise ConfigError(f"sidecar {sidecar}: {exc}") from exc
-    if (geom.width, geom.height) != (header.width, header.height):
-        raise ConfigError(f"sidecar {sidecar} describes a {geom.width} "
-                          f"x {geom.height} grid, but {cfg.frames} holds {header.width} x "
-                          f"{header.height} frames")
+    geom, _ = spkl.read_geometry(cfg.frames, header)
     # fail before the pass over the stack, not after it
     correlate._check_sampling(header.n_frames, cfg.block_len, cfg.n_boot)
 

@@ -14,10 +14,9 @@ class SourceKind(str, enum.Enum):
 
 # Largest fringe visibility of the second-order correlation attainable with
 # two statistically independent classical sources (coherent case); thermal
-# sources reach only 1/3.  Used as a bound check, no coherent closed forms
-# beyond second order are implemented.
+# sources reach only 1/3, analytic.visibility_tls(1).  Used as a bound check,
+# no coherent closed forms beyond second order are implemented.
 COHERENT_MAX_VISIBILITY = 0.5
-TLS_G2_VISIBILITY = 1.0 / 3.0
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .errors import ConfigError
+
 if TYPE_CHECKING:
     import numpy as np
 
-    from .speckle import FrameSet
+    from .speckle import FrameSet, Geometry
 
 MAGIC = b"SPKL"
 VERSION = 1
@@ -267,26 +269,49 @@ def read_sidecar(path: str | Path) -> dict:
     return json.loads(sidecar_path(path).read_text())
 
 
-def load_frameset(path: str | Path) -> FrameSet:
-    """Read an SPKL stack plus its sidecar back into a FrameSet.
-
-    Geometry and generation details come from the sidecar when present;
-    otherwise they are left unset.
-    """
+def read_geometry(path: str | Path, header: SpklHeader) -> tuple[Geometry, dict]:
+    """The geometry the sidecar of the stack at ``path`` records, and the
+    sidecar.  A sidecar that is missing, is no JSON object, records no whole
+    and well-typed geometry, or describes a grid other than ``header``'s is
+    refused with ConfigError."""
     # imported here: commands that only write sidecars never load the
     # frame generator
-    from .speckle import FrameSet, Geometry
+    from .speckle import Geometry
 
-    header, pixels = read_spkl(path)
-    geometry = None
-    substeps = 0
-    n_subsources = 0
+    sidecar = sidecar_path(path)
     try:
         meta = read_sidecar(path)
     except FileNotFoundError:
-        meta = {}
-    if "geometry" in meta:
-        geometry = Geometry.from_dict(meta["geometry"])
+        raise ConfigError(f"no geometry available for {path}; sidecar "
+                          f"{sidecar} is missing") from None
+    except ValueError as exc:
+        raise ConfigError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict) or "geometry" not in meta:
+        raise ConfigError(f"sidecar {sidecar} records no geometry for {path}")
+    try:
+        geom = Geometry.from_dict(meta["geometry"])
+    except ValueError as exc:
+        raise ConfigError(f"sidecar {sidecar}: {exc}") from exc
+    if (geom.width, geom.height) != (header.width, header.height):
+        raise ConfigError(f"sidecar {sidecar} describes a {geom.width} "
+                          f"x {geom.height} grid, but {path} holds {header.width} x "
+                          f"{header.height} frames")
+    return geom, meta
+
+
+def load_frameset(path: str | Path) -> FrameSet:
+    """Read an SPKL stack plus its sidecar back into a FrameSet.
+
+    The sidecar is read by ``read_geometry``'s rules, before the frames;
+    with no sidecar the geometry and generation details are left unset.
+    """
+    from .speckle import FrameSet
+
+    with SpklReader(path) as reader:
+        header = reader.header
+        geometry, meta = read_geometry(path, header) if sidecar_path(path).exists() \
+            else (None, {})
+        pixels = reader.read(0, header.n_frames)
     substeps = int(meta.get("substeps", 0))
     n_subsources = int(meta.get("n_subsources", 0))
     return FrameSet(pixels=pixels, geometry=geometry, seed=header.seed,

@@ -108,11 +108,13 @@ class TestHigherOrderSet:
         assert cset.visibility == 0.5
         assert cset.values[PAIR_DD] == pytest.approx(cset.amplitude * 1.5)
 
-    def test_large_m_goes_normalized(self):
+    def test_large_m_stays_raw(self):
+        """Past m = 20 the amplitude keeps its exact integer prefactor,
+        rounded once, and its scale."""
         cset = analytic.gm1_tls_set(25, 0.0, 0.0, MODEL)
-        assert cset.normalized
-        assert cset.amplitude == pytest.approx(
-            math.exp(math.lgamma(28) - math.log(52.0)), rel=1e-12)
+        assert cset.amplitude == float(math.factorial(27) // 26 * 2**25)
+        assert analytic.gm1_tls_set(25, 0.0, 0.0, tls(0.5)).amplitude == \
+            cset.amplitude * 0.5**26
 
     def test_amplitude_scales_with_model(self):
         cset = analytic.gm1_tls_set(2, 0.0, 0.0, tls(0.5, 2.0))
@@ -207,6 +209,20 @@ class TestProperties:
             assert math.fsum(values) == pytest.approx(1.0, abs=1e-12)
             assert ps.marginal_1 == 0.5
             assert ps.marginal_2 == 0.5
+
+    @given(m=st.integers(1, 114), u=st.floats(-0.99, 0.99), v=st.floats(-0.99, 0.99))
+    @settings(max_examples=300)
+    def test_amplitude_is_midline_times_g1_power(self, m, u, v):
+        """At every order and scale the scale guard admits, the raw amplitude
+        is the normalized midline times g1^(m+1): one rule at every m."""
+        from thermalbell import cli
+        # E0^(2(m+1)) and nbar^(m+1) each take up to just under half the guard's range
+        limit = 1022 - (m + 1) * math.log2(4 * (m + 1))
+        model = tls(2.0 ** (v * limit / (2 * (m + 1))), 2.0 ** (u * limit / (4 * (m + 1))))
+        cli._check_scale(model, [m])
+        amplitude = analytic.gm1_tls_set(m, 0.3, 0.0, model).amplitude
+        assert amplitude == pytest.approx(
+            analytic.normalized_amplitude(m) * analytic.g1(model) ** (m + 1), rel=1e-12)
 
     @given(d1=_DYADIC, d2=_DYADIC, shift=_DYADIC, m=st.integers(1, 8))
     @settings(max_examples=200)

@@ -100,6 +100,25 @@ class TestAnalyticCommand:
         assert run(["analytic", "--m", "2", "--curve", "visibility"]) == 0
         assert "1/2" in capsys.readouterr().out
 
+    def test_raw_values_rise_past_m20(self, tmp_path):
+        """The raw columns keep their units at every m: no drop from
+        m = 20 to m = 21."""
+        out = tmp_path / "c.csv"
+        assert run(["analytic", "--m", "19..22", "--curve", "correlation",
+                    "--delta-points", "2", "--out", str(out)]) == 0
+        g_plus = [float(r["g_plus"]) for r in _csv_rows(out)][::2]
+        assert g_plus == sorted(g_plus) and len(set(g_plus)) == 4
+        assert g_plus[2] == float(math.factorial(23) // 22 * 2**21) * (1 - 21 / 23)
+
+    def test_golden_correlation_bytes(self, tmp_path):
+        """Pinned bytes of the closed-form table through m = 20, the orders
+        that came out raw before every order did."""
+        out = tmp_path / "c.csv"
+        assert run(["analytic", "--m", "1..20", "--curve", "correlation",
+                    "--delta-points", "8", "--out", str(out)]) == 0
+        assert _sha256(out) == \
+            "f80f237395819890480aee0174e2717cc676d4c051f206cc4f4d97f96d6911a0"
+
 
 class TestScaleGuard:
     """A field amplitude and mean photon number whose correlation scale
@@ -131,12 +150,26 @@ class TestScaleGuard:
         assert "--nbar" in err and " at m = " in err and "(E0^2 nbar)^(m+1)" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_normalized_orders_need_no_scale(self, capsys):
-        """Above MAX_EXACT_AMPLITUDE_M the closed form comes out normalized,
-        so a scale beyond double precision is no reason to refuse."""
+    def test_every_order_needs_the_scale(self, tmp_path, capsys):
+        """The closed form is raw at every m, so the scale guard holds past
+        m = 20 too."""
         assert run(["analytic", "--m", "30", "--curve", "correlation",
-                    "--delta-points", "2", "--field-amp", "1e20"]) == 0
-        assert "30,-3.141592653589793," in capsys.readouterr().out
+                    "--delta-points", "2", "--field-amp", "1e20",
+                    "--out", str(tmp_path / "c.csv")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric guard: --field-amp 1e+20 and --nbar 1 at m = 30: the correlation scale")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("m", [115, 120])
+    def test_no_scale_fits_past_m114(self, tmp_path, capsys, m):
+        """Past m = 114 no scale fits; the refusal names m and no range."""
+        assert run(["analytic", "--m", str(m), "--curve", "correlation",
+                    "--out", str(tmp_path / "c.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"numeric guard: --field-amp 1 and --nbar 1 at m = {m}: "
+                              "no correlation scale")
+        assert "2^-" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBellCommand:
@@ -194,6 +227,22 @@ class TestBellCommand:
     def test_requires_vis_or_m(self):
         assert run(["bell", "--four-term"]) == 2
         assert run(["bell", "--four-term", "--m", "3", "--vis", "0.5"]) == 2
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_spe_refuses_thermal_m(self, tmp_path, capsys, from_config):
+        """--m sets the thermal law m/(m+2), which single-photon emitters do
+        not follow; from flags and config files alike."""
+        out = tmp_path / "bell.json"
+        if from_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model": "six-term-spe", "m": 1}))
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--model", "six-term-spe", "--m", "1"]
+        assert run(["bell", *args, "--bound", "upper", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --m ") and "--model six-term-spe" in err
+        assert not out.exists()
 
     def test_bad_visibility_rejected(self, capsys):
         """The visibility and m checks of ``analytic`` refuse these."""
@@ -316,6 +365,14 @@ class TestQuantumCommand:
         err = capsys.readouterr().err
         assert "--dim" in err and f"needs {fock.state_nbytes(100000, 2)} bytes" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_closed_form_agrees_past_m20(self, tmp_path):
+        """Past m = 20 the Fock engine and the closed form compare raw with
+        raw; what is left is the cutoff's bias at this nbar."""
+        out = tmp_path / "q.json"
+        assert run(["quantum", "--m", "21", "--nbar", "0.2", "--gm1-deltas", "2",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["max_gm1_rel_dev"] <= 1e-4
 
     def test_golden_exact_workload_bytes(self, tmp_path):
         """Pinned bytes of the quantum report the benchmark's exact workload

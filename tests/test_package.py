@@ -183,3 +183,15 @@ def test_help_runs_without_numpy(monkeypatch):
         with contextlib.redirect_stdout(buf), pytest.raises(SystemExit):
             cli.main(argv)
     assert done.stdout == buf.getvalue()
+
+
+def test_sources_parse_as_python_310():
+    """Every Python file of the project parses with the grammar of Python
+    3.10, the requires-python floor, whatever interpreter runs the tests."""
+    import ast
+    root = SRC.parent
+    files = [path for top in ("src", "scripts", "tests", "perfbench")
+             for path in sorted((root / top).rglob("*.py"))]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -242,6 +242,21 @@ def test_frameset_without_sidecar_has_no_geometry(frames_tiny, tmp_path):
     assert loaded.geometry is None
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda meta: [], "records no geometry"),
+    (lambda meta: {**meta, "geometry": {**meta["geometry"], "width": 100}},
+     "describes a 100 x 8 grid, but .* holds 128 x 8 frames"),
+], ids=["list", "other-grid"])
+def test_frameset_refuses_bad_sidecar(frames_tiny, tmp_path, edit, message):
+    """A sidecar is read by the rules ``correlate`` reads it by."""
+    from thermalbell.errors import ConfigError
+    path = tmp_path / "frames.spkl"
+    spkl.write_spkl(path, frames_tiny)
+    spkl.write_sidecar(path, edit({"geometry": frames_tiny.geometry.to_dict()}))
+    with pytest.raises(ConfigError, match=message):
+        spkl.load_frameset(path)
+
+
 def test_import_leaves_frame_generator_unloaded():
     """Commands that only write sidecars do not pay for importing speckle."""
     src = str(Path(spkl.__file__).resolve().parents[1])
