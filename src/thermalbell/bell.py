@@ -10,6 +10,12 @@ four-cosine bracket to +-2*sqrt(2).
 frame estimator in ``correlate`` evaluates it too.  ``statistic_value`` is
 its closed form for a fringe of visibility V and a given cosine bracket.
 
+``angle_scan`` returns the extrema of the statistic over an n^3 grid of
+realizable argument tuples, to the bit, from n x U work for the U distinct
+sums t2 + t3: the statistic is monotone in the bracket, so only the sum
+classes whose bracket bound comes near the best one are evaluated in full,
+and ``np.cos`` gives a value the same bits wherever it sits in an array.
+
 The scalar paths are plain ``math``: numpy is imported only by
 ``angle_scan`` and by ``statistic_value`` writing into an array, so the
 closed-form ``bell`` command never loads it.
@@ -41,9 +47,9 @@ UPPER_BOUND = 0.0
 
 BRACKET_MAX = 2.0 * math.sqrt(2.0)
 
-# Grid points per argument of ``angle_scan``, which holds three n x n arrays
-# (the intp index of t2 + t3 into its distinct sums, two float64 buffers):
-# a 102 MB peak under tracemalloc at the maximum.
+# Grid points per argument of ``angle_scan``: a step giving more is a
+# configuration error (exit 2), and at the maximum the scan takes about 0.3 s
+# (its arrays stay below 2 MB at any n).
 MAX_SCAN_POINTS = 2048
 
 
@@ -190,56 +196,186 @@ def min_violating_m() -> int:
     return next(m for m in itertools.count(1) if visibility_tls(m) > threshold)
 
 
+# A bracket and the bound of its class (see ``angle_scan``) differ by a few
+# ulps of 4, about 3e-15; the candidate tests leave this much room.
+_SLACK = 1e-13
+
+# Entries per block of the scan's array work (pairs [t2, t3], or t1 slabs
+# times classes): a few hundred kB of arrays at any grid size.
+_BLOCK = 1 << 14
+
+
+def _blocks(n: int, diags: np.ndarray):
+    """Consecutive runs of the anti-diagonals ``diags`` of an n-point grid,
+    each holding at most ``_BLOCK`` pairs (or one anti-diagonal)."""
+    per = max(1, _BLOCK // n)
+    return (diags[b:b + per] for b in range(0, len(diags), per))
+
+
+def _anti_diagonal_pairs(n: int, diags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(j, k) of every pair of an n-point grid with j + k in ``diags``
+    (ascending), anti-diagonal by anti-diagonal, j ascending."""
+    import numpy as np
+
+    lo = np.maximum(diags - (n - 1), 0)
+    length = np.minimum(diags, n - 1) - lo + 1
+    start = np.cumsum(length) - length
+    j = np.arange(start[-1] + length[-1]) - np.repeat(start - lo, length)
+    return j, np.repeat(diags, length) - j
+
+
+def _sum_classes(grid: np.ndarray, cos: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct sums s_u of two grid points, ascending (the sums of
+    successive anti-diagonals are about a grid step apart); [max, min] of
+    cos t3 - cos t2 over the pairs [t2, t3] of each class ([2, U]); and the
+    anti-diagonal j + k of each class."""
+    import numpy as np
+
+    n = len(grid)
+    parts = []
+    for diags in _blocks(n, np.arange(2 * n - 1)):
+        j, k = _anti_diagonal_pairs(n, diags)
+        pair = grid[j] + grid[k]
+        order = np.argsort(pair)
+        pair, diff = pair[order], (cos[k] - cos[j])[order]
+        first = np.flatnonzero(np.diff(pair, prepend=-np.inf))
+        parts.append((pair[first], np.maximum.reduceat(diff, first),
+                      np.minimum.reduceat(diff, first), (j + k)[order[first]]))
+    sums, dmax, dmin, diag = (np.concatenate(part) for part in zip(*parts))
+    return sums, np.stack([dmax, dmin]), diag
+
+
+def _class_bounds(cos_t1: float | np.ndarray, t1: float | np.ndarray,
+                  sums: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+    """[the bound on the bracket, the bound on minus the bracket] of every
+    class at one t1, or at a column of them ([2, ..., U]), so that both
+    sides of the scan look for a largest value."""
+    import numpy as np
+
+    cos_t4 = np.cos(sums - t1)
+    return np.stack([(cos_t1 + extremes[0]) + cos_t4,
+                     -((cos_t1 + extremes[1]) + cos_t4)])
+
+
+def _class_members(grid: np.ndarray, cos: np.ndarray, i: int, sums: np.ndarray,
+                   diag: np.ndarray, classes: np.ndarray):
+    """Blocks (j, k, bracket) of every pair [t2, t3] of the given classes
+    (ascending indices) in the t1 slab i, each bracket in the full scan's
+    operation order ((cos t1 - cos t2) + cos t3) + cos t4."""
+    import numpy as np
+
+    wanted = sums[classes]
+    diags = diag[classes]
+    for block in _blocks(len(grid), diags[np.diff(diags, prepend=-1) > 0]):
+        j, k = _anti_diagonal_pairs(len(grid), block)
+        pair = grid[j] + grid[k]
+        keep = wanted[np.searchsorted(wanted, pair).clip(max=len(wanted) - 1)] == pair
+        j, k, pair = j[keep], k[keep], pair[keep]
+        bracket = (cos[i] - cos[j]) + cos[k]
+        bracket += np.cos(pair - grid[i])
+        yield j, k, bracket
+
+
+def _first_tie(n: int, blocks, model_tag: BellModel, visibility: float,
+               stat: float) -> int | None:
+    """The least flat index j * n + k among the pairs of ``blocks`` whose
+    statistic equals ``stat``, or None."""
+    import numpy as np
+
+    firsts = []
+    for j, k, bracket in blocks:
+        tied = statistic_value(model_tag, visibility, bracket, out=bracket) == stat
+        if tied.any():
+            firsts.append(int(np.min((j * n + k)[tied])))
+    return min(firsts, default=None)
+
+
 def angle_scan(model_tag: BellModel, visibility: float,
                grid_step: float) -> list[tuple[AngleSet, float]]:
     """Exhaustive grid scan of the realizable cosine-argument tuples.
 
     The four arguments are differences of four detector phases, so only three
     are free: t4 = t2 + t3 - t1.  The scan walks the first three over
-    [0, 2pi), one [t2, t3] slab per t1, and returns the extremal entries
+    [0, 2pi) and returns the extremal entries
     [(angles_at_max, max), (angles_at_min, min)]; ties go to the first grid
     point in (t1, t2, t3) order.  It independently confirms that the
     canonical tuples are extremal: over realizable tuples the bracket never
     exceeds 2*sqrt(2) in magnitude.
 
-    The scan evaluates the statistic at n^3 points for n points per
-    argument, but takes only n x (distinct values of t2 + t3) cosines:
-    the n^2 sums hold few distinct floats (1 145 at n = 314), so each slab
-    takes cos(t2 + t3 - t1) once per distinct sum and gathers it by index.
-    Every cosine gets the argument it would get in full, so the result is
-    the same to the bit.
+    The result is that of evaluating the statistic at all n^3 points for n
+    points per argument, each bracket taken as
+    ((cos t1 - cos t2) + cos t3) + cos(t2 + t3 - t1), to the bit, but
+    after one pass over the n^2 pairs [t2, t3] that sorts them into classes
+    the work is n x U for the U distinct floats s_u of t2 + t3 (1 145
+    against n^2 = 98 596 at n = 314).  Every pair with sum s_u has the same
+    cos t4 in a t1 slab, so the bracket of the class is bounded, up to
+    rounding, by cos t1 + (the class's extreme of cos t3 - cos t2) + cos t4.
+    Only the classes whose bound reaches the best one, within a rounding
+    slack and the statistic's tie width, are evaluated in full, in the
+    operation order above.  Two facts make that exact:
+
+    - ``statistic_value`` is monotone non-decreasing in the bracket for
+      0 <= V <= 1 (each rounded operation is), so the extreme statistic is
+      that of the extreme bracket B*, and a point ties with it only if its
+      bracket lies within w of B*, where w doubles from 1e-15 while
+      f(B* -+ w) == f(B*).  At V = 0 the statistic is flat, w grows past
+      the bracket range and every point is a candidate.
+    - ``np.cos`` of a value does not depend on the value's position in the
+      array, so cos(s_u - t1) is the cosine the full scan takes at every
+      pair of the class.
+
+    The classes are built one block of anti-diagonals j + k = d at a time:
+    sums on different anti-diagonals are about h apart, so no class spans
+    two and no n x n table is held.
     """
     if grid_step <= 0:
         raise ValueError(f"grid_step must be > 0, got {grid_step}")
     visibility = _check_visibility(visibility)
-    n = int(round(2.0 * math.pi / grid_step))
+    points = 2.0 * math.pi / grid_step   # inf for a subnormal step
+    n = round(points) if math.isfinite(points) else points
     if not 1 <= n <= MAX_SCAN_POINTS:
-        raise ValueError(f"grid_step {grid_step} gives {n} points per argument; "
+        raise ValueError(f"grid_step {grid_step} gives {n:.16g} points per argument; "
                          f"between 1 and {MAX_SCAN_POINTS} are supported")
     import numpy as np
 
     grid = np.arange(n) * grid_step
     cos = np.cos(grid)
-    pair = grid[:, None] + grid[None, :]
-    sums = np.unique(pair)
-    where = np.searchsorted(sums, pair)     # pair == sums[where], exactly
-    del pair
-    bracket, cos_t4 = np.empty((n, n)), np.empty((n, n))   # reused by every slab
-    flats = np.empty((n, 2), dtype=np.intp)   # per t1: flat [t2, t3] index of max, min
-    stats = np.empty((n, 2))
-    for i in range(n):
-        np.take(np.cos(sums - grid[i]), where, out=cos_t4, mode="clip")
-        np.add((cos[i] - cos)[:, None], cos, out=bracket)
-        bracket += cos_t4
-        stat = statistic_value(model_tag, visibility, bracket, out=bracket)
-        flats[i] = np.argmax(stat), np.argmin(stat)
-        stats[i] = stat.flat[flats[i]]
+    sums, extremes, diag = _sum_classes(grid, cos)
+    slab_bounds = np.empty((2, n))    # per side, per t1: the largest class bound
+    per = max(1, _BLOCK // len(sums))
+    for a in range(0, n, per):
+        bounds = _class_bounds(cos[a:a + per, None], grid[a:a + per, None], sums, extremes)
+        np.max(bounds, axis=-1, out=slab_bounds[:, a:a + per])
+
+    def members(row: int, i: int, floor: float):
+        # blocks (j, k, bracket) of the t1 slab i's classes whose bound reaches floor
+        bound = _class_bounds(cos[i], grid[i], sums, extremes)[row]
+        return _class_members(grid, cos, i, sums, diag, np.flatnonzero(bound >= floor))
+
     out = []
-    for col, i in enumerate((np.argmax(stats[:, 0]), np.argmin(stats[:, 1]))):
-        j, k = np.unravel_index(flats[i, col], where.shape)
+    for row, side in enumerate((1.0, -1.0)):
+        # the extreme bracket B*: it lies within _SLACK of its class's bound,
+        # which lies within _SLACK of the best bound
+        floor = slab_bounds[row].max() - 2 * _SLACK
+        best = side * max(float(np.max(side * bracket))
+                          for i in np.flatnonzero(slab_bounds[row] >= floor)
+                          for _, _, bracket in members(row, i, floor))
+        stat = statistic_value(model_tag, visibility, best)
+        width = 1e-15
+        while width < 4 * BRACKET_MAX and \
+                statistic_value(model_tag, visibility, best - side * width) == stat:
+            width *= 2.0
+        # every tie lies beyond B* -+ width; the first slab holding one wins
+        floor = side * best - width - _SLACK
+        for i in np.flatnonzero(slab_bounds[row] >= floor):
+            flat = _first_tie(n, members(row, i, floor), model_tag, visibility, stat)
+            if flat is not None:
+                break
+        j, k = divmod(flat, n)
         angles = AngleSet(float(grid[i]), float(grid[j]), float(grid[k]),
-                          float((sums[where[j, k]] - grid[i]) % (2.0 * math.pi)))
-        out.append((angles, float(stats[i, col])))
+                          float((grid[j] + grid[k] - grid[i]) % (2.0 * math.pi)))
+        out.append((angles, stat))
     return out
 
 

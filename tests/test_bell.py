@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,9 +208,11 @@ class TestAngleScan:
     @pytest.mark.parametrize("step, points", [
         (100.0, 0),
         (2 * math.pi / (bell.MAX_SCAN_POINTS + 1), bell.MAX_SCAN_POINTS + 1),
+        # 2pi / step huge or overflowing: the count in exponent form
+        (1e-300, "6.283185307179586e+300"), (1e-310, "inf"), (5e-324, "inf"),
     ])
     def test_rejects_grid_size_outside_limits(self, step, points):
-        with pytest.raises(ValueError, match=f"gives {points} points per argument"):
+        with pytest.raises(ValueError, match=f"gives {re.escape(str(points))} points per argument"):
             bell.angle_scan(BellModel.FOUR_TERM_TLS, 0.5, step)
 
     def test_one_point_grid(self):
@@ -226,6 +230,33 @@ class TestAngleScan:
         for visibility in (0.0, 0.5, 5 / 7, 1.0):
             assert bell.angle_scan(model_tag, visibility, step) == \
                 _reference_scan(model_tag, visibility, step)
+
+    @given(model_tag=st.sampled_from(list(BellModel)),
+           visibility=st.one_of(st.sampled_from([0.0, 1.0, 5e-324]),
+                                st.floats(0.0, 1.0), st.floats(0.0, 1e-6)),
+           n=st.integers(1, 100), jitter=st.floats(-0.004, 0.004))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_random_grids(self, model_tag, visibility, n, jitter):
+        """Any model, visibility and grid, steps off 2pi / n included: the
+        bits of the full cosine scan."""
+        step = 2 * math.pi / n * (1.0 + jitter)
+        assert bell.angle_scan(model_tag, visibility, step) == \
+            _reference_scan(model_tag, visibility, step)
+
+    @pytest.mark.parametrize("step, limit_mb", [(0.02, 2.53),
+                                                (2 * math.pi / bell.MAX_SCAN_POINTS, 3.0)],
+                             ids=["h0.02", "max"])
+    def test_traced_peak(self, step, limit_mb):
+        """No n x n array: at h = 0.02 the scan's traced peak stays under the
+        2.53 MB of the slab-by-slab scan it replaced, and at the largest
+        grid (1.5 MB measured) far under that scan's 102 MB."""
+        tracemalloc.start()
+        try:
+            bell.angle_scan(BellModel.FOUR_TERM_TLS, 5 / 7, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mb * 1e6
 
     def test_distinct_sum_cosines_are_the_full_cosines(self):
         """The property the scan rests on: at n = 314, for every t1, the

@@ -110,6 +110,16 @@ class TestAnalyticCommand:
         assert g_plus == sorted(g_plus) and len(set(g_plus)) == 4
         assert g_plus[2] == float(math.factorial(23) // 22 * 2**21) * (1 - 21 / 23)
 
+    def test_golden_oracle_bytes(self, tmp_path):
+        """Pinned bytes of the oracle.csv the benchmark's exact workload
+        writes (its scan.json is pinned in TestBellCommand, its quantum.json
+        in TestQuantumCommand)."""
+        out = tmp_path / "oracle.csv"
+        assert run(["analytic", "--m", "1..13", "--curve", "correlation", "--oracle",
+                    "--delta-points", "16", "--out", str(out)]) == 0
+        assert _sha256(out) == \
+            "32ac6590b202981916cd68f78fe85196b2b4840c5977777f3746b87f8ac83ab6"
+
     def test_golden_correlation_bytes(self, tmp_path):
         """Pinned bytes of the closed-form table through m = 20, the orders
         that came out raw before every order did."""
@@ -205,6 +215,7 @@ class TestBellCommand:
          "4b135a58e477a6e51198d080f051fb582306235a6cacd021d86a1c3c3f71a187"),
         (["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,1.3"],
          "121e1abf4e375ed93abaa0cbb8102af5a1899165032ae78a412a283473c4ccc1"),
+        # the scan.json of the benchmark's exact workload
         (["--four-term", "--m", "5", "--scan-step", "0.02"],
          "dde18ab9c3e8e0db92caa600b4f1123f524a1cb5b3e7d9e0ca9f879d83c33ace"),
     ])
@@ -213,10 +224,13 @@ class TestBellCommand:
         assert run(["bell", *args, "--out", str(out)]) == 0
         assert _sha256(out) == digest
 
-    @pytest.mark.parametrize("step, points", [("100", 0), ("1e-4", 62832)])
+    @pytest.mark.parametrize("step, points", [
+        ("100", 0), ("1e-4", 62832), ("1e-300", "6.283185307179586e+300"),
+        ("1e-310", "inf"), ("5e-324", "inf")])
     def test_scan_grid_size_guarded(self, tmp_path, capsys, step, points):
         """A step giving no grid point, or too many to hold, is refused
-        before the scan allocates anything."""
+        before the scan allocates anything; so is a step so small that the
+        point count overflows."""
         out = tmp_path / "bell.json"
         assert run(["bell", "--four-term", "--m", "5", "--scan-step", step,
                     "--out", str(out)]) == 2
