@@ -55,14 +55,15 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
-def _emit(command: str, cfg, text: str, stage_s: dict[str, float]) -> None:
+def _emit(command: str, cfg, text: str, stage_s: dict[str, float], **diagnostics) -> None:
     """A command's one text output: to --out with its sidecar, whose
-    diagnostics carry the command's ``stage_s`` and peak RSS, or to stdout."""
+    diagnostics carry the command's ``stage_s``, its other ``diagnostics``
+    and peak RSS, or to stdout."""
     if cfg.out is None:
         sys.stdout.write(text)
     else:
         _publish({cfg.out: text}, cfg.out, command, cfg,
-                 diagnostics={"stage_s": stage_s, "peak_rss_mb": _peak_rss_mb()})
+                 diagnostics={"stage_s": stage_s, **diagnostics, "peak_rss_mb": _peak_rss_mb()})
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -127,6 +128,31 @@ def _check_scale(model, ms: list[int]) -> None:
             f"nearer 1 or lower m")
 
 
+# simulate's frames need E0^2 nbar within 2^-64 .. 2^64: 2^62 of room to
+# either end of float32's normal range, 2^-126 .. 2^128
+FRAME_SCALE_BITS = 64
+
+
+def _check_frame_scale(model) -> None:
+    """Refuse a field amplitude and mean photon number whose frames float32
+    cannot hold, before any frame is made.
+
+    A pixel's mean intensity is E0^2 nbar per slit, and speckle spreads the
+    pixels exponentially about it; within ``FRAME_SCALE_BITS`` no pixel
+    overflows to inf or falls to zero.  The test runs on logarithms, which
+    cannot overflow.  ``--nbar 0`` makes a dark stack.
+    """
+    if model.mean_photons == 0:
+        return
+    log_scale = 2 * math.log2(model.field_amp) + math.log2(model.mean_photons)
+    if abs(log_scale) > FRAME_SCALE_BITS:
+        raise NumericGuardError(
+            f"--field-amp {model.field_amp:g} and --nbar {model.mean_photons:g}: the mean "
+            f"intensity E0^2 nbar = 2^{log_scale:.1f} lies outside "
+            f"2^-{FRAME_SCALE_BITS}..2^{FRAME_SCALE_BITS}, where float32 frames hold every "
+            "speckle pixel; bring E0^2 nbar nearer 1")
+
+
 # ---------------------------------------------------------------- analytic
 
 def cmd_analytic(cfg: AnalyticConfig) -> int:
@@ -151,7 +177,7 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
 
     import numpy as np
 
-    from . import permanents
+    from . import blas, permanents
 
     _check_scale(model, ms)
 
@@ -176,7 +202,8 @@ def cmd_analytic(cfg: AnalyticConfig) -> int:
                 max_dev = max(max_dev, dev)
                 row += [repr(oracle.normalized), repr(dev)]
             rows.append(row)
-    _emit("analytic", cfg, _csv_text(header, rows), {"table": time.perf_counter() - started})
+    _emit("analytic", cfg, _csv_text(header, rows), {"table": time.perf_counter() - started},
+          **blas.kernels())
     if cfg.oracle:
         print(f"max oracle relative deviation: {max_dev:.3e}")
     return EXIT_OK
@@ -243,7 +270,7 @@ def cmd_bell(cfg: BellConfig) -> int:
 def cmd_quantum(cfg: QuantumConfig) -> int:
     import numpy as np
 
-    from . import analytic, fock
+    from . import analytic, blas, fock
     from .sources import tls
 
     ms = parse_m_range(cfg.m_range)
@@ -305,7 +332,7 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
         if not math.isfinite(payload[key]):
             raise ArithmeticError(f"the Fock-space check came out {key} = {payload[key]}")
     stage_s["gm1_check"] = time.perf_counter() - started
-    _emit("quantum", cfg, _json_text(payload), stage_s)
+    _emit("quantum", cfg, _json_text(payload), stage_s, **blas.kernels())
     return EXIT_OK
 
 
@@ -326,6 +353,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         slit_width=cfg.slit_width, propagation=cfg.propagation,
         pixel_pitch=cfg.pixel_pitch, width=cfg.width, height=cfg.height)
     model = tls(cfg.nbar, cfg.field_amp)
+    _check_frame_scale(model)
 
     # per-frame sums, added exactly at the end, so the summary does not
     # depend on how the frames were chunked
@@ -374,6 +402,7 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
                  "blas_pinned": blas_before is not None,
                  "blas_threads_before": blas_before,
                  "generate_write_s": generate_write_s,
+                 **blas.kernels(),
                  "peak_rss_mb": _peak_rss_mb(),
              })
     print(f"wrote {cfg.n_frames} frames to {cfg.out}: "
@@ -400,7 +429,7 @@ def _parse_span(text: str, limit: int) -> range:
 def cmd_correlate(cfg: CorrelateConfig) -> int:
     import numpy as np
 
-    from . import analytic, correlate, spkl
+    from . import analytic, blas, correlate, spkl
 
     if cfg.frames is None:
         raise ConfigError("correlate requires --frames pointing at an SPKL file")
@@ -425,6 +454,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
     y2 = cfg.y2 if cfg.y2 is not None else geom.height - 1
     scan = _parse_span(cfg.x2_range, geom.width) if cfg.x2_range is not None \
         else range(geom.width)
+    correlate._check_coverage(geom, scan)
 
     def rows_for(m: int) -> list[int]:
         if cfg.y1_rows is not None:
@@ -508,6 +538,7 @@ def cmd_correlate(cfg: CorrelateConfig) -> int:
         "n_blocks": collected.blocks.shape[0],
         "n_boot": cfg.n_boot,
         "stage_s": stage_s,
+        **blas.kernels(),
     }
     if cfg.bell:
         diagnostics["bell_snap"] = correlate.bell_snap(geom, angles, cfg.realizations)

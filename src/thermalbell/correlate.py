@@ -577,6 +577,17 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
                             n_frames_used=table.n_frames)
 
 
+def _check_coverage(geom: Geometry, columns: Sequence[int]) -> np.ndarray:
+    """Fringe phases of the scanned ``columns``, which the fixed-period fit
+    needs to span at least one full fringe period."""
+    delta = geom.phase_map()[np.asarray(columns)]
+    if delta.max() - delta.min() < 2.0 * math.pi - 1e-9:
+        raise PeriodCoverageError(
+            f"scan spans {(delta.max() - delta.min()) / (2 * math.pi):.2f} fringe "
+            "periods; at least one full period required")
+    return delta
+
+
 def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimate:
     """Weighted least-squares visibility of a correlation curve.
 
@@ -584,39 +595,55 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
     (A, A V cos phi, A V sin phi); the phase map delta(x2) comes from the
     geometry with the fringe period fixed, so no iterative fitting is needed.
     Requires the scan to span at least one full fringe period, and every
-    stderr finite and > 0.
+    weight 1/stderr^2 finite and > 0.
+
+    The 3 x 3 weighted normal matrix is inverted once, by cofactors, and the
+    coefficients, the delta-method variance of V and the residual are read
+    from that inverse.  Every sum is one ``math.fsum`` of Python floats and
+    the phases go through libm, so no BLAS, LAPACK or SIMD loop decides a
+    bit of the estimate.
     """
-    delta = geom.phase_map()[curve.x2_positions]
-    if delta.max() - delta.min() < 2.0 * math.pi - 1e-9:
-        raise PeriodCoverageError(
-            f"scan spans {(delta.max() - delta.min()) / (2 * math.pi):.2f} fringe "
-            "periods; at least one full period required")
-    y = np.asarray(curve.values, dtype=float)
-    se = np.asarray(curve.stderr, dtype=float)
-    bad = np.flatnonzero(~(np.isfinite(se) & (se > 0)))
-    if len(bad):
+    delta = _check_coverage(geom, curve.x2_positions).tolist()
+    y = [float(v) for v in curve.values]
+    se = [float(s) for s in curve.stderr]
+    w = [1.0 / s / s if s > 0 else math.nan for s in se]
+    bad = [k for k, wk in enumerate(w) if not (math.isfinite(wk) and wk > 0)]
+    if bad:
         raise NumericGuardError(f"m = {curve.m}: x2 column {curve.x2_positions[bad[0]]} has "
                                 f"stderr {se[bad[0]]}, but each point is weighted by 1/stderr^2")
-    design = np.stack([np.ones_like(delta), np.cos(delta), np.sin(delta)], axis=1)
-    w = 1.0 / se**2
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(design * sw[:, None], y * sw, rcond=None)
-    c0, c1, c2 = coef
+    cols = ([1.0] * len(delta), [math.cos(x) for x in delta], [math.sin(x) for x in delta])
+
+    def wsum(u: list[float], v: list[float]) -> float:
+        return math.fsum(wk * uk * vk for wk, uk, vk in zip(w, u, v))
+
+    a, b, c, d, e, f = (wsum(cols[i], cols[j]) for i, j in
+                        ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    rhs = [wsum(col, y) for col in cols]
+    cof = [[d * f - e * e, c * e - b * f, b * e - c * d],
+           [c * e - b * f, a * f - c * c, b * c - a * e],
+           [b * e - c * d, b * c - a * e, a * d - b * b]]
+    # plain sums: an inf - inf here is a nan the check refuses, where
+    # math.fsum would raise
+    det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
+    if not (math.isfinite(det) and det > 0):
+        raise NumericGuardError(f"m = {curve.m}: the weighted normal matrix of the fit "
+                                f"has determinant {det}, not a finite value > 0")
+    inv = [[x / det for x in row] for row in cof]
+    c0, c1, c2 = (math.fsum(inv[i][j] * rhs[j] for j in range(3)) for i in range(3))
     if c0 <= 0:
         raise PeriodCoverageError(f"degenerate fit: nonpositive midline {c0}")
-    gram = design.T @ (design * w[:, None])
-    cov = np.linalg.inv(gram)
     r = math.hypot(c1, c2)
     vis = r / c0
     if r > 0:
-        grad = np.array([-r / c0**2, c1 / (r * c0), c2 / (r * c0)])
+        grad = [-r / (c0 * c0), c1 / (r * c0), c2 / (r * c0)]
     else:
-        grad = np.array([0.0, 1.0 / c0, 1.0 / c0])
-    var = float(grad @ cov @ grad)
+        grad = [0.0, 1.0 / c0, 1.0 / c0]
+    var = math.fsum(grad[i] * inv[i][j] * grad[j] for i in range(3) for j in range(3))
     # a rounding-negative variance is 0; a nan one stays nan, as the value does
     stderr = 0.0 if var < 0 else math.sqrt(var)
-    residual = float(np.sqrt(np.mean((y - design @ coef) ** 2)) / c0)
-    return VisibilityEstimate(value=float(min(max(vis, 0.0), 1.0)),
+    misfit = [yk - math.fsum([c0, c1 * ck, c2 * sk]) for yk, ck, sk in zip(y, *cols[1:])]
+    residual = math.sqrt(math.fsum(x * x for x in misfit) / len(y)) / c0
+    return VisibilityEstimate(value=min(max(vis, 0.0), 1.0),
                               stderr=stderr, fit_residual=residual)
 
 

@@ -22,7 +22,9 @@ detections a state holds (2m + 1) dim^2 entries.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +158,10 @@ def thermal_state(mean_photons: float, dim: int) -> TwoModeState:
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     q = mean_photons / (1.0 + mean_photons)
-    weights = (q ** np.arange(dim)) / (1.0 + mean_photons)
+    # q^n by repeated IEEE multiplication: numpy's SIMD power and libm's pow
+    # can differ in the last bit from one CPU to the next
+    powers = itertools.accumulate(itertools.repeat(q, dim - 1), operator.mul, initial=1.0)
+    weights = np.fromiter(powers, float, dim) / (1.0 + mean_photons)
     per_mode_mass = float(weights.sum())
     deficit = 1.0 - per_mode_mass**2
     if deficit > TRACE_DEFICIT_TOL:

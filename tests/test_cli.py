@@ -35,8 +35,42 @@ GOLDEN_SIM_SUMMARY = {"fringe_period_m": 0.000798, "fringe_period_px": 99.75,
                       "speckle_contrast": 0.9614834487721088}
 
 
+# The pinned runs on the TestGoldenCorrelate stack, and the quantum report
+# the benchmark's exact workload writes: per output stem, the command and
+# the SHA-256 of each file it writes.  No OpenBLAS kernel set or numpy SIMD
+# level changes them (TestGoldenCorrelate.test_golden_bytes_on_other_kernels).
+GOLDEN_RUNS = {
+    "run": (["correlate", "--m", "1..6", "--bell", "--realizations", "2", "--boot", "40"],
+            {"run_report.json":
+             "2c37b9718a73b7a59586468882a6f4fa21fc5d020c5bfdd44fb6a1c8d7211c95",
+             "run_curve_m6.csv":
+             "f5073aefd2cf18f8b7e08e151bf6ebcfbf6c0f6fbf152840a0c094bda6405cff",
+             "run_visibility.csv":
+             "64f7dac8243702df0701d101d5f200214a61d8f8fe9b6081b5b9896d31fe9e49"}),
+    "low": (["correlate", "--m", "6", "--bell", "--bound", "lower", "--realizations", "2",
+             "--boot", "40"],
+            {"low_report.json":
+             "f381d99175d4dfc86be896e878d8251fa745c86e1a5a1071cb2e4ff92cc0b9c8"}),
+    "q": (["quantum", "--m", "1..4", "--nbar", "0.05,0.2,0.5", "--delta1", "0.0,1.3"],
+          {"q.json": "2f6cac5193c07808734e568a9097410c84366ba9dd1e4d80068c47dc72dca60e"}),
+}
+
+
 def run(args):
     return cli.main(args)
+
+
+def _golden_args(stem: str, stack, out_dir) -> list[str]:
+    """The command line of a pinned run, writing into ``out_dir``."""
+    args, digests = GOLDEN_RUNS[stem]
+    if args[0] == "correlate":
+        return [*args, "--frames", str(stack), "--out", str(out_dir / stem)]
+    return [*args, "--out", str(out_dir / next(iter(digests)))]
+
+
+def _assert_golden(stem: str, out_dir) -> None:
+    assert {name: _sha256(out_dir / name) for name in GOLDEN_RUNS[stem][1]} == \
+        GOLDEN_RUNS[stem][1]
 
 
 def _sha256(path) -> str:
@@ -391,11 +425,8 @@ class TestQuantumCommand:
     def test_golden_exact_workload_bytes(self, tmp_path):
         """Pinned bytes of the quantum report the benchmark's exact workload
         writes."""
-        out = tmp_path / "q.json"
-        assert run(["quantum", "--m", "1..4", "--nbar", "0.05,0.2,0.5",
-                    "--delta1", "0.0,1.3", "--out", str(out)]) == 0
-        assert _sha256(out) == \
-            "4827500df255222dacbef4aa8dacd6cfaa2ad5ed64c80031ac4af32c8eaa7e7d"
+        assert run(_golden_args("q", None, tmp_path)) == 0
+        _assert_golden("q", tmp_path)
 
 
 class TestSimulateCommand:
@@ -443,7 +474,8 @@ class TestSimulateCommand:
         assert run(["simulate", *GOLDEN_SIM_ARGS, "--out", str(out)]) == 0
         diag = json.loads((tmp_path / "g.spkl.meta.json").read_text())["diagnostics"]
         assert set(diag) == {"workers", "blas_pinned", "blas_threads_before",
-                             "generate_write_s", "peak_rss_mb"}
+                             "generate_write_s", "blas_core", "numpy_simd", "peak_rss_mb"}
+        assert {key: diag[key] for key in ("blas_core", "numpy_simd")} == blas.kernels()
         assert diag["workers"] == 1                  # 300 frames are one chunk
         assert diag["blas_pinned"] == (diag["blas_threads_before"] is not None)
         assert diag["blas_threads_before"] == blas.threads()
@@ -521,6 +553,32 @@ class TestSimulateCommand:
 
     def test_requires_out(self):
         assert run(["simulate", "--frames", "10"]) == 2
+
+    @pytest.mark.parametrize("amp", ["1e30", "1e-30", "5e9", "2e-10"])
+    def test_intensity_beyond_float32_refused(self, tmp_path, capsys, amp):
+        """A mean intensity E0^2 nbar whose pixels float32 would hold as inf
+        or as zeros is refused before any frame is made: exit 3, no
+        warning, and nothing written."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--frames", "100", "--field-amp", amp, "--pixel-pitch",
+                        "8e-6", "--grid-width", "128", "--out", str(tmp_path / "x.spkl")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"numeric guard: --field-amp {float(amp):g} and --nbar 1: the mean intensity "
+            "E0^2 nbar = 2^")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("amp", ["4e9", "2.5e-10"])
+    def test_intensity_at_the_scale_limits_written(self, tmp_path, amp):
+        """Just inside 2^-64 .. 2^64, every pixel is finite and nonzero."""
+        from thermalbell import spkl
+        out = tmp_path / "x.spkl"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate", "--frames", "100", "--field-amp", amp, "--pixel-pitch",
+                        "8e-6", "--grid-width", "128", "--out", str(out)]) == 0
+        pixels = spkl.read_spkl(out)[1]
+        assert np.isfinite(pixels).all() and (pixels > 0).all()
 
     @pytest.mark.parametrize("bad", [["--frames", "-5"], ["--frames", "0"],
                                      ["--frames", str(2**32)], ["--seed", "-1"],
@@ -606,6 +664,17 @@ class TestCorrelateCommand:
         assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
                     "--block", "4000", "--out", str(tmp_path / "x")]) == 3
         assert collect_calls == []
+
+    def test_short_scan_refused_before_reading(self, stack, tmp_path, collect_calls, capsys):
+        """A scan shorter than one fringe period cannot be fitted; it is
+        refused before the pass over the stack, and nothing is written."""
+        assert run(["correlate", "--frames", str(stack), "--m", "1", "--x2-range", "0:10",
+                    "--out", str(tmp_path / "x")]) == 3
+        assert capsys.readouterr().err == ("numeric guard: scan spans 0.09 fringe periods; "
+                                           "at least one full period required\n")
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
 
     @pytest.mark.parametrize("args", [
         ["--m", "6", "--bell", "--bell-m", "5", "--y1-rows", "0,1,2,3,4,5"],
@@ -844,6 +913,8 @@ class TestCorrelateCommand:
         diag = meta["diagnostics"]
         assert diag["n_blocks"] == 47 and diag["block_len"] == 64
         assert diag["n_boot"] == 30
+        from thermalbell import blas
+        assert {key: diag[key] for key in ("blas_core", "numpy_simd")} == blas.kernels()
         # 2 x1 pixels, 128 scan pixels, 2 x 4 Bell columns on 2 rows
         assert 130 < diag["n_cells"] <= 130 + 16
         assert set(diag["stage_s"]) == {"collect", "curves", "bell"}
@@ -961,15 +1032,8 @@ class TestGoldenCorrelate:
             "421fc1b57e0ab541647c7fe274193b400e3a2eebe7303eab2cad4b8d3a919ce5"
 
     def test_curves_and_bell_report(self, stack, tmp_path):
-        assert run(["correlate", "--frames", str(stack), "--m", "1..6", "--bell",
-                    "--realizations", "2", "--boot", "40",
-                    "--out", str(tmp_path / "run")]) == 0
-        assert _sha256(tmp_path / "run_report.json") == \
-            "856a27472711e763ab5bd8368cdc2bdc9ecd81c1d6d600847873849ee7d1ec0f"
-        assert _sha256(tmp_path / "run_curve_m6.csv") == \
-            "f5073aefd2cf18f8b7e08e151bf6ebcfbf6c0f6fbf152840a0c094bda6405cff"
-        assert _sha256(tmp_path / "run_visibility.csv") == \
-            "29342509615545d1bc47c7962ea5201afa7386657794ce83ffb7d7ad7f537ab4"
+        assert run(_golden_args("run", stack, tmp_path)) == 0
+        _assert_golden("run", tmp_path)
 
     def test_outputs_do_not_depend_on_blas_threads(self, stack, tmp_path):
         """At --block 4 the bootstrap has 750 blocks, enough for OpenBLAS's
@@ -992,11 +1056,36 @@ class TestGoldenCorrelate:
         assert digests[0] == digests[1]
 
     def test_lower_bound_report(self, stack, tmp_path):
-        assert run(["correlate", "--frames", str(stack), "--m", "6", "--bell",
-                    "--bound", "lower", "--realizations", "2", "--boot", "40",
-                    "--out", str(tmp_path / "low")]) == 0
-        assert _sha256(tmp_path / "low_report.json") == \
-            "9775f92ca4c948fda83c252ae5248c3c6855753eaf154893ba9d34dea8f8a998"
+        assert run(_golden_args("low", stack, tmp_path)) == 0
+        _assert_golden("low", tmp_path)
+
+    @pytest.mark.parametrize("override", [
+        {"OPENBLAS_CORETYPE": "Haswell"},
+        {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+        {"OPENBLAS_CORETYPE": "Haswell",
+         "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    ], ids=["haswell-blas", "no-avx512", "both"])
+    def test_golden_bytes_on_other_kernels(self, stack, tmp_path, override):
+        """A child process on OpenBLAS's Haswell kernels, on numpy without
+        its AVX-512 loops, or on both writes the pinned bytes.  An override
+        that leaves the child on this process's kernels (as its sidecar
+        records them) exercises nothing this CPU can show, and is skipped."""
+        from thermalbell import blas
+        src = str(Path(thermalbell.__file__).resolve().parents[1])
+        env = {**os.environ, **override,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        runs = [_golden_args(stem, stack, tmp_path) for stem in GOLDEN_RUNS]
+        done = subprocess.run(
+            [sys.executable, "-c", "import json, sys\nfrom thermalbell.cli import main\n"
+             "sys.exit(max(main(args) for args in json.loads(sys.argv[1])))",
+             json.dumps(runs)], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        diag = json.loads((tmp_path / "q.json.meta.json").read_text())["diagnostics"]
+        child = {key: diag[key] for key in ("blas_core", "numpy_simd")}
+        if child == blas.kernels():
+            pytest.skip(f"{override} leaves the kernels at {child} on this CPU")
+        for stem in GOLDEN_RUNS:
+            _assert_golden(stem, tmp_path)
 
 
 @pytest.mark.parametrize("args", [
@@ -1021,6 +1110,74 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys, args):
     assert "disk full" in capsys.readouterr().err
     assert seen == [[f".out.txt.{os.getpid()}.tmp"]]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def stacks(tmp_path_factory) -> dict[str, str]:
+    """A 1000-frame desk stack ("good"), and copies of it cut to half its
+    frames ("short") and marked SPKL version 2 ("v2"), each with the
+    sidecar."""
+    folder = tmp_path_factory.mktemp("stacks")
+    good = folder / "good.spkl"
+    assert run(["simulate", *SIM_ARGS[2:], "--frames", "1000", "--out", str(good)]) == 0
+    data = good.read_bytes()
+    meta = (folder / "good.spkl.meta.json").read_bytes()
+    for name, payload in (("short", data[:len(data) // 2]),
+                          ("v2", data[:4] + (2).to_bytes(4, "little") + data[8:])):
+        (folder / f"{name}.spkl").write_bytes(payload)
+        (folder / f"{name}.spkl.meta.json").write_bytes(meta)
+    return {name: str(folder / f"{name}.spkl") for name in ("good", "short", "v2")}
+
+
+CORRELATE = ["correlate", "--frames", "{good}", "--out", "{out}"]
+SIMULATE = ["simulate", "--frames", "10", "--out", "{out}"]
+
+
+# Refusals as (arguments, config file text or None, exit code): "{good}",
+# "{short}" and "{v2}" are the ``stacks``, "{out}" the output path,
+# "{config}" the config file and "{missing}" a file that does not exist.
+@pytest.mark.parametrize("args, config, code", [
+    pytest.param([*CORRELATE, "--block", "0"], None, 2, id="block-0"),
+    pytest.param([*CORRELATE, "--boot", "1"], None, 2, id="boot-1"),
+    pytest.param([*CORRELATE, "--m", "0"], None, 2, id="m-0"),
+    pytest.param([*CORRELATE, "--m", "3..1"], None, 2, id="m-descending"),
+    pytest.param([*CORRELATE, "--m", "a"], None, 2, id="m-text"),
+    pytest.param([*CORRELATE, "--x2-range", "5"], None, 2, id="x2-range-no-colon"),
+    pytest.param([*CORRELATE, "--x2-range", "0:999"], None, 2, id="x2-range-off-grid"),
+    pytest.param(["correlate", "--out", "{out}"], None, 2, id="no-frames"),
+    pytest.param(["correlate", "--frames", "{good}"], None, 2, id="no-out"),
+    pytest.param([*SIMULATE, "--grid-width", "1"], None, 2, id="grid-width-1"),
+    pytest.param([*SIMULATE, "--subsources", "0"], None, 2, id="subsources-0"),
+    pytest.param([*SIMULATE, "--substeps", "0"], None, 2, id="substeps-0"),
+    pytest.param([*SIMULATE, "--field-amp", "0"], None, 2, id="field-amp-0"),
+    pytest.param([*SIMULATE, "--nbar", "-1"], None, 2, id="nbar-negative"),
+    pytest.param(["analytic", "--config", "{missing}", "--out", "{out}"], None, 2,
+                 id="config-missing"),
+    pytest.param(["analytic", "--config", "{config}", "--out", "{out}"], "[1, 2]", 2,
+                 id="config-array"),
+    pytest.param(["quantum", "--config", "{config}", "--out", "{out}"], '{"nbar": 0.2}', 2,
+                 id="quantum-nbar-scalar"),
+    pytest.param(["analytic", "--config", "{config}", "--out", "{out}"], '{"oracle": 1}', 2,
+                 id="analytic-oracle-int"),
+    pytest.param(["analytic", "--config", "{config}", "--out", "{out}"], '{"m_range": 3}', 2,
+                 id="analytic-m-range-int"),
+    pytest.param(["correlate", "--frames", "{short}", "--out", "{out}"], None, 4,
+                 id="stack-short"),
+    pytest.param(["correlate", "--frames", "{v2}", "--out", "{out}"], None, 4,
+                 id="stack-version-2"),
+])
+def test_refusal_exit_codes(tmp_path, capsys, stacks, args, config, code):
+    """Each refusal gives its documented exit code and message prefix, no
+    traceback, and leaves nothing at the output path."""
+    paths = {**stacks, "out": str(tmp_path / "out"), "config": str(tmp_path / "config.json"),
+             "missing": str(tmp_path / "missing.json")}
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+    assert run([arg.format(**paths) for arg in args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({2: "config error: ", 4: "i/o error: "}[code])
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
 
 
 class TestConfigHandling:
@@ -1145,22 +1302,28 @@ class TestConfigHandling:
         assert meta["config"]["m_range"] == "1..2"
         assert "written_at_unix" in meta
 
-    @pytest.mark.parametrize("args, stages", [
-        (["analytic", "--m", "1..2"], {"table"}),
+    @pytest.mark.parametrize("args, stages, kernels", [
+        (["analytic", "--m", "1..2"], {"table"}, False),
         (["analytic", "--m", "1..2", "--curve", "correlation", "--delta-points", "4",
-          "--oracle"], {"table"}),
-        (["bell", "--four-term", "--m", "5"], {"statistics"}),
-        (["bell", "--four-term", "--m", "5", "--scan-step", "0.1"], {"statistics", "scan"}),
+          "--oracle"], {"table"}, True),
+        (["bell", "--four-term", "--m", "5"], {"statistics"}, False),
+        (["bell", "--four-term", "--m", "5", "--scan-step", "0.1"], {"statistics", "scan"},
+         False),
         (["quantum", "--m", "1", "--nbar", "0.2", "--delta1", "0.0"],
-         {"cross_correlation", "gm1_check"}),
+         {"cross_correlation", "gm1_check"}, True),
     ], ids=["analytic", "analytic-oracle", "bell", "bell-scan", "quantum"])
-    def test_sidecar_diagnostics(self, tmp_path, capsys, args, stages):
-        """The text commands' sidecars carry their stage times and peak RSS;
-        the output itself is what the command prints without --out."""
+    def test_sidecar_diagnostics(self, tmp_path, capsys, args, stages, kernels):
+        """The text commands' sidecars carry their stage times and peak RSS,
+        and those of the commands whose numbers run on numpy's kernels name
+        the kernels; the output itself is what the command prints without
+        --out."""
+        from thermalbell import blas
         out = tmp_path / "out.txt"
         assert run([*args, "--out", str(out)]) == 0
         diag = json.loads((tmp_path / "out.txt.meta.json").read_text())["diagnostics"]
-        assert set(diag) == {"stage_s", "peak_rss_mb"}
+        assert set(diag) == {"stage_s", "peak_rss_mb"} | (set(blas.kernels()) if kernels else set())
+        if kernels:
+            assert {key: diag[key] for key in blas.kernels()} == blas.kernels()
         assert set(diag["stage_s"]) == stages
         assert all(s >= 0 for s in diag["stage_s"].values())
         assert diag["peak_rss_mb"] > 10

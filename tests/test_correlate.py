@@ -160,10 +160,29 @@ class TestVisibilityFit:
         assert est.value == pytest.approx(0.61, abs=1e-12)
         assert est.fit_residual <= 1e-12
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_agrees_with_lstsq_reference(self, frames_20k, desk_geom, m):
+        """The one cofactor inverse gives the estimate, its stderr and the
+        residual of a weighted least-squares fit made by LAPACK."""
+        curve = estimate_gm1(frames_20k, m, 63, list(range(m)), FULL_SCAN, 7)
+        est = fit_visibility(curve, desk_geom)
+        delta = desk_geom.phase_map()
+        design = np.stack([np.ones_like(delta), np.cos(delta), np.sin(delta)], axis=1)
+        scaled = design / curve.stderr[:, None]
+        (c0, c1, c2), *_ = np.linalg.lstsq(scaled, curve.values / curve.stderr, rcond=None)
+        cov = np.linalg.inv(scaled.T @ scaled)
+        r = math.hypot(c1, c2)
+        grad = np.array([-r / c0**2, c1 / (r * c0), c2 / (r * c0)])
+        misfit = curve.values - design @ [c0, c1, c2]
+        assert est.value == pytest.approx(r / c0, rel=1e-12, abs=0)
+        assert est.stderr == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-12, abs=0)
+        assert est.fit_residual == pytest.approx(np.sqrt(np.mean(misfit**2)) / c0,
+                                                 rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf, 1e-170])
     def test_degenerate_stderr_refused(self, desk_geom, bad):
-        """Each point is weighted by 1/stderr^2, so a stderr that is not
-        finite and > 0 is refused, naming its column; no unweighted fit
+        """Each point is weighted by 1/stderr^2, so a stderr whose weight is
+        not finite and > 0 is refused, naming its column; no unweighted fit
         stands in for the weighted one."""
         delta = desk_geom.phase_map()
         values = 1.0 * (1 + 0.3 * np.cos(delta))
@@ -171,6 +190,20 @@ class TestVisibilityFit:
         stderr[18] = bad
         curve = CorrelationCurve(1, np.arange(128), values, stderr, 1000)
         with pytest.raises(NumericGuardError, match=f"^m = 1: x2 column 18 has stderr {bad}, but "):
+            fit_visibility(curve, desk_geom)
+
+    @pytest.mark.parametrize("columns, stderr", [
+        ([0, 127, 127], 1e-3),          # two distinct columns: a singular matrix
+        (range(128), 1e-153),           # finite weights whose cofactors overflow
+    ], ids=["singular", "overflow"])
+    def test_degenerate_normal_matrix_refused(self, desk_geom, columns, stderr):
+        """A weighted normal matrix whose determinant is not finite and > 0
+        is refused, naming m, before anything divides by it."""
+        columns = np.array(columns)
+        values = 1.0 * (1 + 0.3 * np.cos(desk_geom.phase_map()[columns]))
+        curve = CorrelationCurve(4, columns, values, np.full(len(columns), stderr), 1000)
+        with pytest.raises(NumericGuardError,
+                           match="^m = 4: the weighted normal matrix of the fit has determinant "):
             fit_visibility(curve, desk_geom)
 
     def test_period_coverage_guard(self, frames_tiny, desk_geom):

@@ -83,6 +83,17 @@ def test_import_loads_nothing_and_every_module_resolves():
     assert done.returncode == 0, done.stderr
 
 
+def test_kernels_named():
+    """Where numpy's OpenBLAS is found its core name is too; the SIMD level
+    is one of numpy's x86 levels, or None where numpy names none."""
+    from thermalbell import blas
+    kernels = blas.kernels()
+    assert set(kernels) == {"blas_core", "numpy_simd"}
+    if blas.threads() is not None:
+        assert kernels["blas_core"]
+    assert kernels["numpy_simd"] in (None, "X86_V2", "X86_V3", "X86_V4")
+
+
 def test_runs_without_scipy(tmp_path):
     """No module imports scipy: with every scipy import made to fail, each
     module imports and the Fock engine runs."""
