@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .analytic import _check_visibility, visibility_tls
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -123,6 +124,23 @@ def default_angles(bound: Bound) -> AngleSet:
     Lower: (3pi/4, pi/4, 3pi/4, 3pi/4), bracket -2*sqrt(2).
     """
     return UPPER_ANGLES if Bound(bound) is Bound.UPPER else LOWER_ANGLES
+
+
+def angle_set(angles: list[float] | None, bound: Bound) -> AngleSet:
+    """The configured cosine arguments, or the extremal ones for ``bound``.
+
+    Explicit arguments must be differences of four detector phases; a tuple
+    no detectors realize could report a bracket beyond 2*sqrt(2)."""
+    if angles is None:
+        return default_angles(bound)
+    if len(angles) != 4:
+        raise ConfigError("angles must list the four cosine arguments")
+    chosen = AngleSet(*angles)
+    try:
+        detector_phases(chosen)
+    except ValueError as exc:
+        raise ConfigError(f"--angles: {exc}") from exc
+    return chosen
 
 
 def ch74(joints: np.ndarray, xp: float | np.ndarray,

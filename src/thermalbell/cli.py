@@ -78,25 +78,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _angle_set(angles: list[float] | None, bound: str):
-    """The configured cosine arguments, or the extremal ones for ``bound``.
-
-    Explicit arguments must be differences of four detector phases; a tuple
-    no detectors realize could report a bracket beyond 2*sqrt(2)."""
-    from . import bell
-
-    if angles is None:
-        return bell.default_angles(bound)
-    if len(angles) != 4:
-        raise ConfigError("angles must list the four cosine arguments")
-    angle_set = bell.AngleSet(*angles)
-    try:
-        bell.detector_phases(angle_set)
-    except ValueError as exc:
-        raise ConfigError(f"--angles: {exc}") from exc
-    return angle_set
-
-
 def _check_scale(model, ms: list[int]) -> None:
     """Refuse a field amplitude and mean photon number whose correlation
     scale (E0^2 <n>)^(m+1) leaves double precision at the largest m >= 1.
@@ -236,7 +217,7 @@ def cmd_bell(cfg: BellConfig) -> int:
     started = time.perf_counter()
     reports = []
     for bound in bounds:
-        angles = _angle_set(cfg.angles, bound)
+        angles = bell.angle_set(cfg.angles, bound)
         report = bell.bell_statistic(model_tag, visibility, angles)
         entry = report.to_dict()
         entry["bound_tested"] = bound.value
@@ -414,135 +395,59 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
 
 # --------------------------------------------------------------- correlate
 
-def _parse_span(text: str, limit: int) -> range:
-    try:
-        lo, hi = text.split(":")
-        lo_i = int(lo) if lo else 0
-        hi_i = int(hi) if hi else limit
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse pixel range {text!r} (use 'start:stop')") from exc
-    if not (0 <= lo_i < hi_i <= limit):
-        raise ConfigError(f"pixel range {text!r} outside [0, {limit})")
-    return range(lo_i, hi_i)
+def _correlate_texts(result, geom, stem: Path) -> tuple[dict[Path, str], str]:
+    """The files ``correlate`` writes for ``result`` (a ``correlate.Analysis``)
+    beside ``stem``, {path: text}: a curve CSV per m, the visibility CSV and,
+    last, the report JSON; and the lines it prints."""
+    from . import analytic
+
+    phase = geom.phase_map()
+    outputs: dict[Path, str] = {}
+    table = []
+    for curve, fit in zip(result.curves, result.fits):
+        path = stem.parent / f"{stem.name}_curve_m{curve.m}.csv"
+        outputs[path] = _csv_text(
+            ["x2_pixel", "delta_rad", "g_value_dimensionless", "stderr_dimensionless"],
+            [[int(c), repr(float(phase[c])), repr(float(v)), repr(float(s))]
+             for c, v, s in zip(curve.x2_positions, curve.values, curve.stderr)])
+        table.append({"m": curve.m, "v_theory": analytic.visibility_tls(curve.m),
+                      "v_hat": fit.value, "stderr": fit.stderr,
+                      "fit_residual": fit.fit_residual, "curve_csv": path.name})
+    outputs[stem.parent / f"{stem.name}_visibility.csv"] = _csv_text(
+        ["m", "v_theory_dimensionless", "v_hat_dimensionless",
+         "stderr_dimensionless", "fit_residual_dimensionless"],
+        [[row["m"], *(repr(row[key]) for key in ("v_theory", "v_hat", "stderr", "fit_residual"))]
+         for row in table])
+    lines = [f"m={row['m']}: V_hat = {row['v_hat']:.4f} +- {row['stderr']:.4f} "
+             f"(theory {row['v_theory']:.4f})\n" for row in table]
+    payload: dict = {"visibility_table": table, "n_frames": result.curves[0].n_frames_used,
+                     "x1": result.x1, "y2": result.y2,
+                     "x2_range": [result.scan.start, result.scan.stop]}
+    if (report := result.bell) is not None:
+        payload["bell"] = report.to_dict()
+        verdict = "VIOLATED" if (report.violates_upper or report.violates_lower) \
+            else "not violated"
+        lines.append(f"bell m={report.m}: statistic = {report.statistic:.5f} "
+                     f"+- {report.stderr:.5f} ({verdict} at >= 2 stderr)\n")
+    outputs[stem.parent / f"{stem.name}_report.json"] = _json_text(payload)
+    return outputs, "".join(lines)
 
 
 def cmd_correlate(cfg: CorrelateConfig) -> int:
-    import numpy as np
-
-    from . import analytic, blas, correlate, spkl
+    from . import correlate, spkl
 
     if cfg.frames is None:
         raise ConfigError("correlate requires --frames pointing at an SPKL file")
     if cfg.out is None:
         raise ConfigError("correlate requires --out as an output stem")
 
-    header = spkl.read_header(cfg.frames)
-    geom, _ = spkl.read_geometry(cfg.frames, header)
-    # fail before the pass over the stack, not after it
-    correlate._check_sampling(header.n_frames, cfg.block_len, cfg.n_boot)
-
-    ms = parse_m_range(cfg.m_range)
-    phase = geom.phase_map()
-    # explicit pixels are checked against the grid before the cells are planned
-    explicit = [("--x1", cfg.x1, geom.width, "columns"), ("--y2", cfg.y2, geom.height, "rows")]
-    explicit += [("--y1-rows", row, geom.height, "rows") for row in cfg.y1_rows or []]
-    for flag, index, size, axis in explicit:
-        if index is not None and not 0 <= index < size:
-            raise ConfigError(f"{flag} {index} is outside the grid of {size} {axis} "
-                              f"(0..{size - 1})")
-    x1 = cfg.x1 if cfg.x1 is not None else int(np.argmin(np.abs(phase)))
-    y2 = cfg.y2 if cfg.y2 is not None else geom.height - 1
-    scan = _parse_span(cfg.x2_range, geom.width) if cfg.x2_range is not None \
-        else range(geom.width)
-    correlate._check_coverage(geom, scan)
-
-    def rows_for(m: int) -> list[int]:
-        if cfg.y1_rows is not None:
-            return cfg.y1_rows
-        if m + 1 > geom.height:
-            raise ConfigError(
-                f"m = {m} needs {m + 1} rows ({m} x1 rows and the y2 row); "
-                f"the grid is {geom.height} rows high")
-        return list(range(m))
-
-    # one pass over the stack for every m and every Bell realization
-    terms = [term for m in ms for term in correlate.gm1_terms(m, x1, rows_for(m), scan, y2)]
-    if cfg.bell:
-        bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
-        angles = _angle_set(cfg.angles, cfg.bound)
-        terms += correlate.bell_terms(geom, angles, bell_m, rows_for(bell_m), y2,
-                                      cfg.realizations)
-    stage_s: dict[str, float] = {}
-    started = time.perf_counter()
-    collected = correlate.collect_cells(cfg.frames, terms, cfg.block_len, cfg.shuffle)
-    stage_s["collect"] = time.perf_counter() - started
-
-    started = time.perf_counter()
-    out_stem = Path(cfg.out)
+    geom, _ = spkl.read_geometry(cfg.frames, spkl.read_header(cfg.frames))
+    result = correlate.analyze(cfg, cfg.frames, geom)
     # every file is computed before any is written
-    outputs: dict[Path, str] = {}
-    vis_rows = []
-    table = []
-    for m in ms:
-        curve = correlate.estimate_gm1(
-            collected, m, x1, rows_for(m), scan, y2, n_boot=cfg.n_boot,
-            block_len=cfg.block_len, boot_seed=cfg.boot_seed, shuffle=cfg.shuffle)
-        estimate = correlate.fit_visibility(curve, geom)
-        curve_rows = [[int(c), repr(float(phase[c])), repr(float(v)), repr(float(s))]
-                      for c, v, s in zip(curve.x2_positions, curve.values, curve.stderr)]
-        path = out_stem.parent / f"{out_stem.name}_curve_m{m}.csv"
-        outputs[path] = _csv_text(
-            ["x2_pixel", "delta_rad", "g_value_dimensionless", "stderr_dimensionless"],
-            curve_rows)
-        v_theory = analytic.visibility_tls(m)
-        vis_rows.append([m, repr(v_theory), repr(estimate.value),
-                         repr(estimate.stderr), repr(estimate.fit_residual)])
-        table.append({"m": m, "v_theory": v_theory, "v_hat": estimate.value,
-                      "stderr": estimate.stderr,
-                      "fit_residual": estimate.fit_residual,
-                      "curve_csv": path.name})
-        print(f"m={m}: V_hat = {estimate.value:.4f} +- {estimate.stderr:.4f} "
-              f"(theory {v_theory:.4f})")
-
-    outputs[out_stem.parent / f"{out_stem.name}_visibility.csv"] = _csv_text(
-        ["m", "v_theory_dimensionless", "v_hat_dimensionless",
-         "stderr_dimensionless", "fit_residual_dimensionless"], vis_rows)
-    stage_s["curves"] = time.perf_counter() - started
-
-    payload: dict = {"visibility_table": table, "n_frames": collected.n_frames,
-                     "x1": x1, "y2": y2,
-                     "x2_range": [scan.start, scan.stop]}
-
-    if cfg.bell:
-        started = time.perf_counter()
-        report = correlate.bell_from_frames(
-            collected, bell_m, angles, geom, y1_rows=rows_for(bell_m), y2=y2,
-            n_realizations=cfg.realizations, n_boot=cfg.n_boot,
-            block_len=cfg.block_len, boot_seed=cfg.boot_seed, shuffle=cfg.shuffle)
-        stage_s["bell"] = time.perf_counter() - started
-        payload["bell"] = report.to_dict()
-        verdict = "VIOLATED" if (report.violates_upper or report.violates_lower) \
-            else "not violated"
-        print(f"bell m={bell_m}: statistic = {report.statistic:.5f} "
-              f"+- {report.stderr:.5f} ({verdict} at >= 2 stderr)")
-
-    report_path = out_stem.parent / f"{out_stem.name}_report.json"
-    outputs[report_path] = _json_text(payload)
-    diagnostics = {
-        "n_cells": len(collected.cells),
-        "collect_workers": collected.workers,
-        "table_mb": collected.blocks.nbytes / 1e6,
-        "buffers_mb": collected.buffer_bytes / 1e6,
-        "peak_rss_mb": _peak_rss_mb(),
-        "block_len": cfg.block_len,
-        "n_blocks": collected.blocks.shape[0],
-        "n_boot": cfg.n_boot,
-        "stage_s": stage_s,
-        **blas.kernels(),
-    }
-    if cfg.bell:
-        diagnostics["bell_snap"] = correlate.bell_snap(geom, angles, cfg.realizations)
-    _publish(outputs, report_path, "correlate", cfg, diagnostics=diagnostics)
+    outputs, text = _correlate_texts(result, geom, Path(cfg.out))
+    sys.stdout.write(text)
+    _publish(outputs, list(outputs)[-1], "correlate", cfg,
+             diagnostics={**result.diagnostics, "peak_rss_mb": _peak_rss_mb()})
     return EXIT_OK
 
 

@@ -27,17 +27,10 @@ multiplies its cells left to right in that order, so it does not depend on
 the order the rows were given in.  ``collect_cells`` makes the block
 sums of every series a list of terms reads in one pass over the stack and
 keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix, and no
-per-frame series.  The pass reads chunks of whole blocks, in reads of up
-to READ_PIXELS pixels, on one worker thread per CPU, into buffers it makes
-before the workers start and frees before it returns; each worker widens
-its chunk's cells to float64 (exact), refuses values that are not finite
-and nonnegative, makes the products and ``np.add.reduceat``s them into the
-matrix rows of its blocks.  Summed along the frames, a chunk of whole
-blocks gives the whole series' block sums bit for bit, so the table does
-not depend on the worker count.  A caller that
-plans the union of several estimates (``thermalbell correlate`` does, for
-every m and every Bell realization) reads the stack once and hands the
-same table to each.
+per-frame series; its table does not depend on the worker count.
+``analyze``, the analysis ``thermalbell correlate`` runs, plans the union
+of every m and every Bell realization, reads the stack once and hands the
+same table to each estimate.
 
 Matrix bootstrap.  Each replicate draws ``rng.integers(0, nb, nb)`` block
 indices, one draw per replicate in a fixed order, as a per-replicate loop
@@ -58,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -66,8 +60,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .bell import (BellModel, BellReport, LOWER_BOUND, UPPER_BOUND, AngleSet,
-                   ch74, detector_phases)
-from .errors import (InsufficientFramesError, NumericGuardError,
+                   angle_set, ch74, detector_phases)
+from .config import CorrelateConfig, parse_m_range
+from .errors import (ConfigError, InsufficientFramesError, NumericGuardError,
                      PeriodCoverageError, SamplingGuardError)
 from .speckle import FrameSet, Geometry
 from . import blas, speckle, spkl
@@ -89,6 +84,14 @@ READ_PIXELS = 1 << 18
 # Columns per slice of the exact column sums: 16 columns of 3125 blocks are
 # 400 kB.
 SUM_COLUMNS = 16
+# Least det / (a d f) of the fit's normal matrix [[a, b, c], [b, d, e],
+# [c, e, f]]: the determinant of the matrix scaled to a unit diagonal, in
+# (0, 1] by Hadamard's bound.  Each term of det is at most a d f
+# (Cauchy-Schwarz), so rounding leaves a few ulps of a d f: a singular
+# matrix (a scan of two distinct phases) gives up to 4e-16.  The inverse
+# grows as a d f / det, so above this its rounding stays below about 1e-6
+# relative; a contiguous scan of a fringe period gives 0.2 to 1.
+RANK_TOL = 1e-9
 
 
 @dataclass
@@ -207,30 +210,26 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     A chunk is as many whole blocks as CHUNK_PIXELS pixels of frames hold,
     and at least one.  Worker threads, one per CPU this process may run on
     (``speckle._worker_count``), take the chunks in turn.  The buffers a
-    chunk needs are made before the workers start, one set per worker,
-    and freed before this returns; a worker takes a set for each chunk and
-    puts it back, so the pass holds the same memory from start to end
-    (``BlockTable.buffer_bytes``: 10.2 MB on 2 workers for ``thermalbell
-    correlate --m 1..6 --bell --realizations 6`` on a 128 x 8 grid; that
-    command peaks at 83 MB RSS at 200k frames, against 90 MB when each
-    worker made its own buffers and read 4 MB at a time).  A worker
-    gathers its chunk's cells into float64 rows (with ``shuffle``, one
-    frame more: the next-frame series start a frame later), from reads of
-    up to READ_PIXELS pixels, and refuses a value that is not finite and
-    nonnegative (``NumericGuardError``).  It makes the products of all
-    groups of one size at once, each in its group's order
-    (``_row_products``), taking their factors one at a time into a buffer
-    of its set (``_Rows``), multiplies them by the x2 rows, and
-    ``np.add.reduceat``s cells and numerators straight into its blocks'
-    rows of the table.  Summed along the frames, a chunk of whole blocks
-    gives the whole series' block sums bit for bit, so the table does not
-    depend on the worker count.  The workers are joined before this
-    returns or raises.  A cell that is zero in every frame is refused after
-    the pass (``NumericGuardError``): every cell is a denominator of some
-    ghat, which it would make nan.  An SPKL file is opened and its header
-    checked once per pass (``spkl.SpklReader``); the workers read their
-    ranges from that one descriptor, which is closed when the pass ends,
-    also on error.
+    chunk needs are made before the workers start, one set per worker, and
+    freed before this returns; a worker takes a set for each chunk and puts
+    it back, so the pass holds the same memory from start to end
+    (``BlockTable.buffer_bytes``).  A worker gathers its chunk's cells into
+    float64 rows (with ``shuffle``, one frame more: the next-frame series
+    start a frame later), from reads of up to READ_PIXELS pixels, and
+    refuses a value that is not finite and nonnegative
+    (``NumericGuardError``).  It makes the products of all groups of one
+    size at once, each in its group's order (``_row_products``), taking
+    their factors one at a time into a buffer of its set (``_Rows``),
+    multiplies them by the x2 rows, and ``np.add.reduceat``s cells and
+    numerators straight into its blocks' rows of the table.  Summed along
+    the frames, a chunk of whole blocks gives the whole series' block sums
+    bit for bit, so the table does not depend on the worker count.  The
+    workers are joined before this returns or raises.  A cell that is zero
+    in every frame is refused after the pass (``NumericGuardError``): every
+    cell is a denominator of some ghat, which it would make nan.  An SPKL
+    file is opened and its header checked once per pass
+    (``spkl.SpklReader``); the workers read their ranges from that one
+    descriptor, which is closed when the pass ends, also on error.
     """
     with _frames(source) as (shape, dtype, read):
         return _collect(shape, dtype, read, terms, block_len, shuffle)
@@ -601,8 +600,17 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
     coefficients, the delta-method variance of V and the residual are read
     from that inverse.  Every sum is one ``math.fsum`` of Python floats and
     the phases go through libm, so no BLAS, LAPACK or SIMD loop decides a
-    bit of the estimate.
+    bit of the estimate: stderrs scaled by a power of two (short of over-
+    and underflow) give V and the residual to the bit, and V's stderr scaled
+    alike.  A matrix singular to working precision (``RANK_TOL``) and a sum
+    that overflows or adds inf to -inf are refused, naming m.
     """
+    def fsum(terms: Iterable[float]) -> float:
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError) as exc:
+            raise NumericGuardError(f"m = {curve.m}: the fit's sums fail ({exc})") from exc
+
     delta = _check_coverage(geom, curve.x2_positions).tolist()
     y = [float(v) for v in curve.values]
     se = [float(s) for s in curve.stderr]
@@ -614,7 +622,7 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
     cols = ([1.0] * len(delta), [math.cos(x) for x in delta], [math.sin(x) for x in delta])
 
     def wsum(u: list[float], v: list[float]) -> float:
-        return math.fsum(wk * uk * vk for wk, uk, vk in zip(w, u, v))
+        return fsum(wk * uk * vk for wk, uk, vk in zip(w, u, v))
 
     a, b, c, d, e, f = (wsum(cols[i], cols[j]) for i, j in
                         ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
@@ -625,24 +633,22 @@ def fit_visibility(curve: CorrelationCurve, geom: Geometry) -> VisibilityEstimat
     # plain sums: an inf - inf here is a nan the check refuses, where
     # math.fsum would raise
     det = a * cof[0][0] + b * cof[0][1] + c * cof[0][2]
-    if not (math.isfinite(det) and det > 0):
+    if not (math.isfinite(det) and det > 0 and det / a / d / f >= RANK_TOL):
         raise NumericGuardError(f"m = {curve.m}: the weighted normal matrix of the fit "
-                                f"has determinant {det}, not a finite value > 0")
+                                f"has determinant {det}, not a finite value >= "
+                                f"{RANK_TOL:g} x the product of its diagonal")
     inv = [[x / det for x in row] for row in cof]
-    c0, c1, c2 = (math.fsum(inv[i][j] * rhs[j] for j in range(3)) for i in range(3))
+    c0, c1, c2 = (fsum(inv[i][j] * rhs[j] for j in range(3)) for i in range(3))
     if c0 <= 0:
         raise PeriodCoverageError(f"degenerate fit: nonpositive midline {c0}")
     r = math.hypot(c1, c2)
     vis = r / c0
-    if r > 0:
-        grad = [-r / (c0 * c0), c1 / (r * c0), c2 / (r * c0)]
-    else:
-        grad = [0.0, 1.0 / c0, 1.0 / c0]
-    var = math.fsum(grad[i] * inv[i][j] * grad[j] for i in range(3) for j in range(3))
+    grad = [-r / (c0 * c0), c1 / (r * c0), c2 / (r * c0)] if r > 0 else [0.0, 1 / c0, 1 / c0]
+    var = fsum(grad[i] * inv[i][j] * grad[j] for i in range(3) for j in range(3))
     # a rounding-negative variance is 0; a nan one stays nan, as the value does
     stderr = 0.0 if var < 0 else math.sqrt(var)
-    misfit = [yk - math.fsum([c0, c1 * ck, c2 * sk]) for yk, ck, sk in zip(y, *cols[1:])]
-    residual = math.sqrt(math.fsum(x * x for x in misfit) / len(y)) / c0
+    misfit = [yk - fsum([c0, c1 * ck, c2 * sk]) for yk, ck, sk in zip(y, *cols[1:])]
+    residual = math.sqrt(fsum(x * x for x in misfit) / len(y)) / c0
     return VisibilityEstimate(value=min(max(vis, 0.0), 1.0),
                               stderr=stderr, fit_residual=residual)
 
@@ -698,15 +704,6 @@ def _bell_realizations(geom: Geometry, angles: AngleSet, n_realizations: int
     return (pick(cols, np.where(use_minus, minus, plus)),
             pick(targets, phase_map[cols] + np.where(use_minus, -math.pi, math.pi)),
             pick(err, partner_err))
-
-
-def bell_snap(geom: Geometry, angles: AngleSet, n_realizations: int) -> list[dict]:
-    """Per realization of ``bell_from_frames``, the target phase and the
-    signed snap error (radians) of each of its 8 columns, keyed as
-    ``achieved``'s ``gauge_columns``."""
-    _, targets, errors = _bell_realizations(geom, angles, n_realizations)
-    return [{"target_rad": dict(zip(_KEYS, t)), "snap_error_rad": dict(zip(_KEYS, e))}
-            for t, e in zip(targets.tolist(), errors.tolist())]
 
 
 def bell_terms(geom: Geometry, angles: AngleSet, m: int, y1_rows: Sequence[int],
@@ -771,12 +768,10 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     from it.
     """
     _check_sampling(source.n_frames, block_len, n_boot)
-    if geom is None and isinstance(source, FrameSet):
-        geom = source.geometry
+    geom = geom if geom is not None else getattr(source, "geometry", None)
     if geom is None:
         raise ValueError("geometry required (pass geom= or use a FrameSet with geometry)")
-    if y2 is None:
-        y2 = (source.height if isinstance(source, BlockTable) else source.pixels.shape[1]) - 1
+    y2 = geom.height - 1 if y2 is None else y2
     terms = bell_terms(geom, angles, m, range(m) if y1_rows is None else y1_rows, y2,
                        n_realizations)
     table = _block_table(source, terms, block_len, shuffle)
@@ -824,3 +819,100 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
         m=m,
         achieved=achieved,
     )
+
+
+def _parse_span(text: str, limit: int) -> range:
+    try:
+        lo, hi = text.split(":")
+        lo_i = int(lo) if lo else 0
+        hi_i = int(hi) if hi else limit
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse pixel range {text!r} (use 'start:stop')") from exc
+    if not (0 <= lo_i < hi_i <= limit):
+        raise ConfigError(f"pixel range {text!r} outside [0, {limit})")
+    return range(lo_i, hi_i)
+
+
+@dataclass
+class Analysis:
+    """What ``analyze`` measured: per m, in the order of the m range, its
+    curve and fit; the Bell report (None without ``bell``); the pixels
+    used; and the run's diagnostics, as the sidecar records them."""
+
+    curves: list[CorrelationCurve]
+    fits: list[VisibilityEstimate]
+    bell: FrameBellReport | None
+    x1: int
+    y2: int
+    scan: range
+    diagnostics: dict
+
+
+def analyze(cfg: CorrelateConfig, source: FrameSet | str | Path, geom: Geometry) -> Analysis:
+    """``thermalbell correlate``'s analysis of a stack file or a ``FrameSet``
+    that ``geom`` describes, planned by ``cfg`` (its ``frames`` and ``out``
+    are not read).  Every refusal comes before the one pass over the stack,
+    which collects the terms of every m and every Bell realization; each m
+    is then estimated and fitted in turn, and the Bell statistic last."""
+    n_frames = source.n_frames if isinstance(source, FrameSet) \
+        else spkl.read_header(source).n_frames
+    _check_sampling(n_frames, cfg.block_len, cfg.n_boot)
+    ms = parse_m_range(cfg.m_range)
+    # explicit pixels are checked against the grid before the cells are planned
+    explicit = [("--x1", cfg.x1, geom.width, "columns"), ("--y2", cfg.y2, geom.height, "rows")]
+    explicit += [("--y1-rows", row, geom.height, "rows") for row in cfg.y1_rows or []]
+    for flag, index, size, axis in explicit:
+        if index is not None and not 0 <= index < size:
+            raise ConfigError(f"{flag} {index} is outside the grid of {size} {axis} "
+                              f"(0..{size - 1})")
+    x1 = cfg.x1 if cfg.x1 is not None else int(np.argmin(np.abs(geom.phase_map())))
+    y2 = cfg.y2 if cfg.y2 is not None else geom.height - 1
+    scan = range(geom.width) if cfg.x2_range is None else _parse_span(cfg.x2_range, geom.width)
+    _check_coverage(geom, scan)
+
+    def rows_for(m: int) -> list[int]:
+        if cfg.y1_rows is not None:
+            return cfg.y1_rows
+        if m + 1 > geom.height:
+            raise ConfigError(f"m = {m} needs {m + 1} rows ({m} x1 rows and the y2 row); "
+                              f"the grid is {geom.height} rows high")
+        return list(range(m))
+
+    terms = [term for m in ms for term in gm1_terms(m, x1, rows_for(m), scan, y2)]
+    if cfg.bell:
+        bell_m = cfg.bell_m if cfg.bell_m is not None else max(ms)
+        angles = angle_set(cfg.angles, cfg.bound)
+        terms += bell_terms(geom, angles, bell_m, rows_for(bell_m), y2, cfg.realizations)
+    started = time.perf_counter()
+    table = collect_cells(source, terms, cfg.block_len, cfg.shuffle)
+    stage_s = {"collect": time.perf_counter() - started}
+
+    started = time.perf_counter()
+    curves, fits = [], []
+    for m in ms:
+        curves.append(estimate_gm1(table, m, x1, rows_for(m), scan, y2, n_boot=cfg.n_boot,
+                                   block_len=cfg.block_len, boot_seed=cfg.boot_seed,
+                                   shuffle=cfg.shuffle))
+        fits.append(fit_visibility(curves[-1], geom))
+    stage_s["curves"] = time.perf_counter() - started
+
+    diagnostics = {"n_cells": len(table.cells), "collect_workers": table.workers,
+                   "table_mb": table.blocks.nbytes / 1e6, "buffers_mb": table.buffer_bytes / 1e6,
+                   "block_len": cfg.block_len, "n_blocks": table.blocks.shape[0],
+                   "n_boot": cfg.n_boot, "stage_s": stage_s}
+    report = None
+    if cfg.bell:
+        started = time.perf_counter()
+        report = bell_from_frames(
+            table, bell_m, angles, geom, y1_rows=rows_for(bell_m), y2=y2,
+            n_realizations=cfg.realizations, n_boot=cfg.n_boot,
+            block_len=cfg.block_len, boot_seed=cfg.boot_seed, shuffle=cfg.shuffle)
+        stage_s["bell"] = time.perf_counter() - started
+        # per realization, each column's target phase and signed snap error
+        _, targets, errors = _bell_realizations(geom, angles, cfg.realizations)
+        diagnostics["bell_snap"] = [
+            {"target_rad": dict(zip(_KEYS, t)), "snap_error_rad": dict(zip(_KEYS, e))}
+            for t, e in zip(targets.tolist(), errors.tolist())]
+    # last: made before the Bell bootstrap, this lookup raised its peak RSS by ~1 MB
+    diagnostics.update(blas.kernels())
+    return Analysis(curves, fits, report, x1, y2, scan, diagnostics)

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from thermalbell import bell, cli, correlate, speckle, spkl
+from thermalbell.config import CorrelateConfig
 from thermalbell.correlate import (CorrelationCurve, bell_from_frames,
                                    estimate_gm1, fit_visibility)
 from thermalbell.errors import (InsufficientFramesError, NumericGuardError,
@@ -205,6 +207,47 @@ class TestVisibilityFit:
         with pytest.raises(NumericGuardError,
                            match="^m = 4: the weighted normal matrix of the fit has determinant "):
             fit_visibility(curve, desk_geom)
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_rank_deficient_curve_refused(self, desk_geom, rng, m):
+        """Two distinct columns give a singular normal matrix whose rounded
+        determinant can come out just above 0; every such curve is refused
+        against the product of the diagonal, naming m, whatever its values
+        and stderrs."""
+        for _ in range(200):
+            curve = CorrelationCurve(m, np.array([0, 127]), rng.uniform(0.5, 2.0, 2),
+                                     rng.uniform(1e-3, 1e-1, 2), 1000)
+            with pytest.raises(NumericGuardError, match=(
+                    f"^m = {m}: the weighted normal matrix of the fit has determinant .*, "
+                    "not a finite value >= 1e-09 x the product of its diagonal$")):
+                fit_visibility(curve, desk_geom)
+
+    @pytest.mark.parametrize("stderr, edit, reason", [
+        (8e-154, {}, "intermediate overflow in fsum"),
+        (1e-3, {5: np.inf, 70: -np.inf}, "-inf + inf in fsum"),
+    ], ids=["overflow", "inf-minus-inf"])
+    def test_weighted_sum_without_value_refused(self, desk_geom, stderr, edit, reason):
+        """Stderrs of 8e-154 weight each point by 1.6e306, finite, but the
+        sum of 128 weights is not; +inf beside -inf adds inf to -inf.  Both
+        are refused as a numeric guard naming m (exit 3), not a bare
+        OverflowError or a ValueError the CLI would call a config error."""
+        values = 1.0 * (1 + 0.3 * np.cos(desk_geom.phase_map()))
+        values[list(edit)] = list(edit.values())
+        curve = CorrelationCurve(3, np.arange(128), values, np.full(128, stderr), 1000)
+        with pytest.raises(NumericGuardError, match=f"^m = 3: the fit's sums fail "
+                           f"\\({re.escape(reason)}\\)$"):
+            fit_visibility(curve, desk_geom)
+
+    @pytest.mark.parametrize("k", [-100, -1, 1, 100])
+    def test_power_of_two_stderr_scaling_exact(self, frames_20k, desk_geom, k):
+        """Stderrs scaled by 2^k scale every weight by 2^-2k exactly: V and
+        the residual keep their bits and V's stderr scales by 2^k."""
+        curve = estimate_gm1(frames_20k, 2, 63, [0, 1], FULL_SCAN, 7)
+        base = fit_visibility(curve, desk_geom)
+        scaled = fit_visibility(CorrelationCurve(2, curve.x2_positions, curve.values,
+                                                 np.ldexp(curve.stderr, k), 20000), desk_geom)
+        assert scaled.value == base.value and scaled.fit_residual == base.fit_residual
+        assert scaled.stderr == math.ldexp(base.stderr, k)
 
     def test_period_coverage_guard(self, frames_tiny, desk_geom):
         curve = estimate_gm1(frames_tiny, 1, 63, [0], range(40, 80), 7)
@@ -414,6 +457,46 @@ def _ch74_reference(mean, m):
     marg_1p = (quad3[0] + quad3[2]) / sum(quad3)
     marg_2 = (quad1[0] + quad1[3]) / sum(quad1)
     return probs[0] - probs[1] + probs[2] + probs[3] - marg_1p - marg_2, probs
+
+
+class TestAnalyze:
+    @pytest.fixture(scope="class")
+    def stack(self, frames_20k, tmp_path_factory):
+        path = tmp_path_factory.mktemp("analyze") / "frames.spkl"
+        spkl.write_spkl(path, frames_20k)
+        spkl.write_sidecar(path, {"geometry": frames_20k.geometry.to_dict()})
+        return path
+
+    @pytest.mark.parametrize("flags", [[], ["--bell"], ["--shuffle"], ["--bell", "--shuffle"]],
+                             ids=["curves", "bell", "shuffle", "bell-shuffle"])
+    def test_formatted_result_is_the_command_output(self, frames_20k, desk_geom, stack,
+                                                    tmp_path, capsys, flags):
+        """``analyze`` on the FrameSet, formatted as the command formats it,
+        gives the bytes and the printed lines of ``thermalbell correlate``
+        on the same frames in a file."""
+        assert cli.main(["correlate", "--frames", str(stack), "--m", "1..3", "--boot", "40",
+                         "--realizations", "2", *flags, "--out", str(tmp_path / "run")]) == 0
+        printed = capsys.readouterr().out
+        cfg = CorrelateConfig(m_range="1..3", n_boot=40, realizations=2,
+                              bell="--bell" in flags, shuffle="--shuffle" in flags)
+        result = correlate.analyze(cfg, frames_20k, desk_geom)
+        outputs, text = cli._correlate_texts(result, desk_geom, tmp_path / "run")
+        assert text == printed
+        written = sorted(p.name for p in tmp_path.iterdir() if not p.name.endswith(".meta.json"))
+        assert sorted(p.name for p in outputs) == written
+        for path, content in outputs.items():
+            assert path.read_bytes() == content.encode(), path.name
+        assert (result.bell is not None) == ("--bell" in flags)
+
+    def test_refusal_comes_before_the_pass(self, frames_20k, desk_geom, monkeypatch):
+        """A scan shorter than a fringe period is refused before
+        ``collect_cells`` is called, on a FrameSet as on a file."""
+        calls = []
+        monkeypatch.setattr(correlate, "collect_cells", lambda *a, **k: calls.append(1))
+        with pytest.raises(PeriodCoverageError, match="^scan spans 0.09 fringe periods"):
+            correlate.analyze(CorrelateConfig(m_range="1", x2_range="0:10"), frames_20k,
+                              desk_geom)
+        assert calls == []
 
 
 class TestSinglePassAndMatrixBootstrap:

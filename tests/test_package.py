@@ -30,13 +30,13 @@ PUBLIC = {
         "visibility_tls_exact",
     ],
     "bell": [
-        "AngleSet", "BellModel", "BellReport", "Bound", "angle_scan",
+        "AngleSet", "BellModel", "BellReport", "Bound", "angle_scan", "angle_set",
         "bell_statistic", "ch74", "default_angles", "detector_phases",
         "min_violating_m", "threshold_visibility",
     ],
     "correlate": [
-        "CorrelationCurve", "FrameBellReport", "VisibilityEstimate",
-        "bell_from_frames", "estimate_gm1", "fit_visibility",
+        "Analysis", "CorrelationCurve", "FrameBellReport", "VisibilityEstimate",
+        "analyze", "bell_from_frames", "estimate_gm1", "fit_visibility",
     ],
     "fock": [
         "TwoModeState", "cm_coefficient", "cross_corr", "expect_gm1",

@@ -2,18 +2,21 @@
 prints what it promises."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import thermalbell
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def _run_script(name: str, *args: str) -> str:
+def _run_script(name: str, *args: str, **env_vars: str) -> str:
     src = str(Path(thermalbell.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, **env_vars,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -29,11 +32,13 @@ def test_bell_violation_demo():
 
 
 def test_reproduce_visibility_curve(tmp_path):
+    """The script prints its visibility table once, one row per m, and
+    leaves nothing in the temporary directory it made its stack in."""
     out = _run_script("reproduce_visibility_curve.py", "--frames", "2000", "--m-max", "2",
-                      "--workdir", str(tmp_path))
-    assert "m=1: V_hat = " in out
-    assert "m=2: V_hat = " in out
-    assert "m=3" not in out
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "frames.spkl", "frames.spkl.meta.json", "run_curve_m1.csv", "run_curve_m2.csv",
-        "run_report.json", "run_report.json.meta.json", "run_visibility.csv"]
+                      TMPDIR=str(tmp_path))
+    rows = re.findall(r"^ +(\d+) +(\d\.\d{4}) +(\d\.\d{4}) +(\d\.\d{4})$", out, re.M)
+    assert [int(m) for m, *_ in rows] == [1, 2]
+    for m, v_theory, v_hat, stderr in rows:
+        assert float(v_theory) == pytest.approx(int(m) / (int(m) + 2), abs=5e-5)
+        assert out.count(v_hat) == 1
+    assert list(tmp_path.iterdir()) == []
