@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .sources import COHERENT_MAX_VISIBILITY, SourceKind, SourceModel
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Setting-pair labels.  d1/d2 are the two freely placed detector phases,
 # p1/p2 the pi-shifted partners (p_j = d_j + pi).
@@ -99,13 +102,19 @@ def max_g2_visibility(model: SourceModel) -> float:
 def visibility_tls_exact(m: int) -> Fraction:
     """Fringe visibility m/(m+2) of the (m+1)-th order thermal correlation,
     as an exact rational."""
+    from fractions import Fraction      # the float routes do not load it
+
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     return Fraction(m, m + 2)
 
 
 def visibility_tls(m: int) -> float:
-    return float(visibility_tls_exact(m))
+    """m/(m+2) rounded once: int true division is correctly rounded, so
+    this is ``float(visibility_tls_exact(m))`` bit for bit."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return m / (m + 2)
 
 
 def normalized_amplitude(m: int) -> float:

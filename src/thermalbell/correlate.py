@@ -4,9 +4,9 @@ The central quantity is
     ghat(x2) = < prod_i I(x1, y_i) * I(x2, y2) >_frames
                / ( prod_i <I(x1, y_i)> * <I(x2, y2)> ),
 the (m+1)-th order correlation normalized by first-order averages, estimated
-in a single pass: frame means are exact column sums of block sums, rounded
-once.  Error bars come from a block bootstrap over frames (frames may carry
-residual temporal correlation).
+in a single pass: frame means are ``math.fsum`` of block sums, the exact
+sum rounded once.  Error bars come from a block bootstrap over frames
+(frames may carry residual temporal correlation).
 Visibility is extracted by weighted least squares against
 A * (1 + V cos(delta(x2) - phi)) with the fringe period fixed by geometry.
 
@@ -49,7 +49,6 @@ do not depend on the thread count either.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -81,9 +80,6 @@ CHUNK_PIXELS = 1 << 20
 # Pixels per read of a chunk: 1 MB of float32 frames, 256 frames of a
 # 128 x 8 grid, and at least one frame.
 READ_PIXELS = 1 << 18
-# Columns per slice of the exact column sums: 16 columns of 3125 blocks are
-# 400 kB.
-SUM_COLUMNS = 16
 # Least det / (a d f) of the fit's normal matrix [[a, b, c], [b, d, e],
 # [c, e, f]]: the determinant of the matrix scaled to a unit diagonal, in
 # (0, 1] by Hadamard's bound.  Each term of det is at most a d f
@@ -217,19 +213,20 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     float64 rows (with ``shuffle``, one frame more: the next-frame series
     start a frame later), from reads of up to READ_PIXELS pixels, and
     refuses a value that is not finite and nonnegative
-    (``NumericGuardError``).  It makes the products of all groups of one
-    size at once, each in its group's order (``_row_products``), taking
-    their factors one at a time into a buffer of its set (``_Rows``),
-    multiplies them by the x2 rows, and ``np.add.reduceat``s cells and
-    numerators straight into its blocks' rows of the table.  Summed along
-    the frames, a chunk of whole blocks gives the whole series' block sums
-    bit for bit, so the table does not depend on the worker count.  The
-    workers are joined before this returns or raises.  A cell that is zero
-    in every frame is refused after the pass (``NumericGuardError``): every
-    cell is a denominator of some ghat, which it would make nan.  An SPKL
-    file is opened and its header checked once per pass
-    (``spkl.SpklReader``); the workers read their ranges from that one
-    descriptor, which is closed when the pass ends, also on error.
+    (``NumericGuardError``).  It makes the products of all groups at once,
+    each in its group's order (``_row_products``), a shorter group padded
+    with a row of ones after the cell rows, which leaves its product's bits
+    unchanged; the factors come one at a time into a buffer of its set
+    (``_Rows``).  It multiplies the products by the x2 rows, and
+    ``np.add.reduceat``s cells and numerators straight into its blocks'
+    rows of the table.  Summed along the frames, a chunk of whole blocks
+    gives the whole series' block sums bit for bit, so the table does not
+    depend on the worker count.  The workers are joined before this returns
+    or raises.  A cell that is zero in every frame is refused after the
+    pass (``NumericGuardError``): every cell is a denominator of some ghat,
+    which it would make nan.  An SPKL file is opened and its header checked
+    once per pass (``spkl.SpklReader``); the workers read their ranges from
+    that one descriptor, which is closed when the pass ends, also on error.
     """
     with _frames(source) as (shape, dtype, read):
         return _collect(shape, dtype, read, terms, block_len, shuffle)
@@ -249,14 +246,14 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     shift = int(shuffle)          # the next-frame rows' column offset
     chunk = max(1, CHUNK_PIXELS // (height * width) // block_len) * block_len
     read_len = min(max(1, READ_PIXELS // (height * width)), chunk + shift)
-    # the groups of one size are contiguous rows of the products, made at once
-    groups = sorted(dict.fromkeys(g for gs, _ in terms for g in gs), key=len)
+    # the factor table [largest group size, groups]: each group's cell rows
+    # in its order, a shorter group padded with the row of ones that follows
+    # the cell rows (x * 1.0 is x, and log(1.0) is +0.0)
+    groups = list(dict.fromkeys(g for gs, _ in terms for g in gs))
     group_row = {g: i for i, g in enumerate(groups)}
-    sizes = []      # per size: first product row, group count, cell rows [size, count]
-    for _, same in itertools.groupby(groups, key=len):
-        same = list(same)
-        sizes.append((group_row[same[0]], len(same),
-                      np.array([[table._cell_col[(c, False)] for c in g] for g in same]).T))
+    factors = np.full((max(map(len, groups), default=0), len(groups)), len(flat))
+    for i, g in enumerate(groups):
+        factors[:len(g), i] = [table._cell_col[(c, False)] for c in g]
     # per term: product rows, x2 rows (a slice where contiguous), first column
     numerators = []
     for (gs, x2), first in table._num_col.items():
@@ -267,14 +264,15 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     starts = range(0, n_frames, chunk)
     table.workers = max(1, speckle._worker_count(len(starts)))
     # the buffer sets not in use, one per worker, made here: reads, gathered
-    # cells, float64 cells, products, a factor of the products of one size
+    # cells, float64 cells and the row of ones (the cell rows are written
+    # before they are read), products, a factor of every group's product
     # and numerators.  A worker takes one for a chunk and puts it back;
     # list.pop and list.append are atomic.
     free = [(np.empty((read_len, height, width), dtype),
              np.empty((read_len, len(flat)), dtype),
-             np.empty((len(flat), chunk + shift)),
+             np.ones((len(flat) + 1, chunk + shift)),
              np.empty((len(groups), chunk)),
-             np.empty((max((count for _, count, _ in sizes), default=0), chunk + shift)),
+             np.empty((len(groups), chunk + shift)),
              np.empty((max((count for *_, count in numerators), default=0), chunk)))
             for _ in range(table.workers)]
     table.buffer_bytes = sum(a.nbytes for buffers in free for a in buffers)
@@ -295,9 +293,9 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
             hi = min(lo + read_len, a + n + shift, max(n_frames, lo + 1))
             frames = read(lo % n_frames, hi - lo, buf).reshape(hi - lo, -1)
             np.take(frames, flat, axis=1, out=gathered[:hi - lo], mode="clip")
-            cell[:, lo - a:hi - a] = gathered[:hi - lo].T
+            cell[:len(flat), lo - a:hi - a] = gathered[:hi - lo].T
             lo = hi
-        values = cell[:, :n + shift]
+        values = cell[:len(flat), :n + shift]
         if not (values.min() >= 0 and values.max() < np.inf):
             j, i = np.argwhere(~((values >= 0) & (values < np.inf)).T)[0]
             c, r = table.cells[i][0]
@@ -307,10 +305,10 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         block_starts = np.arange(0, n, block_len)
         out = table.blocks[a // block_len:a // block_len + len(block_starts)]
         np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
-        np.add.reduceat(cell[n_now:, shift:shift + n], block_starts, axis=1,
+        np.add.reduceat(cell[n_now:len(flat), shift:shift + n], block_starts, axis=1,
                         out=out[:, n_now:len(flat)].T)
-        for lo, count, idx in sizes:
-            prod[lo:lo + count, :n] = _row_products(_Rows(cell, idx, n, factor[:count]))
+        if groups:
+            prod[:, :n] = _row_products(_Rows(cell, factors, n, factor))
         for gs, sel, first, count in numerators:
             x2 = cell[sel, shift:shift + n]     # taken once per term, not per group
             for i, g in enumerate(gs):
@@ -380,8 +378,9 @@ def _row_products(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 
 class _Rows:
-    """The columns ``_row_products`` multiplies for groups of one size: item
-    k is the first ``n`` values of the rows ``rows[k]`` of ``cells``, taken
+    """The columns ``_row_products`` multiplies for every group at once:
+    item k is the first ``n`` values of the rows ``rows[k]`` of ``cells``
+    (the k-th cell of each group, or the row of ones past its end), taken
     into ``out`` when asked for, so every item is the same buffer.  The
     whole rows are taken: ``np.take`` would copy a source that is not
     C-contiguous, as the first ``n`` columns of ``cells`` may not be."""
@@ -436,46 +435,6 @@ def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
     return rows
 
 
-def _column_sums(blocks: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of every column of ``blocks`` [n, C], bit for bit.
-
-    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation, part I", SIAM J. Sci. Comput. 31:189, 2008): with max|r| <
-    2^e in a column and sigma = 2^(ceil(log2(n + 2)) + e), the parts
-    q = (sigma + r) - sigma are exact, their sum is exact in any order, and
-    so is r - q.  After up to three such passes, ``math.fsum`` of the pass
-    sums and the nonzero remainders rounds the column's exact sum once, as
-    ``math.fsum`` of the column does.  A column holding a non-finite value,
-    or whose sigma would overflow, goes through ``math.fsum`` as it is.
-    """
-    n, n_cols = blocks.shape
-    out = np.empty(n_cols)
-    shift = (n + 1).bit_length()
-    for lo in range(0, n_cols, SUM_COLUMNS):
-        r = np.array(blocks[:, lo:lo + SUM_COLUMNS], dtype=np.float64, order="F")
-        top = np.abs(r).max(axis=0, initial=0.0)       # inf or nan if not finite
-        exponent = np.frexp(top)[1] + shift
-        # and all-zero columns, whose sign of zero fsum decides
-        direct = ~np.isfinite(top) | (exponent > 1023) | (top == 0)
-        r[:, direct] = 0.0
-        exponent[direct] = shift
-        parts = []
-        for _ in range(3):
-            sigma = np.ldexp(1.0, exponent)
-            q = (sigma + r) - sigma
-            parts.append(q.sum(axis=0))
-            r -= q
-            if not r.any():
-                break
-            exponent = np.frexp(np.abs(r).max(axis=0))[1] + shift
-        parts = np.stack(parts, axis=1)
-        for k in range(r.shape[1]):
-            column = blocks[:, lo + k] if direct[k] else \
-                [*parts[k], *r[np.flatnonzero(r[:, k]), k]]
-            out[lo + k] = math.fsum(column)
-    return out
-
-
 def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
               seed: tuple[int, int], statistic) -> tuple[np.ndarray, np.ndarray]:
     """Frame means of the block columns, and block-bootstrap replicates of
@@ -483,24 +442,31 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
 
     ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
     last block holding the rest of the ``n_frames``.  The means [C] are
-    exact column sums (``_column_sums``), rounded once, over ``n_frames``.
-    Replicate r draws ``rng.integers(0, nb, nb)``; each group of BOOT_GROUP
-    draws becomes a count matrix W, and ``statistic`` receives the group's
-    means ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the means and
-    the stacked replicate values, nan or inf where a mean the statistic
-    divides by is zero, which the caller refuses (``_refuse_non_finite``).
+    ``math.fsum`` of each column, the exact sum rounded once, over
+    ``n_frames``; fsum's errors (an intermediate overflow, inf plus -inf)
+    pass through.  Replicate r draws ``rng.integers(0, nb, nb)``, and its
+    block counts fill row r of a group of BOOT_GROUP rows, the count matrix
+    W; ``statistic`` receives the group's means ``(W @ blocks) /
+    (W @ lengths)`` [g, C].  Returns the means and the stacked replicate
+    values, nan or inf where a mean the statistic divides by is zero, which
+    the caller refuses (``_refuse_non_finite``).
     """
-    nb = blocks.shape[0]
-    mean = _column_sums(blocks) / float(n_frames)
+    nb, n_cols = blocks.shape
+    mean = np.empty(n_cols)
+    # 16 contiguous columns at a time (400 kB at 3125 blocks), never a copy
+    # of the whole matrix; a memoryview yields plain floats, which fsum
+    # takes faster than numpy scalars
+    for lo in range(0, n_cols, 16):
+        part = np.asfortranarray(blocks[:, lo:lo + 16])
+        mean[lo:lo + 16] = [math.fsum(memoryview(column)) for column in part.T]
+    mean /= n_frames
     lengths = np.minimum(block_len, n_frames - block_len * np.arange(nb)).astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for start in range(0, n_boot, BOOT_GROUP):
-        size = min(BOOT_GROUP, n_boot - start)
-        draws = np.stack([rng.integers(0, nb, nb) for _ in range(size)])
-        draws += nb * np.arange(size)[:, None]
-        weights = np.bincount(draws.ravel(), minlength=size * nb)
-        weights = weights.reshape(size, nb).astype(np.float64)
+        weights = np.empty((min(BOOT_GROUP, n_boot - start), nb))
+        for row in weights:
+            row[:] = np.bincount(rng.integers(0, nb, nb), minlength=nb)
         # one BLAS thread: with thousands of blocks the products' rounding
         # would otherwise depend on the thread count
         with blas.one_thread():

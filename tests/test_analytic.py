@@ -79,6 +79,13 @@ class TestVisibilityLaw:
         with pytest.raises(ValueError):
             analytic.visibility_tls(0)
 
+    @given(st.integers(1, 10**18))
+    @settings(max_examples=300, deadline=None)
+    def test_float_is_the_exact_value_rounded_once(self, m):
+        got = analytic.visibility_tls(m)
+        assert type(got) is float
+        assert got.hex() == float(analytic.visibility_tls_exact(m)).hex()
+
 
 class TestHigherOrderSet:
     def test_reduces_to_second_order(self):

@@ -924,11 +924,11 @@ class TestCorrelateCommand:
         # curve, 16 for each Bell realization
         assert diag["table_mb"] == 47 * (diag["n_cells"] + 2 * 128 + 2 * 16) * 8 / 1e6
         # per worker: a read of 256 frames and its gathered cells (float32),
-        # and over a 1024-frame chunk the cells, the products of 10 groups
-        # (one per curve, 4 per Bell realization), a factor of the 9 groups
-        # of 2 and a curve's 128 numerators (float64)
+        # and over a 1024-frame chunk the cells and a row of ones, the
+        # products of 10 groups (one per curve, 4 per Bell realization), a
+        # factor of the 10 groups and a curve's 128 numerators (float64)
         per_worker = 256 * (8 * 128 + diag["n_cells"]) * 4 + \
-            1024 * (diag["n_cells"] + 10 + 9 + 128) * 8
+            1024 * (diag["n_cells"] + 1 + 10 + 10 + 128) * 8
         assert diag["buffers_mb"] == diag["collect_workers"] * per_worker / 1e6
         assert diag["peak_rss_mb"] > diag["table_mb"]
         assert "estimate_workers" not in diag

@@ -12,9 +12,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from thermalbell import bell, cli, correlate, speckle, spkl
 from thermalbell.config import CorrelateConfig
@@ -566,6 +563,27 @@ class TestSinglePassAndMatrixBootstrap:
         assert got.shape == (n_boot, 2)
         assert np.max(np.abs(got / np.array(want) - 1)) < 1e-12
 
+        # 3125 blocks, as 200k frames in blocks of 64, over 12 decades of
+        # both signs: a plain float sum misrounds some columns, and the
+        # means are fsum of each column, bit for bit
+        wide = (rng.random((3125, 40)) * 3000.0 - 1500.0) * \
+            10.0 ** rng.integers(0, 12, (3125, 40))
+        fsums = np.array([math.fsum(c) for c in wide.T])
+        assert not np.array_equal(np.asfortranarray(wide).sum(axis=0), fsums)
+
+        def means(blocks):
+            with np.errstate(invalid="ignore", over="ignore"):
+                return correlate._resample(blocks, 200_000, 64, 2, (3, 7), lambda m: m)[0]
+        assert np.array_equal(means(wide).view(np.int64), (fsums / 200_000).view(np.int64))
+        # fsum's inf passes through, and so does its error for inf beside -inf
+        wide[7, 3] = np.inf
+        got = means(wide)
+        assert got[3] == np.inf
+        assert np.array_equal(np.delete(got, 3), np.delete(fsums, 3) / 200_000)
+        wide[[9, 10], 20] = np.inf, -np.inf
+        with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
+            means(wide)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_row_products_chain_in_given_order(self, rng, m):
         """Factors multiply left to right in the order given, bit for bit,
@@ -588,6 +606,32 @@ class TestSinglePassAndMatrixBootstrap:
             logs = logs + np.log(column[bad])
         want[bad] = np.exp(logs)
         assert np.array_equal(correlate._row_products(columns), want)
+
+    def test_padded_products_match_each_group(self, frames_tiny, monkeypatch, workers):
+        """A plan of groups of 1 to 6 cells, over chunks of 32 frames: each
+        numerator is that group's own product (``_row_products`` of its
+        cells alone) times the x2 cell, bit for bit, although the pass pads
+        the shorter groups with a row of ones.  In some frames the direct
+        product of rows 0, 1 and 2 under- or overflows on the way, and is
+        taken from the logs; every group's true product is a normal float."""
+        monkeypatch.setattr(correlate, "CHUNK_PIXELS", 37 * 8 * 128)
+        pixels = frames_tiny.pixels.astype(np.float64)
+        pixels[[5, 300, 599], :3] = np.array([1e-200, 1e-200, 1e300])[:, None]
+        pixels[[6, 301], :3] = np.array([1e200, 1e200, 1e-300])[:, None]
+        source = FrameSet(pixels, frames_tiny.geometry, 0, 0.0, 1, 1)
+        rows = {1: [0], 2: [1, 2], 3: [0, 1, 2], 4: range(4), 5: range(5), 6: range(6)}
+        terms = [term for m, r in rows.items()
+                 for term in correlate.gm1_terms(m, 64, r, FULL_SCAN, 7)]
+        terms += correlate.bell_terms(frames_tiny.geometry, bell.UPPER_ANGLES, 6, range(6),
+                                      7, 2)
+        table = correlate.collect_cells(source, terms, 16)
+        starts = np.arange(0, 600, 16)
+        for groups, x2 in terms:
+            want = [np.add.reduceat(correlate._row_products([pixels[:, r, c] for c, r in g])
+                                    * pixels[:, r2, c2], starts)
+                    for g in groups for c2, r2 in x2]
+            got = table.blocks[:, table.columns((groups, x2))[1]]
+            assert np.array_equal(got.view(np.int64), np.array(want).T.view(np.int64))
 
     def test_row_products_extend_by_one_factor(self, rng):
         """The product of m columns of distinct values is that of the first
@@ -815,8 +859,8 @@ class TestWorkingSet:
         its table is the buffer sets it makes, one per worker, and per
         worker the temporaries of one step: a ufunc's iterator buffers (up
         to 3 operands of ``np.getbufsize()`` float64 values) and a chunk's
-        products of the 4 groups of 3 with their three masks (more than the
-        4 x2 rows a term gathers).  Nothing grows with the frame count or
+        products of all 7 groups with their three masks (more than the 4 x2
+        rows a term gathers).  Nothing grows with the frame count or
         the chunk count, and the sets are freed before the pass returns."""
         tracemalloc.start()
         try:
@@ -830,12 +874,12 @@ class TestWorkingSet:
         read = correlate.READ_PIXELS // frame       # 256 frames
         chunk = correlate.CHUNK_PIXELS // frame     # 16 blocks of 64 frames
         n_cells = len(table.cells)
-        # float32 reads and gathered cells; float64 cells and a factor of
-        # the 4 groups of 3 (with shuffle a frame more), the products of 7
-        # groups and the 15 numerators of one group
+        # float32 reads and gathered cells; float64 cells, the row of ones
+        # and a factor of the 7 groups (with shuffle a frame more), the
+        # products of the 7 groups and the 15 numerators of one group
         buffer_set = read * (frame + n_cells) * 4 + \
-            ((n_cells + 4) * (chunk + shuffle) + (7 + 15) * chunk) * 8
-        temporaries = 3 * np.getbufsize() * 8 + 4 * chunk * (8 + 3)
+            ((n_cells + 1 + 7) * (chunk + shuffle) + (7 + 15) * chunk) * 8
+        temporaries = 3 * np.getbufsize() * 8 + 7 * chunk * (8 + 3)
         assert peak <= workers * (buffer_set + temporaries)
         assert table.workers == workers
         assert table.buffer_bytes == workers * buffer_set
@@ -929,83 +973,6 @@ class TestDegenerateBootstrap:
                                match=r"^m = 1: \d+ of 200 bootstrap replicates of the "
                                      "Bell statistic are not finite"):
                 bell_from_frames(source, 1, bell.UPPER_ANGLES)
-
-
-def _assert_fsum_columns(a: np.ndarray) -> None:
-    """``_column_sums(a)`` is ``math.fsum`` of each column, bit for bit, and
-    raises what ``math.fsum`` raises."""
-    try:
-        want = np.array([math.fsum(column) for column in a.T])
-    except (OverflowError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            correlate._column_sums(a)
-        return
-    got = correlate._column_sums(a)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class TestColumnSums:
-    """``_column_sums`` against ``math.fsum`` per column.  Forty columns are
-    three slices of SUM_COLUMNS, and twenty are two."""
-
-    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
-                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                                     st.floats(-1e3, 1e3),
-                                     st.integers(-4, 4).map(float),
-                                     # sums a plain float sum rounds wrongly
-                                     st.sampled_from([2.0**53, -2.0**53, 1.0, -0.5]))))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_fsum(self, a):
-        _assert_fsum_columns(a)
-
-    @pytest.mark.parametrize("decades", [0, 12])
-    def test_block_sum_sized_columns(self, rng, decades):
-        """3125 rows, as 200k frames in blocks of 64, of one sign or both and
-        over up to 12 decades; a plain float sum misses fsum's rounding in
-        some of the columns."""
-        a = rng.random((3125, 40)) * 3000.0
-        if decades:
-            a = (a - 1500.0) * 10.0 ** rng.integers(0, decades, a.shape)
-            assert not np.array_equal(np.asfortranarray(a).sum(axis=0),
-                                      [math.fsum(c) for c in a.T])
-        _assert_fsum_columns(a)
-
-    def test_exponent_spread(self, rng):
-        a = rng.standard_normal((3125, 40)) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
-        _assert_fsum_columns(a)
-
-    def test_exact_cancellation(self, rng):
-        a = rng.standard_normal((500, 40)) * 10.0 ** rng.uniform(-20, 20, (500, 40))
-        cancel = np.concatenate([a, -a[::-1]])
-        assert not np.any(correlate._column_sums(cancel))
-        _assert_fsum_columns(cancel)
-        # all but a remainder far below the largest terms
-        _assert_fsum_columns(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
-
-    @pytest.mark.parametrize("a", [np.zeros((64, 40)), -np.zeros((64, 40)),
-                                   np.zeros((1, 3)), np.arange(40.0)[None, :] - 20.5],
-                             ids=["zeros", "negative-zeros", "zero-row", "one-row"])
-    def test_zeros_and_one_row(self, a):
-        _assert_fsum_columns(a)
-
-    def test_subnormals(self, rng):
-        tiny = rng.integers(-2**30, 2**30, (500, 40)) * 5e-324
-        _assert_fsum_columns(tiny)
-        _assert_fsum_columns(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
-
-    def test_near_overflow_and_non_finite(self, rng):
-        """These columns take the plain ``math.fsum`` path."""
-        near = rng.uniform(-1.0, 1.0, (8, 40)) * 2e307
-        near[:, 5] = 1.7e308              # the sum overflows: fsum raises
-        _assert_fsum_columns(near)
-        _assert_fsum_columns(np.delete(near, 5, axis=1))
-        for value in (np.inf, -np.inf, np.nan):
-            a = rng.random((64, 40))
-            a[7, 3] = value
-            _assert_fsum_columns(a)
-        a = rng.random((64, 40))
-        a[1, 20], a[2, 20] = np.inf, -np.inf
-        _assert_fsum_columns(a)
 
 
 class TestEstimateWorkers:

@@ -202,6 +202,21 @@ def test_scans_run_without_numpy_ma(tmp_path, monkeypatch):
         assert (tmp_path / "poisoned" / name).read_bytes() == Path(name).read_bytes(), name
 
 
+def test_bell_runs_without_fractions():
+    """``bell`` with a model visibility loads no ``fractions`` (with
+    ``decimal`` and ``numbers``, about 2 ms a process): only
+    ``analytic.visibility_tls_exact`` imports it."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from thermalbell import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['bell', '--four-term', '--m', '5', '--bound', 'upper']) == 0\n"
+        "assert 'fractions' not in sys.modules\n"
+    )
+    done = _run_fresh(code)
+    assert done.returncode == 0, done.stderr
+
+
 def test_help_runs_without_numpy(monkeypatch):
     """With every numpy import made to fail, ``--help`` of ``thermalbell``
     and of each command prints the text of a normal run, and no module of
