@@ -12,6 +12,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from thermalbell import bell, cli, correlate, speckle, spkl
 from thermalbell.config import CorrelateConfig
@@ -563,27 +566,6 @@ class TestSinglePassAndMatrixBootstrap:
         assert got.shape == (n_boot, 2)
         assert np.max(np.abs(got / np.array(want) - 1)) < 1e-12
 
-        # 3125 blocks, as 200k frames in blocks of 64, over 12 decades of
-        # both signs: a plain float sum misrounds some columns, and the
-        # means are fsum of each column, bit for bit
-        wide = (rng.random((3125, 40)) * 3000.0 - 1500.0) * \
-            10.0 ** rng.integers(0, 12, (3125, 40))
-        fsums = np.array([math.fsum(c) for c in wide.T])
-        assert not np.array_equal(np.asfortranarray(wide).sum(axis=0), fsums)
-
-        def means(blocks):
-            with np.errstate(invalid="ignore", over="ignore"):
-                return correlate._resample(blocks, 200_000, 64, 2, (3, 7), lambda m: m)[0]
-        assert np.array_equal(means(wide).view(np.int64), (fsums / 200_000).view(np.int64))
-        # fsum's inf passes through, and so does its error for inf beside -inf
-        wide[7, 3] = np.inf
-        got = means(wide)
-        assert got[3] == np.inf
-        assert np.array_equal(np.delete(got, 3), np.delete(fsums, 3) / 200_000)
-        wide[[9, 10], 20] = np.inf, -np.inf
-        with pytest.raises(ValueError, match="-inf \\+ inf in fsum"):
-            means(wide)
-
     @pytest.mark.parametrize("m", [1, 2, 3, 6])
     def test_row_products_chain_in_given_order(self, rng, m):
         """Factors multiply left to right in the order given, bit for bit,
@@ -973,6 +955,88 @@ class TestDegenerateBootstrap:
                                match=r"^m = 1: \d+ of 200 bootstrap replicates of the "
                                      "Bell statistic are not finite"):
                 bell_from_frames(source, 1, bell.UPPER_ANGLES)
+
+
+def _assert_fsum_means(a: np.ndarray) -> None:
+    """``_resample``'s frame means of ``a`` [nb, C], one frame per block,
+    are ``math.fsum`` of each column over nb, bit for bit, and it raises what
+    ``math.fsum`` raises."""
+    def means():
+        with np.errstate(invalid="ignore", over="ignore"):
+            return correlate._resample(a, len(a), 1, 2, (3, 7), lambda m: m)[0]
+    try:
+        want = np.array([math.fsum(column) for column in a.T]) / len(a)
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            means()
+        return
+    assert np.array_equal(means().view(np.int64), want.view(np.int64))
+
+
+class TestColumnSums:
+    """``_resample``'s means against ``math.fsum`` per column.  Forty
+    columns are two slices of 16 and a short one, and twenty are one and a
+    short one."""
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.floats(-1e3, 1e3),
+                                     st.integers(-4, 4).map(float),
+                                     # sums a plain float sum rounds wrongly
+                                     st.sampled_from([2.0**53, -2.0**53, 1.0, -0.5]))))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fsum(self, a):
+        _assert_fsum_means(a)
+
+    @pytest.mark.parametrize("decades", [0, 12])
+    def test_block_sum_sized_columns(self, rng, decades):
+        """3125 rows, as 200k frames in blocks of 64, of one sign or both and
+        over up to 12 decades; a plain float sum misses fsum's rounding in
+        some of the columns."""
+        a = rng.random((3125, 40)) * 3000.0
+        if decades:
+            a = (a - 1500.0) * 10.0 ** rng.integers(0, decades, a.shape)
+            assert not np.array_equal(np.asfortranarray(a).sum(axis=0),
+                                      [math.fsum(c) for c in a.T])
+        _assert_fsum_means(a)
+
+    def test_exponent_spread(self, rng):
+        a = rng.standard_normal((3125, 40)) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
+        _assert_fsum_means(a)
+
+    def test_exact_cancellation(self, rng):
+        a = rng.standard_normal((500, 40)) * 10.0 ** rng.uniform(-20, 20, (500, 40))
+        cancel = np.concatenate([a, -a[::-1]])
+        assert not np.any(correlate._resample(cancel, 1000, 1, 2, (3, 7), lambda m: m)[0])
+        _assert_fsum_means(cancel)
+        # all but a remainder far below the largest terms
+        _assert_fsum_means(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
+
+    @pytest.mark.parametrize("a", [np.zeros((64, 40)), -np.zeros((64, 40)),
+                                   np.zeros((1, 3)), np.arange(40.0)[None, :] - 20.5],
+                             ids=["zeros", "negative-zeros", "zero-row", "one-row"])
+    def test_zeros_and_one_row(self, a):
+        _assert_fsum_means(a)
+
+    def test_subnormals(self, rng):
+        tiny = rng.integers(-2**30, 2**30, (500, 40)) * 5e-324
+        _assert_fsum_means(tiny)
+        _assert_fsum_means(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
+
+    def test_near_overflow_and_non_finite(self, rng):
+        """fsum's inf and nan pass through, and so do its errors for an
+        intermediate overflow and for inf beside -inf."""
+        near = rng.uniform(-1.0, 1.0, (8, 40)) * 2e307
+        near[:, 5] = 1.7e308              # the sum overflows: fsum raises
+        _assert_fsum_means(near)
+        _assert_fsum_means(np.delete(near, 5, axis=1))
+        for value in (np.inf, -np.inf, np.nan):
+            a = rng.random((64, 40))
+            a[7, 3] = value
+            _assert_fsum_means(a)
+        a = rng.random((64, 40))
+        a[1, 20], a[2, 20] = np.inf, -np.inf
+        _assert_fsum_means(a)
 
 
 class TestEstimateWorkers:
