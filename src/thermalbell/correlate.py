@@ -5,8 +5,9 @@ The central quantity is
                / ( prod_i <I(x1, y_i)> * <I(x2, y2)> ),
 the (m+1)-th order correlation normalized by first-order averages, estimated
 in a single pass: frame means are ``math.fsum`` of block sums, the exact
-sum rounded once.  Error bars come from a block bootstrap over frames
-(frames may carry residual temporal correlation).
+sum rounded once, taken once per series when the pass ends.  Error bars
+come from a block bootstrap over frames (frames may carry residual
+temporal correlation).
 Visibility is extracted by weighted least squares against
 A * (1 + V cos(delta(x2) - phi)) with the fringe period fixed by geometry.
 
@@ -26,8 +27,10 @@ name those series as terms, each group's cells on ascending rows
 multiplies its cells left to right in that order, so it does not depend on
 the order the rows were given in.  ``collect_cells`` makes the block
 sums of every series a list of terms reads in one pass over the stack and
-keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix, and no
-per-frame series; its table does not depend on the worker count.
+keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix with the
+K frame means, and no per-frame series; its table does not depend on the
+worker count.  Each estimate reads its point estimate from the table's
+means and resamples its columns of block sums.
 ``analyze``, the analysis ``thermalbell correlate`` runs, plans the union
 of every m and every Bell realization, reads the stack once and hands the
 same table to each estimate.
@@ -163,9 +166,10 @@ class BlockTable:
     frames, the last block holding the rest: first one column per distinct
     cell series, then per term its numerators, group-major.  With
     ``shuffle`` the x2 cells' series (numerators included) are those of the
-    next frame, cyclically.  ``workers`` is the pass's thread count and
-    ``buffer_bytes`` the size of the buffers it made for them, freed before
-    it returned.
+    next frame, cyclically.  ``means`` [K] holds each series' frame mean,
+    ``math.fsum`` of its column over ``n_frames`` (``_column_sums``).
+    ``workers`` is the pass's thread count and ``buffer_bytes`` the size of
+    the buffers it made for them, freed before it returned.
     """
 
     def __init__(self, shape: tuple[int, int, int], terms: Sequence[Term],
@@ -186,7 +190,19 @@ class BlockTable:
                 self._num_col[(groups, x2)] = k
                 k += len(groups) * len(x2)
         self.blocks = np.empty((-(-self.n_frames // block_len), k))
+        self.means = np.empty(k)
         self.workers = self.buffer_bytes = 0
+
+    def _names(self, j: int) -> str:
+        """The pixels whose product column ``j`` sums."""
+        if j < len(self.cells):
+            series = [self.cells[j]]
+        else:
+            (groups, x2), first = [item for item in self._num_col.items() if item[1] <= j][-1]
+            i, s = divmod(j - first, len(x2))
+            series = [(c, False) for c in groups[i]] + [(x2[s], self.shuffle)]
+        return " x ".join(f"column {c}, row {r}" + " of the next frame" * next_frame
+                          for (c, r), next_frame in series)
 
     def columns(self, term: Term) -> tuple[list[int], list[int], list[int]]:
         """Columns of ``term``: its x1 cells (group-major), its numerators
@@ -219,12 +235,17 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     unchanged; the factors come one at a time into a buffer of its set
     (``_Rows``).  It multiplies the products by the x2 rows, and
     ``np.add.reduceat``s cells and numerators straight into its blocks'
-    rows of the table.  Summed along the frames, a chunk of whole blocks
-    gives the whole series' block sums bit for bit, so the table does not
-    depend on the worker count.  The workers are joined before this returns
-    or raises.  A cell that is zero in every frame is refused after the
-    pass (``NumericGuardError``): every cell is a denominator of some ghat,
-    which it would make nan.  An SPKL file is opened and its header checked
+    rows of the table; a product or sum beyond the float range leaves an
+    inf or nan there, without a warning.  Summed along the frames, a chunk
+    of whole blocks gives the whole series' block sums bit for bit, so the
+    table does not depend on the worker count.  The workers are joined
+    before this returns or raises.  After the pass, each column's total is
+    one ``math.fsum``, taken once (``_column_sums``), and the table's means
+    are the totals over ``n_frames``.  A total that is not finite, or whose
+    fsum overflows, is refused, naming the pixels of its series
+    (``NumericGuardError``), and so is a cell whose total is zero, a pixel
+    dark in every frame: every cell is a denominator of some ghat, which it
+    would make nan.  An SPKL file is opened and its header checked
     once per pass (``spkl.SpklReader``); the workers read their ranges from
     that one descriptor, which is closed when the pass ends, also on error.
     """
@@ -265,13 +286,12 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     table.workers = max(1, speckle._worker_count(len(starts)))
     # the buffer sets not in use, one per worker, made here: reads, gathered
     # cells, float64 cells and the row of ones (the cell rows are written
-    # before they are read), products, a factor of every group's product
-    # and numerators.  A worker takes one for a chunk and puts it back;
+    # before they are read), a factor of every group's product and
+    # numerators.  A worker takes one for a chunk and puts it back;
     # list.pop and list.append are atomic.
     free = [(np.empty((read_len, height, width), dtype),
              np.empty((read_len, len(flat)), dtype),
              np.ones((len(flat) + 1, chunk + shift)),
-             np.empty((len(groups), chunk)),
              np.empty((len(groups), chunk + shift)),
              np.empty((max((count for *_, count in numerators), default=0), chunk)))
             for _ in range(table.workers)]
@@ -285,7 +305,7 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
             free.append(buffers)
 
     def fill(a: int, buf: np.ndarray, gathered: np.ndarray, cell: np.ndarray,
-             prod: np.ndarray, factor: np.ndarray, num: np.ndarray) -> None:
+             factor: np.ndarray, num: np.ndarray) -> None:
         n = min(chunk, n_frames - a)
         # frames a .. a + n + shift - 1; frame n_frames is frame 0
         lo = a
@@ -304,17 +324,19 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
                 "intensities must be finite and nonnegative")
         block_starts = np.arange(0, n, block_len)
         out = table.blocks[a // block_len:a // block_len + len(block_starts)]
-        np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
-        np.add.reduceat(cell[n_now:len(flat), shift:shift + n], block_starts, axis=1,
-                        out=out[:, n_now:len(flat)].T)
-        if groups:
-            prod[:, :n] = _row_products(_Rows(cell, factors, n, factor))
-        for gs, sel, first, count in numerators:
-            x2 = cell[sel, shift:shift + n]     # taken once per term, not per group
-            for i, g in enumerate(gs):
-                np.multiply(prod[g, :n], x2, out=num[:count, :n])
-                np.add.reduceat(num[:count, :n], block_starts, axis=1,
-                                out=out[:, first + i * count:first + (i + 1) * count].T)
+        # a product or sum beyond the float range is an inf or nan block sum,
+        # which the totals refuse after the pass
+        with np.errstate(all="ignore"):
+            np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
+            np.add.reduceat(cell[n_now:len(flat), shift:shift + n], block_starts, axis=1,
+                            out=out[:, n_now:len(flat)].T)
+            prod = _row_products(_Rows(cell, factors, n, factor)) if groups else None
+            for gs, sel, first, count in numerators:
+                x2 = cell[sel, shift:shift + n]     # taken once per term, not per group
+                for i, g in enumerate(gs):
+                    np.multiply(prod[g], x2, out=num[:count, :n])
+                    np.add.reduceat(num[:count, :n], block_starts, axis=1,
+                                    out=out[:, first + i * count:first + (i + 1) * count].T)
 
     # leaving the block cancels the chunks not yet started and joins the
     # workers, also when a chunk raises
@@ -322,13 +344,29 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         for _ in pool.map(work, starts):
             pass
     del free                        # the buffer sets, before the checks below
+
+    def out_of_range(j: int, what: str) -> NumericGuardError:
+        return NumericGuardError(f"the sum over all frames of {table._names(j)} {what}: "
+                                 "its values overflow the float range")
+    try:
+        totals = _column_sums(table.blocks)
+    except OverflowError as exc:    # finite block sums, too large a total
+        j = 0
+        with contextlib.suppress(OverflowError):
+            for j, column in enumerate(table.blocks.T):
+                math.fsum(column.tolist())
+        raise out_of_range(j, "overflows") from exc
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if len(bad):
+        raise out_of_range(bad[0], f"is {totals[bad[0]]}")
     # values are nonnegative, so a zero total is a pixel dark in every frame
-    dark = np.flatnonzero(~table.blocks[:, :len(flat)].any(axis=0))
+    dark = np.flatnonzero(totals[:len(flat)] == 0)
     if len(dark):
         c, r = table.cells[dark[0]][0]
         raise NumericGuardError(
             f"column {c}, row {r} is zero in every frame: its mean divides every "
             "correlation it enters")
+    np.divide(totals, n_frames, out=table.means)
     return table
 
 
@@ -435,31 +473,33 @@ def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
     return rows
 
 
-def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
-              seed: tuple[int, int], statistic) -> tuple[np.ndarray, np.ndarray]:
-    """Frame means of the block columns, and block-bootstrap replicates of
-    ``statistic`` of resampled means.
-
-    ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
-    last block holding the rest of the ``n_frames``.  The means [C] are
-    ``math.fsum`` of each column, the exact sum rounded once, over
-    ``n_frames``; fsum's errors (an intermediate overflow, inf plus -inf)
-    pass through.  Replicate r draws ``rng.integers(0, nb, nb)``, and its
-    block counts fill row r of a group of BOOT_GROUP rows, the count matrix
-    W; ``statistic`` receives the group's means ``(W @ blocks) /
-    (W @ lengths)`` [g, C].  Returns the means and the stacked replicate
-    values, nan or inf where a mean the statistic divides by is zero, which
-    the caller refuses (``_refuse_non_finite``).
-    """
-    nb, n_cols = blocks.shape
-    mean = np.empty(n_cols)
+def _column_sums(blocks: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each column of ``blocks`` [nb, C], the exact sum
+    rounded once; fsum's errors (an intermediate overflow, inf plus -inf)
+    pass through."""
+    sums = np.empty(blocks.shape[1])
     # 16 contiguous columns at a time (400 kB at 3125 blocks), never a copy
     # of the whole matrix; a memoryview yields plain floats, which fsum
     # takes faster than numpy scalars
-    for lo in range(0, n_cols, 16):
+    for lo in range(0, len(sums), 16):
         part = np.asfortranarray(blocks[:, lo:lo + 16])
-        mean[lo:lo + 16] = [math.fsum(memoryview(column)) for column in part.T]
-    mean /= n_frames
+        sums[lo:lo + 16] = [math.fsum(memoryview(column)) for column in part.T]
+    return sums
+
+
+def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
+              seed: tuple[int, int], statistic) -> np.ndarray:
+    """Block-bootstrap replicates of ``statistic`` of resampled frame means.
+
+    ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
+    last block holding the rest of the ``n_frames``.  Replicate r draws
+    ``rng.integers(0, nb, nb)``, and its block counts fill row r of a group
+    of BOOT_GROUP rows, the count matrix W; ``statistic`` receives the
+    group's means ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the
+    stacked replicate values, nan or inf where a mean the statistic divides
+    by is zero, which the caller refuses (``_refuse_non_finite``).
+    """
+    nb = len(blocks)
     lengths = np.minimum(block_len, n_frames - block_len * np.arange(nb)).astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
@@ -473,7 +513,7 @@ def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
             means = (weights @ blocks) / (weights @ lengths)[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             out.append(statistic(means))
-    return mean, np.concatenate(out)
+    return np.concatenate(out)
 
 
 def _refuse_non_finite(boot: np.ndarray, m: int, quantity: str,
@@ -526,19 +566,19 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     x1_cols, num_cols, x2_cols = table.columns(term)
     # block columns [x1 | num | x2], C-ordered: BLAS rounding depends on
     # column position and memory order
-    blocks = table.blocks.take(x1_cols + num_cols + x2_cols, axis=1)
+    columns = x1_cols + num_cols + x2_cols
     n_scan = len(x2_cols)
 
     def ghat(mean: np.ndarray) -> np.ndarray:
         return _ghat(mean[..., None, :m], mean[..., None, m:-n_scan],
                      mean[..., -n_scan:])[..., 0, :]
 
-    mean, boot = _resample(blocks, table.n_frames, block_len, n_boot,
-                           (boot_seed, 0xB00727), ghat)
+    boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len, n_boot,
+                     (boot_seed, 0xB00727), ghat)
     x2_positions = np.array(term[1], dtype=int)[:, 0]
     _refuse_non_finite(boot, m, "ghat", x2_positions)
     return CorrelationCurve(m=m, x2_positions=x2_positions,
-                            values=ghat(mean), stderr=boot.std(axis=0, ddof=1),
+                            values=ghat(table.means[columns]), stderr=boot.std(axis=0, ddof=1),
                             n_frames_used=table.n_frames)
 
 
@@ -752,10 +792,10 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     def replicate(mean: np.ndarray) -> np.ndarray:
         return _ch74_four_term(mean.reshape(len(mean), n_realizations, -1), m)[0].mean(axis=1)
 
-    mean, boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len,
-                           n_boot, (boot_seed, 0xBE11), replicate)
+    boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len,
+                     n_boot, (boot_seed, 0xBE11), replicate)
     _refuse_non_finite(boot[:, None], m, "the Bell statistic")
-    per_realization, probs = _ch74_four_term(mean.reshape(n_realizations, -1), m)
+    per_realization, probs = _ch74_four_term(table.means[columns].reshape(n_realizations, -1), m)
     statistic = float(np.mean(per_realization))
     stderr = float(boot.std(ddof=1))
 

@@ -254,10 +254,6 @@ def write_texts(files: dict) -> None:
             fh.abort()
 
 
-def write_text(path: str | Path, text: str) -> None:
-    write_texts({path: text})
-
-
 def write_sidecar(path: str | Path, payload: dict, outputs: dict | None = None) -> None:
     """Write the sidecar of ``path``; the texts of ``outputs`` {path: text}
     are written with it as one ``write_texts`` set, the sidecar renamed last."""

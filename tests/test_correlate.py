@@ -533,6 +533,34 @@ class TestSinglePassAndMatrixBootstrap:
                          "--out", str(tmp_path / "run")]) == 0
         assert len(calls) == 1
 
+    def test_one_fsum_per_table_column(self, frames_tiny, tmp_path, monkeypatch):
+        """The frame means are taken once, when the pass ends: one command
+        takes ``math.fsum`` over as many columns of block sums as its table
+        has, although the curves share the scan's columns."""
+        path = tmp_path / "tiny.spkl"
+        spkl.write_spkl(path, frames_tiny)
+        spkl.write_sidecar(path, {"geometry": frames_tiny.geometry.to_dict()})
+        tables, lengths = [], []
+        collect, fsum = correlate.collect_cells, math.fsum
+
+        def collecting(*args):
+            tables.append(collect(*args))
+            return tables[-1]
+
+        def counting(values):
+            if isinstance(values, memoryview):
+                lengths.append(len(values))
+            return fsum(values)
+
+        monkeypatch.setattr(correlate, "collect_cells", collecting)
+        monkeypatch.setattr(correlate.math, "fsum", counting)
+        assert cli.main(["correlate", "--frames", str(path), "--m", "1..6", "--bell",
+                         "--realizations", "2", "--boot", "20",
+                         "--out", str(tmp_path / "run")]) == 0
+        [table] = tables
+        n_blocks, width = table.blocks.shape
+        assert (len(lengths), set(lengths)) == (width, {n_blocks})
+
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_stderr_matches_per_replicate_loop(self, frames_tiny, shuffle):
         rows, scan = [2, 0, 1], range(0, 128, 3)
@@ -556,8 +584,7 @@ class TestSinglePassAndMatrixBootstrap:
         def ratio(mean):
             return mean[..., :2] / mean[..., 2:4].sum(axis=-1)[..., None]
 
-        mean, got = correlate._resample(blocks, 51, 4, n_boot, (3, 7), ratio)
-        assert np.array_equal(mean, np.array([math.fsum(c) for c in blocks.T]) / 51)
+        got = correlate._resample(blocks, 51, 4, n_boot, (3, 7), ratio)
         gen = np.random.default_rng(np.random.SeedSequence((3, 7)))
         want = []
         for _ in range(n_boot):
@@ -703,9 +730,9 @@ class TestGather:
 
     def test_table_holds_only_block_sums(self, frames_20k):
         """The table holds n_blocks x K float64 values (one column per
-        distinct cell series, one per numerator) and no per-frame array; the
-        pass's peak allocation stays far below one per-frame series of each
-        of its cells."""
+        distinct cell series, one per numerator), their K frame means and no
+        per-frame array; the pass's peak allocation stays far below one
+        per-frame series of each of its cells."""
         tracemalloc.start()
         try:
             table = correlate.collect_cells(frames_20k, self.TERMS, 64, True)
@@ -719,7 +746,9 @@ class TestGather:
         n_num = sum(len(g) * len(x2) for g, x2 in self.TERMS)
         assert table.blocks.shape == (-(-20000 // 64), n_cells + n_num)
         assert table.blocks.dtype == np.float64
-        assert [v for v in vars(table).values() if isinstance(v, np.ndarray)] == [table.blocks]
+        assert table.means.shape == (n_cells + n_num,)
+        assert [v for v in vars(table).values() if isinstance(v, np.ndarray)] == \
+            [table.blocks, table.means]
         assert peak < 20000 * n_cells * 8 / 2
 
     def test_more_workers_than_cores_under_frequent_switches(self, frames_tiny, tmp_path,
@@ -843,7 +872,8 @@ class TestWorkingSet:
         to 3 operands of ``np.getbufsize()`` float64 values) and a chunk's
         products of all 7 groups with their three masks (more than the 4 x2
         rows a term gathers).  Nothing grows with the frame count or
-        the chunk count, and the sets are freed before the pass returns."""
+        the chunk count, and the sets are freed before the pass returns;
+        the table's means stay beside it."""
         tracemalloc.start()
         try:
             table = correlate.collect_cells(frames_20k, TestGather.TERMS, 64, shuffle)
@@ -851,16 +881,17 @@ class TestWorkingSet:
         finally:
             tracemalloc.stop()
         threads_joined()
-        held, peak = held - table.blocks.nbytes, peak - table.blocks.nbytes
+        table_bytes = table.blocks.nbytes + table.means.nbytes
+        held, peak = held - table_bytes, peak - table_bytes
         frame = 8 * 128
         read = correlate.READ_PIXELS // frame       # 256 frames
         chunk = correlate.CHUNK_PIXELS // frame     # 16 blocks of 64 frames
         n_cells = len(table.cells)
         # float32 reads and gathered cells; float64 cells, the row of ones
-        # and a factor of the 7 groups (with shuffle a frame more), the
-        # products of the 7 groups and the 15 numerators of one group
+        # and a factor of the 7 groups (with shuffle a frame more), and the
+        # 15 numerators of one group
         buffer_set = read * (frame + n_cells) * 4 + \
-            ((n_cells + 1 + 7) * (chunk + shuffle) + (7 + 15) * chunk) * 8
+            ((n_cells + 1 + 7) * (chunk + shuffle) + 15 * chunk) * 8
         temporaries = 3 * np.getbufsize() * 8 + 7 * chunk * (8 + 3)
         assert peak <= workers * (buffer_set + temporaries)
         assert table.workers == workers
@@ -912,6 +943,31 @@ class TestBadFrames:
         curve = estimate_gm1(source, 2, 63, [0, 1], range(19, 128), 7)
         assert np.all(np.isfinite(curve.values)) and np.all(np.isfinite(curve.stderr))
 
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("m, frames, value", [(3, [5], 1e200), (1, [5, 100], 1e308)],
+                             ids=["product", "total"])
+    def test_out_of_float_range_refused(self, rng, shuffle, m, frames, value):
+        """x1 pixels of 1e200 on rows 0..2 in one frame make a product
+        beyond the float range, and 1e308 on row 0 in two blocks a total
+        beyond it.  Either is refused after the pass, naming the first
+        column's pixels, and no warning is printed."""
+        pixels = rng.exponential(size=(800, 8, 128))
+        pixels[frames, :m, 10] = value
+        source = FrameSet(pixels, None, 0, 0.0, 1, 1)
+        if m == 1:
+            named = "column 10, row 0 overflows"
+        else:
+            later = " of the next frame" * shuffle
+            named = f"column 10, row 0 x column 10, row 1 x column 10, row 2 x column 0, " \
+                    f"row 7{later} is inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericGuardError,
+                               match=f"^the sum over all frames of {named}: its values "
+                                     "overflow the float range$"):
+                estimate_gm1(source, m, 10, range(m), FULL_SCAN, 7, n_boot=20,
+                             shuffle=shuffle)
+
     def test_wrapped_frame_named(self, frames_tiny):
         """With shuffle the last chunk reads frame 0 again."""
         pixels = frames_tiny.pixels.copy()
@@ -957,24 +1013,20 @@ class TestDegenerateBootstrap:
                 bell_from_frames(source, 1, bell.UPPER_ANGLES)
 
 
-def _assert_fsum_means(a: np.ndarray) -> None:
-    """``_resample``'s frame means of ``a`` [nb, C], one frame per block,
-    are ``math.fsum`` of each column over nb, bit for bit, and it raises what
-    ``math.fsum`` raises."""
-    def means():
-        with np.errstate(invalid="ignore", over="ignore"):
-            return correlate._resample(a, len(a), 1, 2, (3, 7), lambda m: m)[0]
+def _assert_fsum_sums(a: np.ndarray) -> None:
+    """``_column_sums`` of ``a`` [nb, C] is ``math.fsum`` of each column, bit
+    for bit, and it raises what ``math.fsum`` raises."""
     try:
-        want = np.array([math.fsum(column) for column in a.T]) / len(a)
+        want = np.array([math.fsum(column) for column in a.T])
     except (OverflowError, ValueError) as exc:
         with pytest.raises(type(exc)):
-            means()
+            correlate._column_sums(a)
         return
-    assert np.array_equal(means().view(np.int64), want.view(np.int64))
+    assert np.array_equal(correlate._column_sums(a).view(np.int64), want.view(np.int64))
 
 
 class TestColumnSums:
-    """``_resample``'s means against ``math.fsum`` per column.  Forty
+    """``_column_sums`` against ``math.fsum`` per column.  Forty
     columns are two slices of 16 and a short one, and twenty are one and a
     short one."""
 
@@ -986,7 +1038,7 @@ class TestColumnSums:
                                      st.sampled_from([2.0**53, -2.0**53, 1.0, -0.5]))))
     @settings(max_examples=60, deadline=None)
     def test_matches_fsum(self, a):
-        _assert_fsum_means(a)
+        _assert_fsum_sums(a)
 
     @pytest.mark.parametrize("decades", [0, 12])
     def test_block_sum_sized_columns(self, rng, decades):
@@ -998,45 +1050,45 @@ class TestColumnSums:
             a = (a - 1500.0) * 10.0 ** rng.integers(0, decades, a.shape)
             assert not np.array_equal(np.asfortranarray(a).sum(axis=0),
                                       [math.fsum(c) for c in a.T])
-        _assert_fsum_means(a)
+        _assert_fsum_sums(a)
 
     def test_exponent_spread(self, rng):
         a = rng.standard_normal((3125, 40)) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
-        _assert_fsum_means(a)
+        _assert_fsum_sums(a)
 
     def test_exact_cancellation(self, rng):
         a = rng.standard_normal((500, 40)) * 10.0 ** rng.uniform(-20, 20, (500, 40))
         cancel = np.concatenate([a, -a[::-1]])
-        assert not np.any(correlate._resample(cancel, 1000, 1, 2, (3, 7), lambda m: m)[0])
-        _assert_fsum_means(cancel)
+        assert not np.any(correlate._column_sums(cancel))
+        _assert_fsum_sums(cancel)
         # all but a remainder far below the largest terms
-        _assert_fsum_means(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
+        _assert_fsum_sums(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
 
     @pytest.mark.parametrize("a", [np.zeros((64, 40)), -np.zeros((64, 40)),
                                    np.zeros((1, 3)), np.arange(40.0)[None, :] - 20.5],
                              ids=["zeros", "negative-zeros", "zero-row", "one-row"])
     def test_zeros_and_one_row(self, a):
-        _assert_fsum_means(a)
+        _assert_fsum_sums(a)
 
     def test_subnormals(self, rng):
         tiny = rng.integers(-2**30, 2**30, (500, 40)) * 5e-324
-        _assert_fsum_means(tiny)
-        _assert_fsum_means(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
+        _assert_fsum_sums(tiny)
+        _assert_fsum_sums(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
 
     def test_near_overflow_and_non_finite(self, rng):
         """fsum's inf and nan pass through, and so do its errors for an
         intermediate overflow and for inf beside -inf."""
         near = rng.uniform(-1.0, 1.0, (8, 40)) * 2e307
         near[:, 5] = 1.7e308              # the sum overflows: fsum raises
-        _assert_fsum_means(near)
-        _assert_fsum_means(np.delete(near, 5, axis=1))
+        _assert_fsum_sums(near)
+        _assert_fsum_sums(np.delete(near, 5, axis=1))
         for value in (np.inf, -np.inf, np.nan):
             a = rng.random((64, 40))
             a[7, 3] = value
-            _assert_fsum_means(a)
+            _assert_fsum_sums(a)
         a = rng.random((64, 40))
         a[1, 20], a[2, 20] = np.inf, -np.inf
-        _assert_fsum_means(a)
+        _assert_fsum_sums(a)
 
 
 class TestEstimateWorkers:

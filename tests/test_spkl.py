@@ -202,7 +202,7 @@ def test_new_stack_removes_earlier_sidecar(frames_tiny, tmp_path):
 def test_write_text_replaces_whole(tmp_path):
     path = tmp_path / "out.csv"
     path.write_text("old\n")
-    spkl.write_text(path, "a,b\n1,2\n")
+    spkl.write_texts({path: "a,b\n1,2\n"})
     assert path.read_bytes() == b"a,b\n1,2\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -213,7 +213,7 @@ def test_failed_rename_leaves_no_temp_file(tmp_path):
     target = tmp_path / "taken"
     (target / "inside").mkdir(parents=True)
     with pytest.raises(OSError):
-        spkl.write_text(target, "x\n")
+        spkl.write_texts({target: "x\n"})
     with pytest.raises(OSError):
         with spkl.SpklWriter(target, 1, 2, 4, 0.1, 1) as writer:
             writer.write(np.ones((1, 2, 4)))
