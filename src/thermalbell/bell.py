@@ -403,7 +403,8 @@ def detector_phases(angles: AngleSet) -> tuple[float, float, float, float]:
     Signed arguments must satisfy t1 - t2 - t3 + t4 = 0; since only cosines
     enter, each argument may be negated freely and shifted by 2pi.  The search
     over sign choices and one winding number finds a consistent assignment
-    with d1 = 0 (the overall gauge is free).
+    with d1 = 0 (the overall gauge is free).  A sign choice whose residual
+    or realized phases overflow the float range realizes nothing.
     """
     t1, t2, t3, t4 = angles.arguments
     for s1 in (1.0, -1.0):
@@ -411,6 +412,8 @@ def detector_phases(angles: AngleSet) -> tuple[float, float, float, float]:
             for s3 in (1.0, -1.0):
                 for s4 in (1.0, -1.0):
                     residual = s1 * t1 - s2 * t2 - s3 * t3 + s4 * t4
+                    if not math.isfinite(residual):
+                        continue
                     k = round(residual / (2.0 * math.pi))
                     if abs(residual - 2.0 * math.pi * k) > PHASE_TOL:
                         continue
@@ -419,7 +422,7 @@ def detector_phases(angles: AngleSet) -> tuple[float, float, float, float]:
                     d2p = -s2 * t2
                     d1p = s3 * t3 + d2
                     realized = (d1 - d2, d1 - d2p, d1p - d2, d1p - d2p)
-                    if all(abs(math.cos(r) - math.cos(t)) <= PHASE_TOL
+                    if all(math.isfinite(r) and abs(math.cos(r) - math.cos(t)) <= PHASE_TOL
                            for r, t in zip(realized, angles.arguments)):
                         return (d1, d1p, d2, d2p)
     raise ValueError(f"no consistent detector realization for arguments {angles.arguments}")

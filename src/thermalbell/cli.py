@@ -48,6 +48,11 @@ def _publish(outputs: dict, sidecar_of: str | Path, command: str, cfg, **meta) -
                                     **meta, "written_at_unix": time.time()}, outputs)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _peak_rss_mb() -> float:
     """This process's peak resident set size so far, in MB."""
     import resource
@@ -264,7 +269,7 @@ def cmd_quantum(cfg: QuantumConfig) -> int:
     for model in models:
         _check_scale(model, ms)
     needed = fock.state_nbytes(max(gm1_dims), detections)
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = _physical_memory()
     if needed > physical:
         raise NumericGuardError(
             f"the Fock state at cutoff {max(gm1_dims)} after {detections} detections "
@@ -335,6 +340,22 @@ def cmd_simulate(cfg: SimulateConfig) -> int:
         pixel_pitch=cfg.pixel_pitch, width=cfg.width, height=cfg.height)
     model = tls(cfg.nbar, cfg.field_amp)
     _check_frame_scale(model)
+    # the largest buffers, refused before anything is allocated: a chunk's
+    # float32 rows, the complex phase matrix [sources, width] and a chunk's
+    # complex draws [frames, substeps, sources]
+    batch, n_src = min(cfg.chunk, cfg.n_frames), cfg.n_subsources * cfg.slits
+    physical = _physical_memory()
+    for flags, what, needed in (
+            (f"--frames {cfg.n_frames}, --grid-height {geom.height} and --grid-width "
+             f"{geom.width}", "the row buffer", batch * geom.height * geom.width * 4),
+            (f"--subsources {cfg.n_subsources}, --slits {cfg.slits} and --grid-width "
+             f"{geom.width}", "the phase matrix", n_src * geom.width * 16),
+            (f"--frames {cfg.n_frames}, --substeps {cfg.substeps}, --subsources "
+             f"{cfg.n_subsources} and --slits {cfg.slits}", "one chunk's draws",
+             batch * cfg.substeps * n_src * 16)):
+        if needed > physical:
+            raise NumericGuardError(f"{flags} make {what} {needed} bytes, more than the "
+                                    f"{physical} bytes of physical memory")
 
     # per-frame sums, added exactly at the end, so the summary does not
     # depend on how the frames were chunked

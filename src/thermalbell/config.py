@@ -231,3 +231,8 @@ class CorrelateConfig:
     bound: Literal["upper", "lower"] = "upper"
     angles: list[float] | None = None
     out: str | None = None
+
+    def __post_init__(self):
+        # numpy's SeedSequence takes no negative seed
+        if self.boot_seed < 0:
+            raise ConfigError(f"boot_seed must be >= 0, got {self.boot_seed}")

@@ -27,10 +27,11 @@ name those series as terms, each group's cells on ascending rows
 multiplies its cells left to right in that order, so it does not depend on
 the order the rows were given in.  ``collect_cells`` makes the block
 sums of every series a list of terms reads in one pass over the stack and
-keeps them in a ``BlockTable``, an [n_blocks, K] float64 matrix with the
-K frame means, and no per-frame series; its table does not depend on the
-worker count.  Each estimate reads its point estimate from the table's
-means and resamples its columns of block sums.
+keeps them in a ``BlockTable``, a [K, n_blocks] float64 matrix, one row per
+series as the pass makes them, with the K frame means, and no per-frame
+series; its table does not depend on the worker count.  Each estimate reads
+its point estimate from the table's means and resamples its series' block
+sums.
 ``analyze``, the analysis ``thermalbell correlate`` runs, plans the union
 of every m and every Bell realization, reads the stack once and hands the
 same table to each estimate.
@@ -42,8 +43,8 @@ and the group's resampled sums are the products ``W @ block_sums`` and
 ``W @ block_lengths``.  Only the summation order differs from resampling
 block by block, so bootstrap errors move in the last digits; point
 estimates do not use the bootstrap and are unchanged.  BLAS picks that
-order, and its rounding depends on the thread count and on each column's
-position in the block matrix.  The column order is fixed ([x1 | num | x2]
+order, and its rounding depends on the thread count and on the block
+matrix ``_resample`` builds.  The series order is fixed ([x1 | num | x2]
 for ``estimate_gm1``, [s | t | num] per Bell realization), and the products
 run on one OpenBLAS thread (``blas.one_thread``), so the bootstrap errors
 do not depend on the thread count either.
@@ -162,12 +163,13 @@ class BlockTable:
     """Block sums of the series a set of estimates reads, from one pass over
     a stack (``collect_cells``).
 
-    ``blocks`` [n_blocks, K] holds float64 sums over blocks of ``block_len``
-    frames, the last block holding the rest: first one column per distinct
-    cell series, then per term its numerators, group-major.  With
-    ``shuffle`` the x2 cells' series (numerators included) are those of the
-    next frame, cyclically.  ``means`` [K] holds each series' frame mean,
-    ``math.fsum`` of its column over ``n_frames`` (``_column_sums``).
+    ``blocks`` [K, n_blocks] holds float64 sums over blocks of ``block_len``
+    frames, the last block holding the rest, one C-contiguous row per
+    series: first one per distinct cell series, then per term its
+    numerators, group-major.  With ``shuffle`` the x2 cells' series
+    (numerators included) are those of the next frame, cyclically.
+    ``means`` [K] holds each series' frame mean, ``math.fsum`` of its row
+    over ``n_frames``.
     ``workers`` is the pass's thread count and ``buffer_bytes`` the size of
     the buffers it made for them, freed before it returned.
     """
@@ -182,37 +184,38 @@ class BlockTable:
             keys.update(dict.fromkeys((c, False) for g in groups for c in g))
         # (cell, of the next frame): the series of this frame first
         self.cells = sorted(keys, key=lambda key: key[1])
-        self._cell_col = {key: j for j, key in enumerate(self.cells)}
-        self._num_col: dict[Term, int] = {}
+        self._cell_row = {key: j for j, key in enumerate(self.cells)}
+        self._num_row: dict[Term, int] = {}
         k = len(self.cells)
         for groups, x2 in terms:
-            if (groups, x2) not in self._num_col:
-                self._num_col[(groups, x2)] = k
+            if (groups, x2) not in self._num_row:
+                self._num_row[(groups, x2)] = k
                 k += len(groups) * len(x2)
-        self.blocks = np.empty((-(-self.n_frames // block_len), k))
+        self.blocks = np.empty((k, -(-self.n_frames // block_len)))
         self.means = np.empty(k)
         self.workers = self.buffer_bytes = 0
 
     def _names(self, j: int) -> str:
-        """The pixels whose product column ``j`` sums."""
+        """The pixels whose product row ``j`` sums."""
         if j < len(self.cells):
             series = [self.cells[j]]
         else:
-            (groups, x2), first = [item for item in self._num_col.items() if item[1] <= j][-1]
+            (groups, x2), first = [item for item in self._num_row.items() if item[1] <= j][-1]
             i, s = divmod(j - first, len(x2))
             series = [(c, False) for c in groups[i]] + [(x2[s], self.shuffle)]
         return " x ".join(f"column {c}, row {r}" + " of the next frame" * next_frame
                           for (c, r), next_frame in series)
 
     def columns(self, term: Term) -> tuple[list[int], list[int], list[int]]:
-        """Columns of ``term``: its x1 cells (group-major), its numerators
-        and its x2 cells."""
-        if term not in self._num_col:
+        """The series of ``term``, as rows of ``blocks`` (the columns of its
+        bootstrap matrix): its x1 cells (group-major), its numerators and
+        its x2 cells."""
+        if term not in self._num_row:
             raise ValueError(f"term {term} is not in the table")
-        (groups, x2), first = term, self._num_col[term]
-        return ([self._cell_col[(c, False)] for g in groups for c in g],
+        (groups, x2), first = term, self._num_row[term]
+        return ([self._cell_row[(c, False)] for g in groups for c in g],
                 list(range(first, first + len(groups) * len(x2))),
-                [self._cell_col[(c, self.shuffle)] for c in x2])
+                [self._cell_row[(c, self.shuffle)] for c in x2])
 
 
 def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
@@ -234,15 +237,15 @@ def collect_cells(source: FrameSet | str | Path, terms: Sequence[Term],
     with a row of ones after the cell rows, which leaves its product's bits
     unchanged; the factors come one at a time into a buffer of its set
     (``_Rows``).  It multiplies the products by the x2 rows, and
-    ``np.add.reduceat``s cells and numerators straight into its blocks'
-    rows of the table; a product or sum beyond the float range leaves an
-    inf or nan there, without a warning.  Summed along the frames, a chunk
-    of whole blocks gives the whole series' block sums bit for bit, so the
-    table does not depend on the worker count.  The workers are joined
-    before this returns or raises.  After the pass, each column's total is
-    one ``math.fsum``, taken once (``_column_sums``), and the table's means
-    are the totals over ``n_frames``.  A total that is not finite, or whose
-    fsum overflows, is refused, naming the pixels of its series
+    ``np.add.reduceat``s cells and numerators along the frames straight
+    into its blocks of each series' row of the table; a product or sum
+    beyond the float range leaves an inf or nan there, without a warning.
+    A chunk of whole blocks gives the whole series' block sums bit for bit,
+    so the table does not depend on the worker count.  The workers are
+    joined before this returns or raises.  After the pass, each row's total
+    is one ``math.fsum``, taken once, and the table's means are the totals
+    over ``n_frames``.  A total whose fsum overflows, or that is not
+    finite, is refused, naming the pixels of its series
     (``NumericGuardError``), and so is a cell whose total is zero, a pixel
     dark in every frame: every cell is a denominator of some ghat, which it
     would make nan.  An SPKL file is opened and its header checked
@@ -264,7 +267,7 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
         raise ValueError(f"pixel index out of range: columns [0, {width}), rows [0, {height})")
     flat = rows * width + cols
     n_now = sum(not next_frame for _, next_frame in table.cells)
-    shift = int(shuffle)          # the next-frame rows' column offset
+    shift = int(shuffle)          # the next-frame rows' frame offset
     chunk = max(1, CHUNK_PIXELS // (height * width) // block_len) * block_len
     read_len = min(max(1, READ_PIXELS // (height * width)), chunk + shift)
     # the factor table [largest group size, groups]: each group's cell rows
@@ -274,11 +277,11 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     group_row = {g: i for i, g in enumerate(groups)}
     factors = np.full((max(map(len, groups), default=0), len(groups)), len(flat))
     for i, g in enumerate(groups):
-        factors[:len(g), i] = [table._cell_col[(c, False)] for c in g]
-    # per term: product rows, x2 rows (a slice where contiguous), first column
+        factors[:len(g), i] = [table._cell_row[(c, False)] for c in g]
+    # per term: product rows, x2 rows (a slice where contiguous), first row
     numerators = []
-    for (gs, x2), first in table._num_col.items():
-        sel = [table._cell_col[(c, shuffle)] for c in x2]
+    for (gs, x2), first in table._num_row.items():
+        sel = [table._cell_row[(c, shuffle)] for c in x2]
         if sel == list(range(sel[0], sel[0] + len(sel))):
             sel = slice(sel[0], sel[0] + len(x2))
         numerators.append(([group_row[g] for g in gs], sel, first, len(x2)))
@@ -323,20 +326,20 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
                 f"frame {(a + j) % n_frames}, column {c}, row {r} holds {values[i, j]}: "
                 "intensities must be finite and nonnegative")
         block_starts = np.arange(0, n, block_len)
-        out = table.blocks[a // block_len:a // block_len + len(block_starts)]
+        out = table.blocks[:, a // block_len:a // block_len + len(block_starts)]
         # a product or sum beyond the float range is an inf or nan block sum,
         # which the totals refuse after the pass
         with np.errstate(all="ignore"):
-            np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:, :n_now].T)
+            np.add.reduceat(cell[:n_now, :n], block_starts, axis=1, out=out[:n_now])
             np.add.reduceat(cell[n_now:len(flat), shift:shift + n], block_starts, axis=1,
-                            out=out[:, n_now:len(flat)].T)
+                            out=out[n_now:len(flat)])
             prod = _row_products(_Rows(cell, factors, n, factor)) if groups else None
             for gs, sel, first, count in numerators:
                 x2 = cell[sel, shift:shift + n]     # taken once per term, not per group
                 for i, g in enumerate(gs):
                     np.multiply(prod[g], x2, out=num[:count, :n])
                     np.add.reduceat(num[:count, :n], block_starts, axis=1,
-                                    out=out[:, first + i * count:first + (i + 1) * count].T)
+                                    out=out[first + i * count:first + (i + 1) * count])
 
     # leaving the block cancels the chunks not yet started and joins the
     # workers, also when a chunk raises
@@ -348,14 +351,14 @@ def _collect(shape: tuple[int, int, int], dtype: np.dtype,
     def out_of_range(j: int, what: str) -> NumericGuardError:
         return NumericGuardError(f"the sum over all frames of {table._names(j)} {what}: "
                                  "its values overflow the float range")
-    try:
-        totals = _column_sums(table.blocks)
-    except OverflowError as exc:    # finite block sums, too large a total
-        j = 0
-        with contextlib.suppress(OverflowError):
-            for j, column in enumerate(table.blocks.T):
-                math.fsum(column.tolist())
-        raise out_of_range(j, "overflows") from exc
+    totals = np.empty(len(table.blocks))
+    for j, row in enumerate(table.blocks):
+        # a memoryview yields plain floats, which fsum takes faster than
+        # numpy scalars
+        try:
+            totals[j] = math.fsum(memoryview(row))
+        except OverflowError as exc:    # finite block sums, too large a total
+            raise out_of_range(j, "overflows") from exc
     bad = np.flatnonzero(~np.isfinite(totals))
     if len(bad):
         raise out_of_range(bad[0], f"is {totals[bad[0]]}")
@@ -473,34 +476,25 @@ def _check_rows(m: int, y1_rows: Iterable[int]) -> list[int]:
     return rows
 
 
-def _column_sums(blocks: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each column of ``blocks`` [nb, C], the exact sum
-    rounded once; fsum's errors (an intermediate overflow, inf plus -inf)
-    pass through."""
-    sums = np.empty(blocks.shape[1])
-    # 16 contiguous columns at a time (400 kB at 3125 blocks), never a copy
-    # of the whole matrix; a memoryview yields plain floats, which fsum
-    # takes faster than numpy scalars
-    for lo in range(0, len(sums), 16):
-        part = np.asfortranarray(blocks[:, lo:lo + 16])
-        sums[lo:lo + 16] = [math.fsum(memoryview(column)) for column in part.T]
-    return sums
-
-
-def _resample(blocks: np.ndarray, n_frames: int, block_len: int, n_boot: int,
+def _resample(table: BlockTable, columns: Sequence[int], n_boot: int,
               seed: tuple[int, int], statistic) -> np.ndarray:
-    """Block-bootstrap replicates of ``statistic`` of resampled frame means.
+    """Block-bootstrap replicates of ``statistic`` of resampled frame means
+    of the series ``columns`` of ``table``.
 
-    ``blocks`` [nb, C] holds sums over blocks of ``block_len`` frames, the
-    last block holding the rest of the ``n_frames``.  Replicate r draws
-    ``rng.integers(0, nb, nb)``, and its block counts fill row r of a group
-    of BOOT_GROUP rows, the count matrix W; ``statistic`` receives the
-    group's means ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the
-    stacked replicate values, nan or inf where a mean the statistic divides
-    by is zero, which the caller refuses (``_refuse_non_finite``).
+    The block sums of those series, in that order, are the columns of one
+    C-contiguous matrix ``blocks`` [nb, C], gathered in one copy: BLAS
+    rounding depends on each column's position and on the memory order.
+    Blocks hold ``table.block_len`` frames, the last block the rest of the
+    ``table.n_frames``.  Replicate r draws ``rng.integers(0, nb, nb)``, and
+    its block counts fill row r of a group of BOOT_GROUP rows, the count
+    matrix W; ``statistic`` receives the group's means
+    ``(W @ blocks) / (W @ lengths)`` [g, C].  Returns the stacked replicate
+    values, nan or inf where a mean the statistic divides by is zero, which
+    the caller refuses (``_refuse_non_finite``).
     """
-    nb = len(blocks)
-    lengths = np.minimum(block_len, n_frames - block_len * np.arange(nb)).astype(float)
+    blocks = np.stack([table.blocks[j] for j in columns], axis=1)
+    nb, block_len = len(blocks), table.block_len
+    lengths = np.minimum(block_len, table.n_frames - block_len * np.arange(nb)).astype(float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     out = []
     for start in range(0, n_boot, BOOT_GROUP):
@@ -564,8 +558,6 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
     [term] = gm1_terms(m, x1, y1_rows, x2_scan, y2)
     table = _block_table(source, [term], block_len, shuffle)
     x1_cols, num_cols, x2_cols = table.columns(term)
-    # block columns [x1 | num | x2], C-ordered: BLAS rounding depends on
-    # column position and memory order
     columns = x1_cols + num_cols + x2_cols
     n_scan = len(x2_cols)
 
@@ -573,8 +565,7 @@ def estimate_gm1(source: FrameSource, m: int, x1: int,
         return _ghat(mean[..., None, :m], mean[..., None, m:-n_scan],
                      mean[..., -n_scan:])[..., 0, :]
 
-    boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len, n_boot,
-                     (boot_seed, 0xB00727), ghat)
+    boot = _resample(table, columns, n_boot, (boot_seed, 0xB00727), ghat)
     x2_positions = np.array(term[1], dtype=int)[:, 0]
     _refuse_non_finite(boot, m, "ghat", x2_positions)
     return CorrelationCurve(m=m, x2_positions=x2_positions,
@@ -781,9 +772,7 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     terms = bell_terms(geom, angles, m, range(m) if y1_rows is None else y1_rows, y2,
                        n_realizations)
     table = _block_table(source, terms, block_len, shuffle)
-    # per realization, the block columns [s | t | num] of _ch74_four_term's
-    # 4m + 20 series, C-ordered; BLAS rounding depends on column position
-    # and memory order
+    # per realization, the series [s | t | num] of _ch74_four_term's 4m + 20
     columns = []
     for term in terms:
         s, num, t = table.columns(term)
@@ -792,8 +781,7 @@ def bell_from_frames(source: FrameSource, m: int, angles: AngleSet,
     def replicate(mean: np.ndarray) -> np.ndarray:
         return _ch74_four_term(mean.reshape(len(mean), n_realizations, -1), m)[0].mean(axis=1)
 
-    boot = _resample(table.blocks.take(columns, axis=1), table.n_frames, block_len,
-                     n_boot, (boot_seed, 0xBE11), replicate)
+    boot = _resample(table, columns, n_boot, (boot_seed, 0xBE11), replicate)
     _refuse_non_finite(boot[:, None], m, "the Bell statistic")
     per_realization, probs = _ch74_four_term(table.means[columns].reshape(n_realizations, -1), m)
     statistic = float(np.mean(per_realization))
@@ -904,7 +892,7 @@ def analyze(cfg: CorrelateConfig, source: FrameSet | str | Path, geom: Geometry)
 
     diagnostics = {"n_cells": len(table.cells), "collect_workers": table.workers,
                    "table_mb": table.blocks.nbytes / 1e6, "buffers_mb": table.buffer_bytes / 1e6,
-                   "block_len": cfg.block_len, "n_blocks": table.blocks.shape[0],
+                   "block_len": cfg.block_len, "n_blocks": table.blocks.shape[1],
                    "n_boot": cfg.n_boot, "stage_s": stage_s}
     report = None
     if cfg.bell:

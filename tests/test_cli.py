@@ -9,16 +9,21 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
+import typing
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import thermalbell
 from thermalbell import cli
+from thermalbell.config import CorrelateConfig
 
 SIM_ARGS = ["--frames", "1500", "--tau-ratio", "0.01", "--substeps", "2",
             "--subsources", "16", "--pixel-pitch", "8e-6", "--grid-width", "128",
@@ -308,6 +313,8 @@ class TestBellCommand:
         ["--four-term", "--vis", "1", "--angles", "0,3.141592653589793,0,0",
          "--bound", "upper"],
         ["--model", "six-term-spe", "--vis", "0.9", "--angles", "0.3,1.2,0.4,2.0"],
+        # every sign choice's residual or realized phases overflow the float range
+        ["--four-term", "--vis", "0.5", "--angles", "1e308,1e308,1e308,1.5e308"],
     ])
     def test_unrealizable_angles_refused(self, tmp_path, capsys, args):
         """Arguments that no four detector phases give are refused."""
@@ -315,6 +322,14 @@ class TestBellCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: --angles: no consistent detector realization")
         assert list(tmp_path.iterdir()) == []
+
+    def test_angles_near_float_range_realized(self, capsys):
+        """t1 = t4 = 1e308 and t2 = t3 = 0 are realized with t4 negated,
+        although other sign choices overflow."""
+        assert run(["bell", "--four-term", "--vis", "0.5",
+                    "--angles", "1e308,0,0,1e308"]) == 0
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert all(math.isfinite(report["statistic"]) for report in reports)
 
 
 class TestQuantumCommand:
@@ -741,6 +756,22 @@ class TestCorrelateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["frames.spkl", "frames.spkl.meta.json"]
 
+    @pytest.mark.parametrize("args, code, message", [
+        # numpy's SeedSequence would refuse it only after the pass
+        (["--boot-seed", "-1"], 2, "config error: boot_seed must be >= 0, got -1"),
+        # realizable with t4 negated, but no pixel columns are 1e308 apart
+        (["--bell", "--angles", "1e308,0,0,1e308"], 3,
+         "numeric guard: only 0 pixel realizations"),
+    ], ids=["boot-seed", "angles"])
+    def test_refused_before_reading(self, stack, tmp_path, collect_calls, capsys, args, code,
+                                    message):
+        assert run(["correlate", "--frames", str(stack), "--m", "1", *args,
+                    "--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert collect_calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["frames.spkl", "frames.spkl.meta.json"]
+
     @pytest.mark.parametrize("args", [
         ["--m", "8"],
         ["--m", "9"],
@@ -1146,11 +1177,23 @@ SIMULATE = ["simulate", "--frames", "10", "--out", "{out}"]
     pytest.param([*CORRELATE, "--x2-range", "0:999"], None, 2, id="x2-range-off-grid"),
     pytest.param(["correlate", "--out", "{out}"], None, 2, id="no-frames"),
     pytest.param(["correlate", "--frames", "{good}"], None, 2, id="no-out"),
+    pytest.param([*CORRELATE, "--boot-seed", "-1"], None, 2, id="boot-seed-negative"),
+    # realizable, but no pixel columns of the grid are 1e308 apart
+    pytest.param([*CORRELATE, "--bell", "--angles", "1e308,0,0,1e308"], None, 3,
+                 id="angles-near-float-range"),
+    pytest.param([*CORRELATE, "--bell", "--angles", "1e308,1e308,1e308,1.5e308"], None, 2,
+                 id="angles-beyond-float-range"),
     pytest.param([*SIMULATE, "--grid-width", "1"], None, 2, id="grid-width-1"),
     pytest.param([*SIMULATE, "--subsources", "0"], None, 2, id="subsources-0"),
     pytest.param([*SIMULATE, "--substeps", "0"], None, 2, id="substeps-0"),
     pytest.param([*SIMULATE, "--field-amp", "0"], None, 2, id="field-amp-0"),
     pytest.param([*SIMULATE, "--nbar", "-1"], None, 2, id="nbar-negative"),
+    # buffers of petabytes, refused before any is allocated
+    pytest.param([*SIMULATE, "--substeps", str(10**12)], None, 3, id="draws-beyond-memory"),
+    pytest.param([*SIMULATE, "--subsources", str(10**12)], None, 3,
+                 id="phases-beyond-memory"),
+    pytest.param([*SIMULATE, "--grid-height", str(10**12)], None, 3,
+                 id="rows-beyond-memory"),
     pytest.param(["analytic", "--config", "{missing}", "--out", "{out}"], None, 2,
                  id="config-missing"),
     pytest.param(["analytic", "--config", "{config}", "--out", "{out}"], "[1, 2]", 2,
@@ -1175,9 +1218,70 @@ def test_refusal_exit_codes(tmp_path, capsys, stacks, args, config, code):
         (tmp_path / "config.json").write_text(config)
     assert run([arg.format(**paths) for arg in args]) == code
     err = capsys.readouterr().err
-    assert err.startswith({2: "config error: ", 4: "i/o error: "}[code])
+    assert err.startswith({2: "config error: ", 3: "numeric guard: ", 4: "i/o error: "}[code])
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["config.json"])
+
+
+@pytest.fixture(scope="module")
+def stack_3000(tmp_path_factory) -> str:
+    out = tmp_path_factory.mktemp("fuzz") / "frames.spkl"
+    args = list(SIM_ARGS)
+    args[1] = "3000"
+    assert run(["simulate", *args, "--out", str(out)]) == 0
+    return str(out)
+
+
+def _correlate_flags() -> st.SearchStrategy:
+    """Some of ``correlate``'s flags, as ``--flag=value``, each drawn from
+    its ``CorrelateConfig`` field's type hint: a switch, a Literal's
+    members, numbers, comma-separated lists or text.  Small values and a
+    few meaningful texts are likelier, so that whole runs happen too;
+    ``--boot`` stays at or below 40."""
+    texts = {"m_range": ["1", "2", "1..2", "6", "3,1", "0", "2..1", "2,2"],
+             "x2_range": ["0:128", "20:120", ":", "5", "0:999", "60:70"]}
+
+    def values(name, annotation):
+        members = [a for a in typing.get_args(annotation) if a is not type(None)]
+        if type(None) in typing.get_args(annotation):
+            annotation = members[0]
+            members = list(typing.get_args(annotation))
+        if annotation is bool:
+            return st.just(None)
+        if typing.get_origin(annotation) is typing.Literal:
+            return st.sampled_from(members)
+        if typing.get_origin(annotation) is list:
+            item = st.floats(width=64) if members[0] is float else st.integers(-2, 9)
+            return st.lists(item.map(str), max_size=5).map(",".join)
+        if annotation is int:
+            if name == "n_boot":
+                return st.integers(-2, 40).map(str)
+            return (st.integers(-2, 12) | st.integers(-2, 3100)).map(str)
+        return st.sampled_from(texts[name]) | st.text(max_size=6)
+
+    fields = {name: values(name, annotation)
+              for name, annotation in typing.get_type_hints(CorrelateConfig).items()
+              if name not in ("frames", "out")}
+
+    def flags(drawn: dict) -> list[str]:
+        names = {name: cli._RENAMED.get(name, "--" + name.replace("_", "-")) for name in drawn}
+        return [names[k] if v is None else f"{names[k]}={v}" for k, v in drawn.items()]
+    return st.fixed_dictionaries({}, optional=fields).map(flags)
+
+
+@given(flags=_correlate_flags())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_correlate_flags_fuzzed(stack_3000, flags):
+    """Any set of ``correlate`` flags on a 3000-frame stack ends in exit 0,
+    2, 3 or 4, with no exception out of ``main``, and leaves no temporary
+    file; a refused run leaves no file at all."""
+    with tempfile.TemporaryDirectory() as out:
+        code = run(["correlate", "--frames", stack_3000, "--out", f"{out}/run", *flags])
+        assert code in (0, 2, 3, 4)
+        left = [p.name for p in Path(out).iterdir()]
+        assert not [name for name in left if name.endswith(".tmp")]
+        assert code == 0 or left == []
 
 
 class TestConfigHandling:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -535,7 +536,7 @@ class TestSinglePassAndMatrixBootstrap:
 
     def test_one_fsum_per_table_column(self, frames_tiny, tmp_path, monkeypatch):
         """The frame means are taken once, when the pass ends: one command
-        takes ``math.fsum`` over as many columns of block sums as its table
+        takes ``math.fsum`` over as many rows of block sums as its table
         has, although the curves share the scan's columns."""
         path = tmp_path / "tiny.spkl"
         spkl.write_spkl(path, frames_tiny)
@@ -558,8 +559,8 @@ class TestSinglePassAndMatrixBootstrap:
                          "--realizations", "2", "--boot", "20",
                          "--out", str(tmp_path / "run")]) == 0
         [table] = tables
-        n_blocks, width = table.blocks.shape
-        assert (len(lengths), set(lengths)) == (width, {n_blocks})
+        n_series, n_blocks = table.blocks.shape
+        assert (len(lengths), set(lengths)) == (n_series, {n_blocks})
 
     @pytest.mark.parametrize("shuffle", [False, True])
     def test_stderr_matches_per_replicate_loop(self, frames_tiny, shuffle):
@@ -576,15 +577,20 @@ class TestSinglePassAndMatrixBootstrap:
         assert np.max(np.abs(curve.stderr / reference - 1)) < 1e-12
 
     def test_bootstrap_groups_match_per_replicate_loop(self, rng):
-        """More replicates than one count matrix holds, and a short last block."""
-        blocks = rng.random((13, 5))
+        """More replicates than one count matrix holds, and a short last
+        block; the series are gathered from a table's rows in the order
+        asked for."""
+        rows = rng.random((7, 13))
+        columns = [4, 0, 6, 2, 1]
+        blocks = rows[columns].T
+        table = types.SimpleNamespace(blocks=rows, n_frames=51, block_len=4)
         lengths = np.array([4.0] * 12 + [3.0])
         n_boot = 2 * correlate.BOOT_GROUP + 5
 
         def ratio(mean):
             return mean[..., :2] / mean[..., 2:4].sum(axis=-1)[..., None]
 
-        got = correlate._resample(blocks, 51, 4, n_boot, (3, 7), ratio)
+        got = correlate._resample(table, columns, n_boot, (3, 7), ratio)
         gen = np.random.default_rng(np.random.SeedSequence((3, 7)))
         want = []
         for _ in range(n_boot):
@@ -639,8 +645,8 @@ class TestSinglePassAndMatrixBootstrap:
             want = [np.add.reduceat(correlate._row_products([pixels[:, r, c] for c, r in g])
                                     * pixels[:, r2, c2], starts)
                     for g in groups for c2, r2 in x2]
-            got = table.blocks[:, table.columns((groups, x2))[1]]
-            assert np.array_equal(got.view(np.int64), np.array(want).T.view(np.int64))
+            got = table.blocks[table.columns((groups, x2))[1]]
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
     def test_row_products_extend_by_one_factor(self, rng):
         """The product of m columns of distinct values is that of the first
@@ -685,7 +691,7 @@ def _table_blocks(table, terms):
     for term in terms:
         x1, num, x2 = table.columns(term)
         columns += x1 + num + x2
-    return table.blocks[:, columns]
+    return table.blocks[columns].T
 
 
 class TestGather:
@@ -729,10 +735,10 @@ class TestGather:
         threads_joined()
 
     def test_table_holds_only_block_sums(self, frames_20k):
-        """The table holds n_blocks x K float64 values (one column per
-        distinct cell series, one per numerator), their K frame means and no
-        per-frame array; the pass's peak allocation stays far below one
-        per-frame series of each of its cells."""
+        """The table holds K x n_blocks float64 values, C-contiguous (one
+        row per distinct cell series, one per numerator), their K frame
+        means and no per-frame array; the pass's peak allocation stays far
+        below one per-frame series of each of its cells."""
         tracemalloc.start()
         try:
             table = correlate.collect_cells(frames_20k, self.TERMS, 64, True)
@@ -744,8 +750,9 @@ class TestGather:
             len({c for _, x2 in self.TERMS for c in x2})
         assert len(table.cells) == n_cells
         n_num = sum(len(g) * len(x2) for g, x2 in self.TERMS)
-        assert table.blocks.shape == (-(-20000 // 64), n_cells + n_num)
+        assert table.blocks.shape == (n_cells + n_num, -(-20000 // 64))
         assert table.blocks.dtype == np.float64
+        assert table.blocks.flags.c_contiguous
         assert table.means.shape == (n_cells + n_num,)
         assert [v for v in vars(table).values() if isinstance(v, np.ndarray)] == \
             [table.blocks, table.means]
@@ -925,7 +932,7 @@ class TestBadFrames:
         threads_joined()
         # a pixel no estimate reads does not matter
         assert correlate.collect_cells(source, correlate.gm1_terms(
-            2, 63, [0, 1], range(6, 128), 7)).blocks.shape == (10, 2 + 2 * 122)
+            2, 63, [0, 1], range(6, 128), 7)).blocks.shape == (2 + 2 * 122, 10)
 
     def test_dark_pixel_refused(self, frames_tiny, monkeypatch, workers, threads_joined):
         """A pixel an estimate reads that is zero in every frame is refused,
@@ -1013,82 +1020,92 @@ class TestDegenerateBootstrap:
                 bell_from_frames(source, 1, bell.UPPER_ANGLES)
 
 
-def _assert_fsum_sums(a: np.ndarray) -> None:
-    """``_column_sums`` of ``a`` [nb, C] is ``math.fsum`` of each column, bit
-    for bit, and it raises what ``math.fsum`` raises."""
-    try:
-        want = np.array([math.fsum(column) for column in a.T])
-    except (OverflowError, ValueError) as exc:
-        with pytest.raises(type(exc)):
-            correlate._column_sums(a)
-        return
-    assert np.array_equal(correlate._column_sums(a).view(np.int64), want.view(np.int64))
+def _assert_fsum_means(values: np.ndarray, block_len: int = 1) -> None:
+    """``collect_cells`` over frames whose one pixel row is ``values``
+    [n, w], for one term of x2 cells only, in blocks of ``block_len``: row c
+    of the table is pixel c's block sums, and its mean is ``math.fsum`` of
+    them over n, bit for bit.  A total fsum overflows on is refused at once,
+    naming its pixel; then one that is not finite, and then a pixel zero in
+    every frame."""
+    n, w = values.shape
+    source = FrameSet(values[:, None, :], None, 0, 0.0, 1, 1)
+    terms = [((), tuple((c, 0) for c in range(w)))]
+    with np.errstate(over="ignore"):
+        blocks = np.add.reduceat(values, np.arange(0, n, block_len), axis=0)
+    totals = []
+    for c, column in enumerate(blocks.T):
+        try:
+            totals.append(math.fsum(column))
+        except OverflowError:
+            refused = f"the sum over all frames of column {c}, row 0 overflows"
+            break
+    else:
+        bad = [c for c, total in enumerate(totals) if not math.isfinite(total)]
+        dark = [c for c, total in enumerate(totals) if total == 0]
+        if bad:
+            refused = f"the sum over all frames of column {bad[0]}, row 0 is {totals[bad[0]]}"
+        elif dark:
+            refused = f"column {dark[0]}, row 0 is zero in every frame"
+        else:
+            table = correlate.collect_cells(source, terms, block_len)
+            assert np.array_equal(table.blocks, blocks.T)
+            want = np.array(totals) / n
+            assert np.array_equal(table.means.view(np.int64), want.view(np.int64))
+            return
+    with pytest.raises(NumericGuardError, match=f"^{refused}: "):
+        correlate.collect_cells(source, terms, block_len)
 
 
 class TestColumnSums:
-    """``_column_sums`` against ``math.fsum`` per column.  Forty
-    columns are two slices of 16 and a short one, and twenty are one and a
-    short one."""
+    """The table's frame means against ``math.fsum`` of each series' block
+    sums, through ``collect_cells`` on frames of one row of pixels: values
+    that are finite and nonnegative, as the pass admits."""
 
     @given(arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 20)),
-                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                                     st.floats(-1e3, 1e3),
-                                     st.integers(-4, 4).map(float),
+                  elements=st.one_of(st.floats(0.0, allow_infinity=False),
+                                     st.floats(0.0, 1e3),
+                                     st.integers(0, 4).map(float),
                                      # sums a plain float sum rounds wrongly
-                                     st.sampled_from([2.0**53, -2.0**53, 1.0, -0.5]))))
+                                     st.sampled_from([2.0**53, 1.0, 0.5]))))
     @settings(max_examples=60, deadline=None)
     def test_matches_fsum(self, a):
-        _assert_fsum_sums(a)
+        _assert_fsum_means(a)
 
     @pytest.mark.parametrize("decades", [0, 12])
     def test_block_sum_sized_columns(self, rng, decades):
-        """3125 rows, as 200k frames in blocks of 64, of one sign or both and
-        over up to 12 decades; a plain float sum misses fsum's rounding in
-        some of the columns."""
+        """3125 frames, as 200k frames in blocks of 64, over up to 12
+        decades; a plain float sum misses fsum's rounding in some of the
+        columns."""
         a = rng.random((3125, 40)) * 3000.0
         if decades:
-            a = (a - 1500.0) * 10.0 ** rng.integers(0, decades, a.shape)
+            a = a * 10.0 ** rng.integers(0, decades, a.shape)
             assert not np.array_equal(np.asfortranarray(a).sum(axis=0),
                                       [math.fsum(c) for c in a.T])
-        _assert_fsum_sums(a)
+        _assert_fsum_means(a)
 
     def test_exponent_spread(self, rng):
-        a = rng.standard_normal((3125, 40)) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
-        _assert_fsum_sums(a)
-
-    def test_exact_cancellation(self, rng):
-        a = rng.standard_normal((500, 40)) * 10.0 ** rng.uniform(-20, 20, (500, 40))
-        cancel = np.concatenate([a, -a[::-1]])
-        assert not np.any(correlate._column_sums(cancel))
-        _assert_fsum_sums(cancel)
-        # all but a remainder far below the largest terms
-        _assert_fsum_sums(np.concatenate([cancel, np.full((1, 40), 1e-30)]))
+        a = np.abs(rng.standard_normal((3125, 40))) * 10.0 ** rng.uniform(-300, 300, (3125, 40))
+        _assert_fsum_means(a)
 
     @pytest.mark.parametrize("a", [np.zeros((64, 40)), -np.zeros((64, 40)),
-                                   np.zeros((1, 3)), np.arange(40.0)[None, :] - 20.5],
+                                   np.zeros((1, 3)), np.arange(40.0)[None, :] + 0.5],
                              ids=["zeros", "negative-zeros", "zero-row", "one-row"])
     def test_zeros_and_one_row(self, a):
-        _assert_fsum_sums(a)
+        _assert_fsum_means(a)
 
     def test_subnormals(self, rng):
-        tiny = rng.integers(-2**30, 2**30, (500, 40)) * 5e-324
-        _assert_fsum_sums(tiny)
-        _assert_fsum_sums(np.concatenate([tiny, rng.standard_normal((500, 40)) * 1e-300]))
+        tiny = rng.integers(1, 2**30, (500, 40)) * 5e-324
+        _assert_fsum_means(tiny)
+        _assert_fsum_means(np.concatenate([tiny, np.abs(rng.standard_normal((500, 40))) * 1e-300]))
 
     def test_near_overflow_and_non_finite(self, rng):
-        """fsum's inf and nan pass through, and so do its errors for an
-        intermediate overflow and for inf beside -inf."""
-        near = rng.uniform(-1.0, 1.0, (8, 40)) * 2e307
+        """A total fsum overflows on is refused, naming its pixel, and so is
+        a block sum that overflows to inf."""
+        near = rng.uniform(0.0, 1.0, (8, 40)) * 2e307
         near[:, 5] = 1.7e308              # the sum overflows: fsum raises
-        _assert_fsum_sums(near)
-        _assert_fsum_sums(np.delete(near, 5, axis=1))
-        for value in (np.inf, -np.inf, np.nan):
-            a = rng.random((64, 40))
-            a[7, 3] = value
-            _assert_fsum_sums(a)
-        a = rng.random((64, 40))
-        a[1, 20], a[2, 20] = np.inf, -np.inf
-        _assert_fsum_sums(a)
+        _assert_fsum_means(near)
+        _assert_fsum_means(np.delete(near, 5, axis=1))
+        _assert_fsum_means(near, block_len=2)     # block sums of inf in column 5
 
 
 class TestEstimateWorkers:
